@@ -47,17 +47,12 @@ class RunConfig:
     schema_path: Path
     nodes_path: Path | None = None
     edges_path: Path | None = None
-    equivalences_path: Path | None = None
     strict: bool = False
     lax: bool = False
-    jobs: int = 1
-    output_format: str = "tsv"
 
     def __post_init__(self) -> None:
         if self.strict and self.lax:
             raise click.UsageError("--strict and --lax are mutually exclusive")
-        if self.jobs < 1:
-            raise click.UsageError("--jobs must be at least 1")
 
 
 def _tool_errors(func):
@@ -121,15 +116,16 @@ def main() -> None:
 @click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--strict", is_flag=True, help="Fail on dangling edges at load time.")
 @click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
-@click.option("--jobs", default=1, show_default=True, help="Parallel workers for edge checks.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Accepted for compatibility; validation runs on one thread.")
 @click.option("--close-categories", is_flag=True, help="Close node categories under ancestors.")
 @_tool_errors
 def validate(schema_path, nodes_path, edges_path, strict, lax, jobs, close_categories) -> None:
     """Check a graph against a schema and print a JSONL report."""
-    config = RunConfig(schema_path, nodes_path, edges_path, strict=strict, lax=lax, jobs=jobs)
+    config = RunConfig(schema_path, nodes_path, edges_path, strict=strict, lax=lax)
     doc, index = _load_schema(config)
     kg = _load_graph(config, index, close_categories)
-    report = validate_graph(kg, doc, index, parallelism=config.jobs)
+    report = validate_graph(kg, doc, index, parallelism=jobs)
     sys.stdout.write(report.to_jsonl())
     sys.exit(EXIT_DOMAIN if report.error_count else EXIT_OK)
 
@@ -147,7 +143,7 @@ def validate(schema_path, nodes_path, edges_path, strict, lax, jobs, close_categ
 @_tool_errors
 def normalize(schema_path, equivalences_path, lax) -> None:
     """Rewrite CURIEs from stdin to their preferred form, one per line."""
-    config = RunConfig(schema_path, equivalences_path=equivalences_path, lax=lax)
+    config = RunConfig(schema_path, lax=lax)
     doc, index = _load_schema(config)
     table = load_equivalences(equivalences_path.read_text(encoding="utf-8"))
     for clique in table.cliques:
@@ -229,9 +225,7 @@ def expand(schema_path, predicate, lax) -> None:
 @_tool_errors
 def stats(schema_path, nodes_path, edges_path, output_format, strict, lax) -> None:
     """Count nodes per most specific category and edges per predicate."""
-    config = RunConfig(
-        schema_path, nodes_path, edges_path, strict=strict, lax=lax, output_format=output_format
-    )
+    config = RunConfig(schema_path, nodes_path, edges_path, strict=strict, lax=lax)
     _, index = _load_schema(config)
     kg = _load_graph(config, index, close=False)
     report = graph_stats(kg, index)

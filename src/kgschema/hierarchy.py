@@ -18,7 +18,7 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .schema_model import PREDICATE, SchemaDocument, validate_schema
+from .schema_model import PREDICATE, SchemaDocument, mixin_reach, validate_schema
 
 
 @dataclass
@@ -48,21 +48,20 @@ class ClosureIndex:
 
 def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
     cache: dict[str, list[str]] = {}
-
-    def walk(name: str) -> list[str]:
-        known = cache.get(name)
-        if known is not None:
-            return known
-        parent = parents[name]
-        if parent is None or parent not in parents:
-            result = [name]
-        else:
-            result = [name] + walk(parent)
-        cache[name] = result
-        return result
-
     for name in parents:
-        walk(name)
+        # Climb to the first name whose list is known, or past a root, then
+        # fill the lists back down the path. ``on_path`` ends a cycle.
+        path: list[str] = []
+        on_path: set[str] = set()
+        current = name
+        while current in parents and current not in cache and current not in on_path:
+            path.append(current)
+            on_path.add(current)
+            current = parents[current]
+        above = cache.get(current, [])
+        for member in reversed(path):
+            above = [member] + above
+            cache[member] = above
     return cache
 
 
@@ -96,25 +95,10 @@ def build_closure(doc: SchemaDocument) -> ClosureIndex:
     index.predicate_descendants = _invert(index.predicate_ancestors)
 
     index.mixins = frozenset(n for n, c in doc.classes.items() if c.is_mixin)
-    membership: dict[str, frozenset[str]] = {}
-    for name in doc.classes:
-        reach: set[str] = set()
-        stack = [name]
-        seen = {name}
-        while stack:
-            current = stack.pop()
-            cls = doc.classes[current]
-            if cls.is_mixin:
-                reach.add(current)
-            for nxt in ([cls.is_a] if cls.is_a else []) + list(cls.mixins):
-                if nxt not in seen and nxt in doc.classes:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        membership[name] = frozenset(reach)
-    index.mixin_membership = membership
+    index.mixin_membership = {name: frozenset(mixin_reach(doc, name)) for name in doc.classes}
 
     carriers: dict[str, set[str]] = {m: set() for m in index.mixins}
-    for name, reach in membership.items():
+    for name, reach in index.mixin_membership.items():
         if name in index.mixins:
             continue
         for mixin in reach:

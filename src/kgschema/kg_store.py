@@ -4,7 +4,8 @@ Nodes are deduplicated by identifier and edges by their core triple;
 property values merge by order-preserving union so provenance is never
 dropped. The tabular format uses ``|`` to separate multiple values in a
 cell, with no escaping: a literal ``|`` in a single-valued cell is a syntax
-error.
+error. The writer raises ``ValueError`` rather than emit a tab, a line break
+or a ``|`` inside a value, none of which would read back.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ class Edge:
 
 @dataclass
 class KnowledgeGraph:
-    """Node map plus edge list with adjacency indexes over edge ordinals."""
+    """Node map keyed by identifier plus an ordered, deduplicated edge list."""
 
     nodes: dict[Curie, Node] = field(default_factory=dict)
     edges: list[Edge] = field(default_factory=list)
-    out_edges: dict[Curie, list[int]] = field(default_factory=dict)
-    in_edges: dict[Curie, list[int]] = field(default_factory=dict)
 
     def dangling_edge_ordinals(self) -> list[int]:
         return [
@@ -264,10 +263,22 @@ def _read_edges_jsonl(source_text: str) -> list[Edge]:
 # Writing
 
 
-def _check_single(value: str, column: str) -> str:
-    if "|" in value:
-        raise ValueError(f"value in single-valued column {column!r} contains '|': {value!r}")
-    return value
+def _tsv_text(rows: list[str], width: int, separators: int) -> str:
+    """Join a header and rows of ``width`` cells, rejecting what would not read back.
+
+    ``separators`` is the number of ``|`` that join multivalued cells; any
+    other ``|`` below the header sits inside a value and would split it on
+    reading, as would a tab or a line break. The joined text is checked
+    once, not value by value.
+    """
+    text = "\n".join(rows) + "\n"
+    tabs = len(rows) * (width - 1)
+    if text.count("\t") != tabs or text.count("\n") != len(rows) or "\r" in text:
+        bad = next(r for r in rows if r.count("\t") != width - 1 or "\n" in r or "\r" in r)
+        raise ValueError(f"TSV cannot hold a tab or a line break inside a value: {bad!r}")
+    if text.count("|") != rows[0].count("|") + separators:
+        raise ValueError("TSV cannot hold '|' inside a value")
+    return text
 
 
 def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
@@ -285,14 +296,16 @@ def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
     extras = sorted({key for node in nodes for key in node.properties})
     out = ["\t".join(NODE_COLUMNS + tuple(extras))]
     for node in nodes:
-        cells = [
-            _check_single(node.id.text, "id"),
-            "|".join(node.categories),
-            _check_single(node.name or "", "name"),
-        ]
+        cells = [node.id.text, "|".join(node.categories), node.name or ""]
         cells.extend("|".join(node.properties.get(key, [])) for key in extras)
         out.append("\t".join(cells))
-    return "\n".join(out) + "\n"
+    separators = sum(
+        len(values) - 1
+        for node in nodes
+        for values in (node.categories, *node.properties.values())
+        if values
+    )
+    return _tsv_text(out, len(NODE_COLUMNS) + len(extras), separators)
 
 
 def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
@@ -312,14 +325,11 @@ def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
     extras = sorted({key for edge in edges for key in edge.properties})
     out = ["\t".join(EDGE_COLUMNS + tuple(extras))]
     for edge in edges:
-        cells = [
-            _check_single(edge.subject.text, "subject"),
-            _check_single(edge.predicate, "predicate"),
-            _check_single(edge.object.text, "object"),
-        ]
+        cells = [edge.subject.text, edge.predicate, edge.object.text]
         cells.extend("|".join(edge.properties.get(key, [])) for key in extras)
         out.append("\t".join(cells))
-    return "\n".join(out) + "\n"
+    separators = sum(len(v) - 1 for edge in edges for v in edge.properties.values() if v)
+    return _tsv_text(out, len(EDGE_COLUMNS) + len(extras), separators)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +419,6 @@ def build_graph(nodes: list[Node], edges: list[Edge], *, strict: bool = False) -
     afterwards.
     """
     kg = KnowledgeGraph(nodes=_merge_nodes(nodes), edges=_merge_edges(edges))
-    for ordinal, edge in enumerate(kg.edges):
-        kg.out_edges.setdefault(edge.subject, []).append(ordinal)
-        kg.in_edges.setdefault(edge.object, []).append(ordinal)
     if strict:
         dangling = kg.dangling_edge_ordinals()
         if dangling:
@@ -427,22 +434,18 @@ def close_categories(kg: KnowledgeGraph, index: ClosureIndex) -> KnowledgeGraph:
     """Return a graph whose node categories are closed under class ancestors.
 
     Unknown category names are kept as-is; ancestors are appended in
-    nearest-first order after the declared categories.
+    nearest-first order after the declared categories. Edges and property
+    lists are shared with ``kg``.
     """
-    closed_nodes = []
-    for node in kg.nodes.values():
+    closed_nodes = {}
+    for node_id, node in kg.nodes.items():
         categories = list(node.categories)
         for category in node.categories:
             for ancestor in index.class_ancestors.get(category, []):
                 if ancestor not in categories:
                     categories.append(ancestor)
-        closed_nodes.append(
-            Node(node.id, categories, node.name, {k: list(v) for k, v in node.properties.items()})
-        )
-    return build_graph(closed_nodes, [
-        Edge(e.subject, e.predicate, e.object, {k: list(v) for k, v in e.properties.items()})
-        for e in kg.edges
-    ])
+        closed_nodes[node_id] = Node(node_id, categories, node.name, node.properties)
+    return KnowledgeGraph(nodes=closed_nodes, edges=list(kg.edges))
 
 
 def normalize_graph(
@@ -482,35 +485,26 @@ def normalize_graph(
         # Fixed point: nothing to rewrite or merge.
         return kg, report
 
+    # Renamed objects share their value lists with the input: a merge copies
+    # an object before it mutates it.
     new_nodes = []
     for node in kg.nodes.values():
         normalized = mapping[node.id]
-        if normalized == node.id:
-            new_nodes.append(node)
-        else:
-            copied = _copy_node(node)
-            copied.id = normalized
-            new_nodes.append(copied)
+        if normalized != node.id:
+            node = Node(normalized, node.categories, node.name, node.properties)
+        new_nodes.append(node)
     new_edges = []
     for edge in kg.edges:
         subject = mapping[edge.subject]
         obj = mapping[edge.object]
-        if subject == edge.subject and obj == edge.object:
-            new_edges.append(edge)
-        else:
-            copied = _copy_edge(edge)
-            copied.subject = subject
-            copied.object = obj
-            new_edges.append(copied)
+        if subject != edge.subject or obj != edge.object:
+            edge = Edge(subject, edge.predicate, obj, edge.properties)
+        new_edges.append(edge)
     merged_nodes = _merge_nodes(new_nodes, report)
     merged_edges = _merge_edges(new_edges)
     report.nodes_merged = len(kg.nodes) - len(merged_nodes)
     report.edges_deduplicated = len(kg.edges) - len(merged_edges)
-    normalized = KnowledgeGraph(nodes=merged_nodes, edges=merged_edges)
-    for ordinal, edge in enumerate(normalized.edges):
-        normalized.out_edges.setdefault(edge.subject, []).append(ordinal)
-        normalized.in_edges.setdefault(edge.object, []).append(ordinal)
-    return normalized, report
+    return KnowledgeGraph(nodes=merged_nodes, edges=merged_edges), report
 
 
 def graph_stats(kg: KnowledgeGraph, index: ClosureIndex | None = None) -> StatsReport:

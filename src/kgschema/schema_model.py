@@ -514,16 +514,21 @@ def _find_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
     return sorted(cycles)
 
 
-def _mixin_contribution(doc: SchemaDocument, mixin: str, seen: set[str]) -> list[str]:
-    if mixin in seen or mixin not in doc.classes:
-        return []
-    seen.add(mixin)
-    cls = doc.classes[mixin]
-    out = list(cls.slots)
-    if cls.is_a is not None:
-        out.extend(_mixin_contribution(doc, cls.is_a, seen))
-    for m in cls.mixins:
-        out.extend(_mixin_contribution(doc, m, seen))
+def _mixin_contribution(doc: SchemaDocument, mixin: str) -> list[str]:
+    """Slots of ``mixin`` in pre-order: own slots, then is_a, then mixins."""
+    out: list[str] = []
+    seen: set[str] = set()
+    stack = [mixin]
+    while stack:
+        current = stack.pop()
+        if current in seen or current not in doc.classes:
+            continue
+        seen.add(current)
+        cls = doc.classes[current]
+        out.extend(cls.slots)
+        stack.extend(reversed(cls.mixins))
+        if cls.is_a is not None:
+            stack.append(cls.is_a)
     return out
 
 
@@ -552,7 +557,7 @@ def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
         add(doc.classes[name].slots)
     for name in chain:
         for mixin in doc.classes[name].mixins:
-            add(_mixin_contribution(doc, mixin, set()))
+            add(_mixin_contribution(doc, mixin))
     return ordered
 
 
@@ -719,7 +724,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
     for name, cls in doc.classes.items():
         first_source: dict[str, str] = {}
         for mixin in cls.mixins:
-            for slot in _mixin_contribution(doc, mixin, set()):
+            for slot in _mixin_contribution(doc, mixin):
                 if slot in first_source and first_source[slot] != mixin:
                     warn(
                         MIXIN_SLOT_SHADOWED,
@@ -759,18 +764,18 @@ def _narrows(doc: SchemaDocument, child: str, parent: str) -> bool:
     if child_cls is None or parent_cls is None:
         return False
     if parent_cls.is_mixin:
-        return parent in _mixin_reach(doc, child)
+        return parent in mixin_reach(doc, child)
     if not child_cls.is_mixin:
         return parent in _chain(doc.classes, child)
     carriers = [
         name
         for name, cls in doc.classes.items()
-        if not cls.is_mixin and child in _mixin_reach(doc, name)
+        if not cls.is_mixin and child in mixin_reach(doc, name)
     ]
     return all(parent in _chain(doc.classes, c) for c in carriers)
 
 
-def _mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
+def mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
     """Mixins reachable from ``start`` through is_a and mixin declarations."""
     reach: set[str] = set()
     stack = [start]

@@ -4,14 +4,13 @@ Checks per node: category existence, mixin-only categorization, identifier
 prefix conformance. Checks per edge: predicate existence, inherited
 domain/range constraints, association matching with required edge
 properties, and provenance identifier shape. Violations are data; the
-report is deterministic across input order and parallelism degree.
+report is deterministic across input order. Checks run on one thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .hierarchy import ClosureIndex, minimal_categories
@@ -418,33 +417,17 @@ def validate_graph(
 ) -> ValidationReport:
     """Validate every node and edge; the report is byte-stable.
 
-    ``parallelism`` partitions the edge checks across worker threads; the
-    result is independent of the degree because violations are merged in
-    ordinal order and finally sorted by (code, subject, detail).
+    Violations are sorted by (code, subject, detail). ``parallelism`` is
+    accepted for compatibility and ignored: the checks are pure Python,
+    which threads cannot speed up.
     """
     caches = _Caches(kg, doc, index)
     violations: list[Violation] = []
     for node_id in sorted(kg.nodes, key=lambda c: c.text):
         violations.extend(validate_node(kg.nodes[node_id], doc, index))
 
-    labeled = [(f"edge:{ordinal}", edge) for ordinal, edge in enumerate(kg.edges)]
-    if parallelism <= 1 or len(labeled) < 2:
-        for label, edge in labeled:
-            violations.extend(_validate_edge(edge, label, caches))
-    else:
-        chunk_size = max(1, (len(labeled) + parallelism - 1) // parallelism)
-        chunks = [labeled[i : i + chunk_size] for i in range(0, len(labeled), chunk_size)]
-
-        def run(chunk) -> list[Violation]:
-            found: list[Violation] = []
-            for label, edge in chunk:
-                found.extend(_validate_edge(edge, label, caches))
-            return found
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            for found in pool.map(run, chunks):
-                violations.extend(found)
-
+    for ordinal, edge in enumerate(kg.edges):
+        violations.extend(_validate_edge(edge, f"edge:{ordinal}", caches))
     violations.sort(key=_sort_key)
     counts: dict[str, int] = {}
     for violation in violations:

@@ -70,6 +70,20 @@ def random_schema(
     return doc
 
 
+def deep_chain_schema(class_depth: int, predicate_depth: int) -> SchemaDocument:
+    """Straight class and predicate is_a chains, each declared child-first."""
+    doc = SchemaDocument(name="deep", version="0")
+    for i in range(class_depth, 0, -1):
+        doc.classes[f"C{i}"] = ClassDefinition(name=f"C{i}", is_a=f"C{i - 1}")
+    doc.classes["C0"] = ClassDefinition(name="C0")
+    for i in range(predicate_depth, 0, -1):
+        doc.slots[f"pred_{i}"] = SlotDefinition(
+            name=f"pred_{i}", slot_kind="predicate", is_a=f"pred_{i - 1}" if i > 1 else "related_to"
+        )
+    doc.slots["related_to"] = SlotDefinition(name="related_to", slot_kind="predicate")
+    return doc
+
+
 def random_graph(
     rng: random.Random,
     doc: SchemaDocument,

@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from kgschema import serialize_schema
 from kgschema.cli import main
+
+from generators import deep_chain_schema
 
 DATA = Path(__file__).parent / "data"
 
@@ -281,3 +284,26 @@ def test_query_and_stats_byte_identical_across_runs(runner, seed_path):
         second = _invoke(runner, *verb_args)
         assert first.stdout == second.stdout
         assert first.exit_code == second.exit_code == 0
+
+
+def test_expand_on_deep_child_first_chain(runner, tmp_path):
+    depth = 3000
+    schema = tmp_path / "deep.kgs.yaml"
+    schema.write_text(serialize_schema(deep_chain_schema(0, depth)), encoding="utf-8")
+    result = _invoke(runner, "expand", "--schema", str(schema), "--predicate", "related_to")
+    assert result.exit_code == 0
+    assert result.stdout.split() == sorted(["related_to"] + [f"pred_{i}" for i in range(1, depth + 1)])
+
+
+@pytest.mark.parametrize("value", ["x|y", "tab\there", "two\nlines"])
+def test_convert_to_tsv_rejects_unrepresentable_value(runner, tmp_path, value):
+    nodes = tmp_path / "nodes.jsonl"
+    edges = tmp_path / "edges.jsonl"
+    nodes.write_text(json.dumps({"id": "A:1", "category": ["Gene"], "xref": [value]}) + "\n")
+    edges.write_text(json.dumps({"subject": "A:1", "predicate": "treats", "object": "A:1"}) + "\n")
+    result = runner.invoke(main, ["convert", "--nodes", str(nodes), "--edges", str(edges), "--to", "tsv"])
+    assert result.exit_code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.jsonl", "nodes.jsonl"]
+    single = runner.invoke(main, ["convert", "--nodes", str(nodes), "--to", "tsv"])
+    assert single.exit_code == 2
+    assert single.stdout == ""

@@ -15,7 +15,7 @@ from kgschema import (
     is_subclass_of,
     most_specific_category,
 )
-from generators import random_schema
+from generators import deep_chain_schema, random_schema
 from oracles import dfs_ancestors, dfs_descendants, mixin_reach
 
 
@@ -54,6 +54,14 @@ def test_closure_matches_dfs_oracle_on_random_schemas():
             assert index.predicate_descendants[name] == dfs_descendants(
                 predicate_parents, name
             )
+
+
+def test_closure_of_deep_child_first_class_chain():
+    # The predicate chain is exercised through the CLI's expand verb.
+    depth = 3000
+    index = build_closure(deep_chain_schema(depth, 0))
+    assert index.class_ancestors[f"C{depth}"] == [f"C{i}" for i in range(depth, -1, -1)]
+    assert index.class_descendants["C0"] == {f"C{i}" for i in range(depth + 1)}
 
 
 def test_closure_invariants_on_seed(seed_doc, seed_index):

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgschema import (
     Curie,
@@ -125,19 +128,6 @@ def test_dedup_never_loses_provenance():
     assert set(kg.edges[0].properties["publications"]) == set(pubs)
 
 
-def test_adjacency_covers_edge_list(demo_graph):
-    seen = set()
-    for ordinals in demo_graph.out_edges.values():
-        seen.update(ordinals)
-    assert seen == set(range(len(demo_graph.edges)))
-    seen_in = set()
-    for ordinals in demo_graph.in_edges.values():
-        seen_in.update(ordinals)
-    assert seen_in == set(range(len(demo_graph.edges)))
-    for node_id, ordinals in demo_graph.out_edges.items():
-        assert all(demo_graph.edges[i].subject == node_id for i in ordinals)
-
-
 def test_dangling_edges_collected_not_fatal():
     edges = [Edge(Curie("A", "1"), "treats", Curie("GONE", "9"))]
     kg = build_graph([Node(Curie("A", "1"), ["Gene"])], edges)
@@ -159,6 +149,80 @@ def test_tsv_jsonl_round_trips(demo_nodes_text, demo_edges_text):
 def test_write_rejects_pipe_in_name():
     with pytest.raises(ValueError):
         write_nodes([Node(Curie("A", "1"), ["Gene"], "bad|name")])
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        Node(Curie("A", "1"), ["Gene"], "tab\tname"),
+        Node(Curie("A", "1"), ["Gene"], "line\nbreak"),
+        Node(Curie("A", "1"), ["Gene\r"]),
+        Node(Curie("A", "1"), ["Gene|Protein"]),
+        Node(Curie("A", "1"), ["Gene"], properties={"xref": ["x|y"]}),
+        Node(Curie("A", "1"), ["Gene"], properties={"xref": ["x", "y\tz"]}),
+        Node(Curie("A", "1"), ["Gene"], properties={"bad\tcolumn": ["x"]}),
+        Edge(Curie("A", "1"), "treats\t", Curie("B", "2")),
+        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"publications": ["PMID:1|PMID:2"]}),
+        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"note": ["two\nlines"]}),
+    ],
+)
+def test_write_tsv_rejects_what_cannot_read_back(item):
+    write, read = (write_nodes, read_nodes) if isinstance(item, Node) else (write_edges, read_edges)
+    with pytest.raises(ValueError):
+        write([item], "tsv")
+    assert read(write([item], "jsonl")) == [item]
+
+
+_ids = st.sampled_from(["A:1", "A:2", "B:1", "B:2"])
+
+
+@st.composite
+def _jsonl_graph(draw):
+    # Arbitrary Unicode strings, and one TSV delimiter spliced into one of
+    # them, so that each delimiter is tried on its own.
+    hostile = draw(st.sampled_from(["", "\t", "\n", "\r", "|"]))
+    target = draw(st.integers(0, 15))
+    drawn = 0
+
+    def text(min_size=0):
+        nonlocal drawn
+        value = draw(st.text(min_size=min_size))
+        if drawn == target:
+            at = draw(st.integers(0, len(value)))
+            value = value[:at] + hostile + value[at:]
+        drawn += 1
+        return value
+
+    def values():
+        return [text(1) for _ in range(draw(st.integers(1, 3)))]
+
+    def properties():
+        return {text(): values() for _ in range(draw(st.integers(0, 2)))}
+
+    node_lines = [
+        json.dumps({**properties(), "id": node_id, "category": values(), "name": text()})
+        for node_id in draw(st.lists(_ids, min_size=1, max_size=4))
+    ]
+    edge_lines = [
+        json.dumps({
+            **properties(), "subject": draw(_ids), "predicate": text(1), "object": draw(_ids),
+        })
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"
+
+
+@given(_jsonl_graph())
+def test_jsonl_to_tsv_is_lossless_or_rejected(texts):
+    nodes = read_nodes(texts[0], "jsonl")
+    edges = read_edges(texts[1], "jsonl")
+    try:
+        nodes_tsv = write_nodes(nodes, "tsv")
+        edges_tsv = write_edges(edges, "tsv")
+    except ValueError:
+        return
+    round_trip = build_graph(read_nodes(nodes_tsv, "tsv"), read_edges(edges_tsv, "tsv"))
+    assert graph_equal(build_graph(nodes, edges), round_trip)
 
 
 def test_normalize_graph_fixed_point(seed_doc, seed_index, demo_graph, demo_equivalences):
@@ -221,6 +285,41 @@ def test_normalize_graph_idempotent_on_random_graphs(seed_doc, seed_index):
         twice, report = normalize_graph(once, table, seed_doc, seed_index)
         assert graph_equal(once, twice)
         assert report.ids_rewritten == 0
+
+
+def _snapshot(nodes, edges):
+    return (
+        [(n.id, list(n.categories), n.name, {k: list(v) for k, v in n.properties.items()})
+         for n in nodes],
+        [(e.key(), {k: list(v) for k, v in e.properties.items()}) for e in edges],
+    )
+
+
+def test_graph_builders_never_mutate_their_input(seed_doc, seed_index):
+    rng = random.Random(404)
+    for _ in range(60):
+        nodes, edges = random_graph(rng, seed_doc, max_nodes=12, max_edges=25)
+        # Duplicate rows make build_graph merge, cliques make normalize_graph merge.
+        for node in rng.sample(nodes, rng.randint(0, len(nodes))):
+            nodes.append(Node(node.id, ["Gene", "Disease"], f"dup {node.name}",
+                              {"xref": [f"X:{rng.randint(1, 3)}"]}))
+        for edge in rng.sample(edges, rng.randint(0, len(edges))):
+            edges.append(Edge(edge.subject, edge.predicate, edge.object,
+                              {"publications": [f"PMID:{rng.randint(1, 5)}"]}))
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+        before = _snapshot(nodes, edges)
+        kg = build_graph(nodes, edges)
+        assert _snapshot(nodes, edges) == before
+        table = _random_table(rng, kg, seed_doc)
+        for graph in (kg, close_categories(kg, seed_index)):
+            held = _snapshot(graph.nodes.values(), graph.edges)
+            closed = close_categories(graph, seed_index)
+            normalized, _ = normalize_graph(graph, table, seed_doc, seed_index)
+            normalize_graph(normalized, table, seed_doc, seed_index)
+            normalize_graph(closed, table, seed_doc, seed_index)
+            assert _snapshot(graph.nodes.values(), graph.edges) == held
+        assert _snapshot(nodes, edges) == before
 
 
 def test_normalize_graph_preserves_reachability(seed_doc, seed_index):

@@ -372,3 +372,35 @@ def test_effective_slots_terminates_on_deep_hierarchies():
         name="Leafy", is_a=f"C{depth - 1}", mixins=[f"M{depth - 1}"]
     )
     assert effective_slots(doc, "Leafy") == ["s0"]
+
+
+def test_deep_mixin_chain_validates_in_pre_order():
+    # M0 is_a M1 is_a ... M2999; each mixin contributes its own slot.
+    doc = SchemaDocument(name="deep", version="0")
+    depth = 3000
+    for i in range(depth):
+        doc.slots[f"s{i}"] = SlotDefinition(name=f"s{i}", slot_kind="node_property")
+        doc.classes[f"M{i}"] = ClassDefinition(
+            name=f"M{i}", is_mixin=True, is_a=f"M{i + 1}" if i + 1 < depth else None,
+            slots=[f"s{i}"],
+        )
+    doc.classes["Carrier"] = ClassDefinition(name="Carrier", mixins=["M0"])
+    assert not [v for v in validate_schema(doc) if v.severity == "error"]
+    assert effective_slots(doc, "Carrier") == [f"s{i}" for i in range(depth)]
+
+
+def test_mixin_contribution_order_own_then_is_a_then_mixins():
+    doc = SchemaDocument(name="x", version="0")
+    for slot in ("own", "up", "first", "second", "shared"):
+        doc.slots[slot] = SlotDefinition(name=slot, slot_kind="node_property")
+    doc.classes["Shared"] = ClassDefinition(name="Shared", is_mixin=True, slots=["shared"])
+    doc.classes["Up"] = ClassDefinition(name="Up", is_mixin=True, slots=["up"], mixins=["Shared"])
+    doc.classes["First"] = ClassDefinition(name="First", is_mixin=True, slots=["first"])
+    doc.classes["Second"] = ClassDefinition(
+        name="Second", is_mixin=True, slots=["second"], mixins=["Shared"]
+    )
+    doc.classes["Mix"] = ClassDefinition(
+        name="Mix", is_mixin=True, is_a="Up", mixins=["First", "Second"], slots=["own"]
+    )
+    doc.classes["User"] = ClassDefinition(name="User", mixins=["Mix"])
+    assert effective_slots(doc, "User") == ["own", "up", "shared", "first", "second"]
