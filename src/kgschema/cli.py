@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .errors import KgschemaError, MalformedCurieError
-from .hierarchy import ClosureIndex, build_closure, expand_predicates
+from .hierarchy import ClosureIndex, _build_closure, expand_predicates
 from .identifiers import load_equivalences, normalize_curie, parse_curie
 from .kg_store import (
     KnowledgeGraph,
@@ -78,7 +78,7 @@ def _load_schema(config: RunConfig) -> tuple[SchemaDocument, ClosureIndex]:
                 err=True,
             )
         raise KgschemaError(f"schema {config.schema_path} has {len(errors)} error(s)")
-    return doc, build_closure(doc)
+    return doc, _build_closure(doc)
 
 
 def _load_graph(config: RunConfig, index: ClosureIndex, close: bool) -> KnowledgeGraph:

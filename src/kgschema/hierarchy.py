@@ -46,11 +46,15 @@ class ClosureIndex:
         return len(self.predicate_ancestors[predicate]) - 1
 
 
-def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
-    cache: dict[str, list[str]] = {}
+def _fill_down(parents: dict[str, str | None], empty, extend) -> dict:
+    """``extend(name, value of its parent)`` for every name, parents first.
+
+    Each name climbs to the first name whose value is known, or past a root,
+    and the values are filled back down the path, so a chain costs one pass.
+    ``on_path`` ends a cycle.
+    """
+    cache: dict = {}
     for name in parents:
-        # Climb to the first name whose list is known, or past a root, then
-        # fill the lists back down the path. ``on_path`` ends a cycle.
         path: list[str] = []
         on_path: set[str] = set()
         current = name
@@ -58,18 +62,49 @@ def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
             path.append(current)
             on_path.add(current)
             current = parents[current]
-        above = cache.get(current, [])
+        above = cache.get(current, empty)
         for member in reversed(path):
-            above = [member] + above
+            above = extend(member, above)
             cache[member] = above
     return cache
 
 
+def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
+    return _fill_down(parents, [], lambda member, above: [member] + above)
+
+
+def _mixin_membership(doc: SchemaDocument, parents: dict[str, str | None]) -> dict[str, frozenset[str]]:
+    """Per class, the mixins reachable through is_a and mixin declarations.
+
+    A class adds itself, when it is a mixin, and the reach of each mixin it
+    declares to its parent's set; it shares the parent's set when they add
+    nothing. Each declared mixin is walked once.
+    """
+    declared: dict[str, frozenset[str]] = {}
+
+    def extend(name: str, above: frozenset[str]) -> frozenset[str]:
+        cls = doc.classes[name]
+        own = {name} if cls.is_mixin else set()
+        for mixin in cls.mixins:
+            if mixin not in declared:
+                declared[mixin] = frozenset(mixin_reach(doc, mixin))
+            own |= declared[mixin]
+        return above if own <= above else above | own
+
+    return _fill_down(parents, frozenset(), extend)
+
+
 def _invert(ancestors: dict[str, list[str]]) -> dict[str, frozenset[str]]:
-    down: dict[str, set[str]] = {name: set() for name in ancestors}
-    for name, ups in ancestors.items():
-        for up in ups:
-            down[up].add(name)
+    """Descendant sets from ancestor lists that follow one parent per name.
+
+    Deepest names first, each name's set joins its parent's set, so a set
+    is copied once per level instead of filled one member at a time.
+    """
+    down: dict[str, set[str]] = {name: {name} for name in ancestors}
+    for name in sorted(ancestors, key=lambda n: len(ancestors[n]), reverse=True):
+        ups = ancestors[name]
+        if len(ups) > 1:
+            down[ups[1]] |= down[name]
     return {name: frozenset(members) for name, members in down.items()}
 
 
@@ -83,9 +118,14 @@ def build_closure(doc: SchemaDocument) -> ClosureIndex:
     if errors:
         summary = ", ".join(sorted({v.code for v in errors}))
         raise SchemaNotValidError(f"schema has {len(errors)} error(s): {summary}")
+    return _build_closure(doc)
 
+
+def _build_closure(doc: SchemaDocument) -> ClosureIndex:
+    """:func:`build_closure` for a schema its caller has already validated."""
     index = ClosureIndex()
-    index.class_ancestors = _ancestor_lists({n: c.is_a for n, c in doc.classes.items()})
+    class_parents = {n: c.is_a for n, c in doc.classes.items()}
+    index.class_ancestors = _ancestor_lists(class_parents)
     index.class_descendants = _invert(index.class_ancestors)
 
     predicate_parents = {
@@ -95,7 +135,7 @@ def build_closure(doc: SchemaDocument) -> ClosureIndex:
     index.predicate_descendants = _invert(index.predicate_ancestors)
 
     index.mixins = frozenset(n for n, c in doc.classes.items() if c.is_mixin)
-    index.mixin_membership = {name: frozenset(mixin_reach(doc, name)) for name in doc.classes}
+    index.mixin_membership = _mixin_membership(doc, class_parents)
 
     carriers: dict[str, set[str]] = {m: set() for m in index.mixins}
     for name, reach in index.mixin_membership.items():

@@ -44,10 +44,45 @@ class Edge:
 
 @dataclass
 class KnowledgeGraph:
-    """Node map keyed by identifier plus an ordered, deduplicated edge list."""
+    """Node map keyed by identifier plus an ordered, deduplicated edge list.
+
+    The first :func:`~kgschema.query.match` on a graph caches an adjacency
+    index on it (see :meth:`adjacency`). The index is rebuilt when ``nodes``
+    or ``edges`` is replaced or changes length; editing a node or an edge of
+    a matched graph in place, with both lengths unchanged, is not supported.
+    """
 
     nodes: dict[Curie, Node] = field(default_factory=dict)
     edges: list[Edge] = field(default_factory=list)
+
+    # (nodes, edges, len(nodes), len(edges), by_subject, by_object); not a
+    # field, so it stays out of __init__, equality and repr.
+    _adjacency = None
+
+    def adjacency(self) -> tuple[dict[Curie, list[int]], dict[Curie, list[int]]]:
+        """Ordinals of non-dangling edges per node, by stored subject and by stored object.
+
+        Built in O(edges) on the first call and kept on this instance until
+        ``nodes`` or ``edges`` is replaced or changes length. A node with no
+        such edge is absent from the maps.
+        """
+        nodes, edges = self.nodes, self.edges
+        cached = self._adjacency
+        if (
+            cached is None
+            or cached[0] is not nodes
+            or cached[1] is not edges
+            or cached[2] != len(nodes)
+            or cached[3] != len(edges)
+        ):
+            by_subject: dict[Curie, list[int]] = {}
+            by_object: dict[Curie, list[int]] = {}
+            for ordinal, edge in enumerate(edges):
+                if edge.subject in nodes and edge.object in nodes:
+                    by_subject.setdefault(edge.subject, []).append(ordinal)
+                    by_object.setdefault(edge.object, []).append(ordinal)
+            cached = self._adjacency = (nodes, edges, len(nodes), len(edges), by_subject, by_object)
+        return cached[4], cached[5]
 
     def dangling_edge_ordinals(self) -> list[int]:
         return [
@@ -125,7 +160,11 @@ def _tsv_header(source_text: str, leading: tuple[str, ...], what: str):
 
 
 def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
-    """Parse nodes from TSV or JSONL text; the format is sniffed when unset."""
+    """Parse nodes from TSV or JSONL text; the format is sniffed when unset.
+
+    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    """
+    source_text = source_text.removeprefix("\ufeff")
     fmt = fmt or _sniff_format(source_text)
     if fmt == "jsonl":
         return _read_nodes_jsonl(source_text)
@@ -158,7 +197,11 @@ def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
 
 
 def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
-    """Parse edges from TSV or JSONL text; the format is sniffed when unset."""
+    """Parse edges from TSV or JSONL text; the format is sniffed when unset.
+
+    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    """
+    source_text = source_text.removeprefix("\ufeff")
     fmt = fmt or _sniff_format(source_text)
     if fmt == "jsonl":
         return _read_edges_jsonl(source_text)

@@ -280,6 +280,16 @@ def match(
     categories under ancestors during category tests. Results are sorted by
     the tuple of bound identifiers in variable declaration order and are
     identical regardless of exploration order.
+
+    The search binds pinned nodes first; a pinned identifier absent from
+    the graph matches nothing. It then extends the binding one query edge
+    at a time, always along an edge with a bound end, and reads only the
+    graph edges incident to that node from :meth:`KnowledgeGraph.adjacency`,
+    so a pinned query touches only incident edges. The first match on a
+    graph builds that index in O(edges). A query with no pinned node seeds
+    its first edge with every node that satisfies the edge's subject, once.
+    Editing an edge of a matched graph in place, with the edge count
+    unchanged, is not supported.
     """
     symmetric: set[str] = set()
     if doc is not None:
@@ -289,27 +299,6 @@ def match(
             if slot.slot_kind == PREDICATE and slot.symmetric
         }
     closed = _node_match_sets(kg, index)
-
-    # Candidate (edge ordinal, subject binding, object binding) per qedge.
-    candidates: list[list[tuple[int, Curie, Curie]]] = []
-    for qedge in qg.qedges:
-        subject_q = qg.qnodes[qedge.subject_var]
-        object_q = qg.qnodes[qedge.object_var]
-        found: list[tuple[int, Curie, Curie]] = []
-        for ordinal, edge in enumerate(kg.edges):
-            if edge.predicate not in qedge.predicates:
-                continue
-            if edge.subject not in kg.nodes or edge.object not in kg.nodes:
-                continue
-            orientations = [(edge.subject, edge.object)]
-            if edge.predicate in symmetric and edge.subject != edge.object:
-                orientations.append((edge.object, edge.subject))
-            for subject_id, object_id in orientations:
-                if _satisfies(subject_q, subject_id, kg, closed) and _satisfies(
-                    object_q, object_id, kg, closed
-                ):
-                    found.append((ordinal, subject_id, object_id))
-        candidates.append(found)
 
     if not qg.qedges:
         # Zero-edge query: connectivity means a single qnode.
@@ -321,25 +310,74 @@ def match(
         ]
         return _finalize(qg, bindings)
 
-    # Smallest candidate set first; pinned endpoints break ties.
-    def pinned(position: int) -> int:
-        qedge = qg.qedges[position]
-        return int(
-            qg.qnodes[qedge.subject_var].id is not None
-            or qg.qnodes[qedge.object_var].id is not None
-        )
+    assignment: dict[str, Curie] = {}
+    for var, qnode in qg.qnodes.items():
+        if qnode.id is not None:
+            if qnode.id not in kg.nodes:
+                return []
+            assignment[var] = qnode.id
+    order = _edge_order(qg, set(assignment))
+    by_subject, by_object = kg.adjacency()
+    edges = kg.edges
 
-    order = sorted(range(len(qg.qedges)), key=lambda i: (len(candidates[i]), -pinned(i)))
+    def candidates(qedge: QEdge) -> list[tuple[int, Curie, Curie]]:
+        """(edge ordinal, subject binding, object binding) under ``assignment``."""
+        subject_q = qg.qnodes[qedge.subject_var]
+        object_q = qg.qnodes[qedge.object_var]
+        predicates = qedge.predicates
+        bound_subject = assignment.get(qedge.subject_var)
+        bound_object = assignment.get(qedge.object_var)
+        found: list[tuple[int, Curie, Curie]] = []
+        if bound_subject is None and bound_object is None:
+            # The first edge of a query without pinned nodes: seed its
+            # subject with every node that satisfies it.
+            for node_id in kg.nodes:
+                if _satisfies(subject_q, node_id, kg, closed):
+                    assignment[qedge.subject_var] = node_id
+                    found.extend(candidates(qedge))
+                    del assignment[qedge.subject_var]
+            return found
+
+        from_subject = bound_subject is not None
+        if from_subject:
+            anchor, other_q, stored, reverse = bound_subject, object_q, by_subject, by_object
+        else:
+            anchor, other_q, stored, reverse = bound_object, subject_q, by_object, by_subject
+        bound_other = assignment.get(other_q.var)
+
+        def take(ordinal: int, other: Curie) -> None:
+            if bound_other is not None:
+                if other != bound_other:
+                    return
+            elif not _satisfies(other_q, other, kg, closed):
+                return
+            if from_subject:
+                found.append((ordinal, anchor, other))
+            else:
+                found.append((ordinal, other, anchor))
+
+        for ordinal in stored.get(anchor, ()):
+            edge = edges[ordinal]
+            if edge.predicate in predicates:
+                take(ordinal, edge.object if from_subject else edge.subject)
+        for ordinal in reverse.get(anchor, ()):
+            edge = edges[ordinal]
+            if (
+                edge.predicate in predicates
+                and edge.predicate in symmetric
+                and edge.subject != edge.object
+            ):
+                take(ordinal, edge.subject if from_subject else edge.object)
+        return found
 
     bindings: list[Binding] = []
-    assignment: dict[str, Curie] = {}
     chosen: dict[int, int] = {}
 
-    def backtrack(position: int) -> None:
+    def extend(position: int) -> None:
         if position == len(order):
             evidence = {}
             for qedge_ordinal, edge_ordinal in chosen.items():
-                edge = kg.edges[edge_ordinal]
+                edge = edges[edge_ordinal]
                 evidence[qedge_ordinal] = EdgeEvidence(
                     matched_predicate=edge.predicate,
                     publications=tuple(sorted(edge.properties.get("publications", []))),
@@ -349,30 +387,40 @@ def match(
             return
         qedge_ordinal = order[position]
         qedge = qg.qedges[qedge_ordinal]
-        for edge_ordinal, subject_id, object_id in candidates[qedge_ordinal]:
-            if qedge.subject_var == qedge.object_var and subject_id != object_id:
-                continue
-            bound_subject = assignment.get(qedge.subject_var)
-            if bound_subject is not None and bound_subject != subject_id:
-                continue
-            bound_object = assignment.get(qedge.object_var)
-            if bound_object is not None and bound_object != object_id:
-                continue
+        for edge_ordinal, subject_id, object_id in candidates(qedge):
             added = []
-            if bound_subject is None:
-                assignment[qedge.subject_var] = subject_id
-                added.append(qedge.subject_var)
-            if qedge.object_var not in assignment:
-                assignment[qedge.object_var] = object_id
-                added.append(qedge.object_var)
+            for var, node_id in ((qedge.subject_var, subject_id), (qedge.object_var, object_id)):
+                if var not in assignment:
+                    assignment[var] = node_id
+                    added.append(var)
             chosen[qedge_ordinal] = edge_ordinal
-            backtrack(position + 1)
+            extend(position + 1)
             del chosen[qedge_ordinal]
             for var in added:
                 del assignment[var]
 
-    backtrack(0)
+    extend(0)
     return _finalize(qg, bindings)
+
+
+def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
+    """Query edge positions in search order, given the initially bound variables.
+
+    Each edge after the first has a bound end, since the pattern is
+    connected. Edges with both ends bound go first: they only filter.
+    Ties keep declaration order.
+    """
+    remaining = list(range(len(qg.qedges)))
+    order: list[int] = []
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda i: (qg.qedges[i].subject_var in bound) + (qg.qedges[i].object_var in bound),
+        )
+        remaining.remove(best)
+        order.append(best)
+        bound.update((qg.qedges[best].subject_var, qg.qedges[best].object_var))
+    return order
 
 
 def _finalize(qg: QueryGraph, bindings: list[Binding]) -> list[Binding]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from kgschema import (
     ClassDefinition,
@@ -112,22 +113,43 @@ def random_graph(
     return nodes, edges
 
 
-def random_two_edge_query(
+QUERY_SHAPES = ("chain", "fork", "triangle", "self_loop", "symmetric_into", "unpinned")
+ABSENT = Curie("ABSENT", "0")
+
+
+def random_query(
     rng: random.Random,
     doc: SchemaDocument,
     nodes: list[Node],
+    edges: Sequence[Edge] = (),
+    shape: str | None = None,
 ) -> QueryGraph:
-    """A connected two-edge pattern: a chain or a fork, sometimes pinned."""
+    """A connected pattern over ``?a``, ``?b``, ``?c``; a chain or a fork when ``shape`` is unset.
+
+    Shapes: ``chain`` a->b->c, ``fork`` a->b and a->c, ``triangle``
+    a->b->c->a, ``self_loop`` a->a and a->b, ``symmetric_into`` c->b and
+    a->b over symmetric predicates with ``?b`` pinned to the subject of a
+    symmetric edge in ``edges`` (so it matches from its object end), and
+    ``unpinned``, a chain with no pinned node. In the other shapes each
+    node is sometimes pinned, now and then to :data:`ABSENT`, which no
+    generated graph holds.
+    """
     instantiable = [n for n, c in doc.classes.items() if not c.is_mixin]
     predicates = [n for n, s in doc.slots.items() if s.slot_kind == "predicate"]
+    symmetric = [n for n in predicates if doc.slots[n].symmetric]
+    if shape is None:
+        shape = "chain" if rng.random() < 0.5 else "fork"
 
-    def predicate_set() -> frozenset[str]:
-        return frozenset(rng.sample(predicates, rng.randint(1, min(3, len(predicates)))))
+    def predicate_set(pool: list[str]) -> frozenset[str]:
+        return frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
 
     def qnode(var: str) -> QNode:
         roll = rng.random()
-        if roll < 0.25 and nodes:
-            return QNode(var, id=rng.choice(nodes).id)
+        if shape != "unpinned":
+            if roll < 0.25 and nodes:
+                return QNode(var, id=rng.choice(nodes).id)
+            if roll < 0.3:
+                return QNode(var, id=ABSENT)
         if roll < 0.7:
             return QNode(
                 var,
@@ -138,16 +160,23 @@ def random_two_edge_query(
         return QNode(var)
 
     qnodes = {var: qnode(var) for var in ("a", "b", "c")}
-    if rng.random() < 0.5:
-        qedges = [
-            QEdge("a", predicate_set(), "b"),
-            QEdge("b", predicate_set(), "c"),
-        ]
+    arcs = {
+        "chain": [("a", "b"), ("b", "c")],
+        "unpinned": [("a", "b"), ("b", "c")],
+        "fork": [("a", "b"), ("a", "c")],
+        "triangle": [("a", "b"), ("b", "c"), ("c", "a")],
+        "self_loop": [("a", "a"), ("a", "b")],
+        "symmetric_into": [("c", "b"), ("a", "b")],
+    }[shape]
+    if shape == "symmetric_into" and symmetric:
+        subjects = [e.subject for e in edges if e.predicate in symmetric]
+        if subjects:
+            qnodes["b"] = QNode("b", id=rng.choice(subjects))
+        qedges = [QEdge(s, predicate_set(symmetric), o) for s, o in arcs]
     else:
-        qedges = [
-            QEdge("a", predicate_set(), "b"),
-            QEdge("a", predicate_set(), "c"),
-        ]
+        qedges = [QEdge(s, predicate_set(predicates), o) for s, o in arcs]
+    if shape == "self_loop":
+        del qnodes["c"]
     return QueryGraph(qnodes, qedges)
 
 

@@ -29,7 +29,7 @@ from kgschema import (
     write_edges,
     write_nodes,
 )
-from generators import random_cliques, random_graph, random_schema, random_two_edge_query
+from generators import QUERY_SHAPES, random_cliques, random_graph, random_query, random_schema
 from oracles import bindings_as_dicts, brute_force_match, dfs_ancestors, dfs_descendants
 
 DATA = Path(__file__).parent / "data"
@@ -101,16 +101,22 @@ def test_criterion_3_closure_oracle_equivalence():
 def test_criterion_4_matcher_oracle_equivalence(seed_doc, seed_index):
     rng = random.Random(1004)
     mismatches = 0
-    for _ in range(200):
+    answered = dict.fromkeys(QUERY_SHAPES, 0)
+    for trial in range(240):
         nodes, edges = random_graph(rng, seed_doc, max_nodes=10, max_edges=24)
-        kg = build_graph(nodes, edges)
-        qg = expand_query(random_two_edge_query(rng, seed_doc, nodes), seed_index)
+        # Half the graphs lose some nodes, leaving their edges dangling.
+        kept = nodes if rng.random() < 0.5 else [n for n in nodes if rng.random() < 0.8]
+        kg = build_graph(kept, edges)
+        shape = QUERY_SHAPES[trial % len(QUERY_SHAPES)]
+        qg = expand_query(random_query(rng, seed_doc, nodes, edges, shape), seed_index)
         ours = bindings_as_dicts(match(qg, kg, seed_doc, seed_index))
         oracle = brute_force_match(qg, kg, seed_doc)
         if ours != oracle:
             mismatches += 1
+        answered[shape] += bool(oracle)
     assert mismatches == 0
-    _ok(4, "matcher equals brute-force enumeration on 200 random graphs")
+    assert all(answered.values()), answered
+    _ok(4, "matcher equals brute-force enumeration on 240 random graphs and six query shapes")
 
 
 def test_criterion_5_normalization_properties(seed_doc, seed_index):

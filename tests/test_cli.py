@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kgschema import serialize_schema
+from kgschema import cli, hierarchy, serialize_schema, validate_schema
 from kgschema.cli import main
 
 from generators import deep_chain_schema
@@ -293,6 +293,20 @@ def test_expand_on_deep_child_first_chain(runner, tmp_path):
     result = _invoke(runner, "expand", "--schema", str(schema), "--predicate", "related_to")
     assert result.exit_code == 0
     assert result.stdout.split() == sorted(["related_to"] + [f"pred_{i}" for i in range(1, depth + 1)])
+
+
+def test_verb_validates_the_schema_once(runner, seed_path, monkeypatch):
+    calls = []
+
+    def counting(doc):
+        calls.append(doc)
+        return validate_schema(doc)
+
+    monkeypatch.setattr(cli, "validate_schema", counting)
+    monkeypatch.setattr(hierarchy, "validate_schema", counting)
+    result = _invoke(runner, "stats", *_demo_args(seed_path))
+    assert result.exit_code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("value", ["x|y", "tab\there", "two\nlines"])

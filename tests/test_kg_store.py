@@ -431,3 +431,11 @@ def test_crlf_line_endings_accepted():
 def test_duplicate_header_column_rejected():
     with pytest.raises(ParseError):
         read_nodes("id\tcategory\tname\tsymbol\tsymbol\nNCBIGene:1\tGene\tx\ta\tb\n")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_leading_byte_order_mark_is_ignored(fmt):
+    nodes_text = write_nodes(read_nodes(NODES_TSV), fmt=fmt)
+    edges_text = write_edges(read_edges(EDGES_TSV), fmt=fmt)
+    assert read_nodes("\ufeff" + nodes_text) == read_nodes(nodes_text)
+    assert read_edges("\ufeff" + edges_text) == read_edges(edges_text)

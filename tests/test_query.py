@@ -16,7 +16,7 @@ from kgschema import (
 )
 from kgschema.kg_store import Edge, Node
 from kgschema.query import QEdge, QNode, QueryGraph
-from generators import random_graph, random_two_edge_query
+from generators import random_graph, random_query
 from oracles import bindings_as_dicts, brute_force_match
 
 TWO_HOP = (
@@ -204,12 +204,35 @@ def test_homomorphism_allows_two_variables_on_one_node(seed_doc, seed_index):
     }
 
 
+def test_match_sees_edges_and_nodes_changed_after_a_match(seed_doc, seed_index):
+    a, b, c, d, e = (Curie(prefix, str(i)) for i, prefix in enumerate("ABCDE"))
+    genes = {x: Node(x, ["Gene"]) for x in (a, b, c, d, e)}
+    kg = build_graph([genes[a], genes[b], genes[c]], [Edge(a, "interacts_with", b)])
+    qg = expand_query(parse_query("A:0 -[related_to]-> ?x", seed_doc), seed_index)
+
+    def found() -> list[str]:
+        return [binding.assignments["x"].text for binding in match(qg, kg, seed_doc, seed_index)]
+
+    assert found() == ["B:1"]
+    kg.edges.append(Edge(a, "interacts_with", c))
+    assert found() == ["B:1", "C:2"]
+    kg.edges.append(Edge(a, "interacts_with", d))  # dangling until D:3 exists
+    assert found() == ["B:1", "C:2"]
+    kg.nodes[d] = genes[d]
+    assert found() == ["B:1", "C:2", "D:3"]
+    # Replaced by objects of the same length.
+    kg.edges = [Edge(b, "interacts_with", a), Edge(a, "interacts_with", e), Edge(c, "interacts_with", d)]
+    assert found() == ["B:1"]  # symmetric, so the first edge matches reversed
+    kg.nodes = {x: genes[x] for x in (a, b, c, e)}
+    assert found() == ["B:1", "E:4"]
+
+
 def test_matcher_equals_brute_force_on_random_graphs(seed_doc, seed_index):
     rng = random.Random(2024)
     for _ in range(40):
         nodes, edges = random_graph(rng, seed_doc, max_nodes=10, max_edges=20)
         kg = build_graph(nodes, edges)
-        qg = expand_query(random_two_edge_query(rng, seed_doc, nodes), seed_index)
+        qg = expand_query(random_query(rng, seed_doc, nodes), seed_index)
         ours = bindings_as_dicts(match(qg, kg, seed_doc, seed_index))
         oracle = brute_force_match(qg, kg, seed_doc)
         assert ours == oracle
@@ -232,7 +255,7 @@ def test_adding_predicate_never_removes_bindings(seed_doc, seed_index):
     for _ in range(15):
         nodes, edges = random_graph(rng, seed_doc, max_nodes=10, max_edges=20)
         kg = build_graph(nodes, edges)
-        qg = random_two_edge_query(rng, seed_doc, nodes)
+        qg = random_query(rng, seed_doc, nodes)
         extra = rng.choice(predicates)
         bigger = QueryGraph(
             dict(qg.qnodes),
