@@ -198,3 +198,42 @@ def random_cliques(
         cats = rng.sample(categories, rng.randint(1, 2))
         lines.append("|".join(cats) + "\t" + "|".join(members))
     return lines
+
+
+def dirty_graph(
+    rng: random.Random,
+    doc: SchemaDocument,
+    max_nodes: int = 12,
+    max_edges: int = 30,
+) -> tuple[list[Node], list[Edge]]:
+    """Random nodes and edges that break every node and edge rule now and then.
+
+    Nodes take one to three categories, mixins and an unknown category
+    included; some node ids are left out so edges dangle; predicates include
+    an unknown name and an edge property; provenance values are sometimes
+    malformed, and property lists sometimes empty.
+    """
+    categories = sorted(doc.classes) + ["Sickness"]
+    predicates = [n for n, s in doc.slots.items() if s.slot_kind == "predicate"]
+    predicates += ["causes_xyzzy", "publications"]
+    prefixes = ("NCBIGene", "UniProtKB", "MONDO", "HP", "CHEBI", "XX")
+    ids = [Curie(rng.choice(prefixes), str(i)) for i in range(rng.randint(1, max_nodes))]
+    nodes = [
+        Node(curie, rng.sample(categories, rng.randint(1, 3)))
+        for curie in ids
+        if rng.random() < 0.85
+    ]
+    values = {
+        "publications": ("PMID:1", "PMID:22", "see lab notebook", "PMID: 3"),
+        "has_evidence": ("ECO:0000001", "ECO:bad code", "manually curated", "XX:bad code"),
+        "knowledge_source": ("infores:a",),
+    }
+    edges = []
+    for _ in range(rng.randint(0, max_edges)):
+        properties = {
+            key: rng.sample(pool, rng.randint(0, min(2, len(pool))))
+            for key, pool in values.items()
+            if rng.random() < 0.6
+        }
+        edges.append(Edge(rng.choice(ids), rng.choice(predicates), rng.choice(ids), properties))
+    return nodes, edges

@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import json
 
-from kgschema import Curie, KnowledgeGraph, SchemaDocument
+from kgschema import Curie, KnowledgeGraph, MalformedCurieError, SchemaDocument, parse_curie
 from kgschema.query import Binding, EdgeEvidence, QueryGraph
+from kgschema.validation import inputs_digest
 
 
 def dfs_ancestors(parents: dict[str, str | None], start: str) -> list[str]:
@@ -172,3 +173,181 @@ def brute_force_match(
 def bindings_as_dicts(bindings: list[Binding]) -> list[dict]:
     """Matcher output in the oracle's canonical shape for comparison."""
     return sorted((b.as_dict() for b in bindings), key=lambda d: json.dumps(d, sort_keys=True))
+
+
+def naive_validate(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
+    """The validation report as JSONL, rule by rule, with no caches and no closure index.
+
+    Every node and edge walks its own class, predicate and mixin chains. The
+    header's ``inputs_hash`` comes from the package's ``inputs_digest``: it
+    is a content hash, not a validation rule.
+    """
+    class_parents = {name: cls.is_a for name, cls in doc.classes.items()}
+    predicate_parents = {
+        name: slot.is_a for name, slot in doc.slots.items() if slot.slot_kind == "predicate"
+    }
+    mixins = {name for name, cls in doc.classes.items() if cls.is_mixin}
+
+    def closed(categories: list[str]) -> set[str]:
+        out: set[str] = set()
+        for category in categories:
+            if category in doc.classes:
+                out.update(dfs_ancestors(class_parents, category))
+                out.update(mixin_reach(doc, category))
+        return out
+
+    def below(category: str) -> set[str]:
+        found = {name for name in doc.classes if category in dfs_ancestors(class_parents, name)}
+        if category in mixins:
+            found |= {
+                name
+                for name in doc.classes
+                if name not in mixins and category in mixin_reach(doc, name)
+            }
+        return found
+
+    def curie_shaped(value: str) -> bool:
+        try:
+            parse_curie(value)
+        except MalformedCurieError:
+            return False
+        return True
+
+    def depth(parents: dict[str, str | None], name: str) -> int:
+        return len(dfs_ancestors(parents, name)) - 1
+
+    rows: list[tuple] = []  # (sort key, code, severity, subject, detail)
+
+    def node_row(code: str, severity: str, subject: str, detail: str) -> None:
+        rows.append(((code, 0, 0, subject, detail), code, severity, subject, detail))
+
+    def edge_row(code: str, severity: str, ordinal: int, detail: str) -> None:
+        rows.append(((code, 1, ordinal, "", detail), code, severity, f"edge:{ordinal}", detail))
+
+    for node in kg.nodes.values():
+        subject = node.id.text
+        for category in node.categories:
+            if category not in doc.classes:
+                node_row(
+                    "UNKNOWN_CATEGORY", "error", subject,
+                    f"category {category!r} is not in the schema",
+                )
+        known = {category for category in node.categories if category in doc.classes}
+        if not known:
+            continue
+        if known <= mixins:
+            node_row(
+                "ABSTRACT_MIXIN_INSTANTIATED", "error", subject,
+                f"only mixin categories: {sorted(known)}",
+            )
+        most_specific = sorted(
+            category
+            for category in known
+            if not any(other != category and other in below(category) for other in known)
+        )[0]
+        allowed: set[str] = set()
+        for ancestor in dfs_ancestors(class_parents, most_specific):
+            allowed.update(doc.classes[ancestor].id_prefixes)
+        if allowed and node.id.prefix not in allowed:
+            node_row(
+                "ID_PREFIX_NOT_ALLOWED",
+                "warning",
+                subject,
+                f"prefix {node.id.prefix!r} is not among {sorted(allowed)} "
+                f"inherited by {most_specific!r}",
+            )
+
+    for ordinal, edge in enumerate(kg.edges):
+        triple = f"{edge.subject.text} -{edge.predicate}-> {edge.object.text}"
+        missing = [end.text for end in (edge.subject, edge.object) if end not in kg.nodes]
+        if missing:
+            edge_row("DANGLING_EDGE", "error", ordinal, f"{triple}: absent node(s) {missing}")
+            continue
+        for value in edge.properties.get("publications", []):
+            if not curie_shaped(value):
+                edge_row(
+                    "MALFORMED_PROVENANCE_CURIE", "warning", ordinal,
+                    f"publications value {value!r} is not a CURIE",
+                )
+        for value in edge.properties.get("has_evidence", []):
+            prefix, sep, _ = value.partition(":")
+            if sep and prefix in doc.prefixes and not curie_shaped(value):
+                edge_row(
+                    "MALFORMED_PROVENANCE_CURIE", "warning", ordinal,
+                    f"has_evidence value {value!r} is not a CURIE",
+                )
+        if edge.predicate not in predicate_parents:
+            edge_row(
+                "UNKNOWN_PREDICATE", "error", ordinal,
+                f"{edge.predicate!r} is not a predicate in the schema",
+            )
+            continue
+        chain = dfs_ancestors(predicate_parents, edge.predicate)
+        domains = [doc.slots[p].domain for p in chain if doc.slots[p].domain is not None]
+        ranges = [doc.slots[p].range for p in chain if doc.slots[p].range in doc.classes]
+        subject_closed = closed(kg.nodes[edge.subject].categories)
+        object_closed = closed(kg.nodes[edge.object].categories)
+        typed = True
+        if domains and domains[0] not in subject_closed:
+            typed = False
+            edge_row(
+                "DOMAIN_VIOLATION", "error", ordinal, f"{triple}: subject is not a {domains[0]!r}"
+            )
+        if ranges and ranges[0] not in object_closed:
+            typed = False
+            edge_row(
+                "RANGE_VIOLATION", "error", ordinal, f"{triple}: object is not a {ranges[0]!r}"
+            )
+        governing = [assoc for assoc in doc.associations.values() if assoc.predicate in chain]
+        if not governing:
+            continue
+        matched = [
+            assoc
+            for assoc in governing
+            if assoc.subject in subject_closed and assoc.object in object_closed
+        ]
+        if not matched:
+            if typed:
+                edge_row(
+                    "NO_MATCHING_ASSOCIATION", "warning", ordinal,
+                    f"{triple}: no association accepts this subject/object pair",
+                )
+            continue
+        best = min(
+            matched,
+            key=lambda assoc: (
+                -(
+                    depth(class_parents, assoc.subject)
+                    + depth(predicate_parents, assoc.predicate)
+                    + depth(class_parents, assoc.object)
+                ),
+                assoc.name,
+            ),
+        )
+        for prop in best.required_edge_properties:
+            if not edge.properties.get(prop):
+                edge_row(
+                    "MISSING_REQUIRED_EDGE_PROPERTY", "error", ordinal,
+                    f"{triple}: {best.name} requires {prop!r}",
+                )
+
+    rows.sort(key=lambda row: row[0])
+    counts: dict[str, int] = {}
+    for row in rows:
+        counts[row[1]] = counts.get(row[1], 0) + 1
+    header = {
+        "counts": dict(sorted(counts.items())),
+        "errors": sum(1 for row in rows if row[2] == "error"),
+        "warnings": sum(1 for row in rows if row[2] == "warning"),
+        "inputs_hash": inputs_digest(kg, doc),
+    }
+    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
+    lines.extend(
+        json.dumps(
+            {"code": code, "severity": severity, "subject": subject, "detail": detail},
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        for _, code, severity, subject, detail in rows
+    )
+    return "\n".join(lines) + "\n"

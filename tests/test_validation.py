@@ -1,3 +1,4 @@
+import copy
 import random
 
 from kgschema import (
@@ -16,7 +17,9 @@ from kgschema.schema_model import (
     SlotDefinition,
 )
 from kgschema import build_closure
-from generators import random_graph
+from kgschema.validation import VIOLATION_CODES
+from generators import dirty_graph, random_graph
+from oracles import naive_validate
 
 
 def _node(id_text, categories, **properties):
@@ -373,3 +376,51 @@ def test_emitted_codes_stay_within_documented_catalog(seed_doc, seed_index):
         report = validate_graph(build_graph(nodes, edges), seed_doc, seed_index)
         seen.update(v.code for v in report.violations)
     assert seen <= set(VIOLATION_CODES)
+
+
+def _extended_seed_schema(seed_doc):
+    """The seed schema plus a type-valued range above a class range and tied associations."""
+    doc = copy.deepcopy(seed_doc)
+    doc.slots["regulates_level"] = SlotDefinition(
+        name="regulates_level",
+        slot_kind="predicate",
+        is_a="entity_regulates_entity",
+        domain="ChemicalEntity",
+        range="quotient",
+    )
+    doc.slots["measured_in"] = SlotDefinition(
+        name="measured_in", slot_kind="predicate", is_a="related_to", range="unit"
+    )
+    for name, required in (
+        ("AlphaRegulationAssociation", ["has_evidence"]),
+        ("BetaRegulationAssociation", ["knowledge_source"]),
+    ):
+        doc.associations[name] = AssociationDefinition(
+            name=name,
+            subject="ChemicalEntity",
+            predicate="regulates_level",
+            object="Gene",
+            required_edge_properties=required,
+        )
+    doc.associations["RegulationAssociation"] = AssociationDefinition(
+        name="RegulationAssociation",
+        subject="NamedThing",
+        predicate="entity_regulates_entity",
+        object="GeneOrGeneProduct",
+        required_edge_properties=["knowledge_source"],
+    )
+    return doc
+
+
+def test_validate_graph_equals_naive_oracle(seed_doc, seed_index):
+    extended = _extended_seed_schema(seed_doc)
+    schemas = [(seed_doc, seed_index), (extended, build_closure(extended))]
+    rng = random.Random(4004)
+    seen = set()
+    for trial in range(300):
+        doc, index = schemas[trial % 2]
+        kg = build_graph(*dirty_graph(rng, doc))
+        report = validate_graph(kg, doc, index)
+        assert report.to_jsonl() == naive_validate(kg, doc), trial
+        seen.update(report.counts)
+    assert seen == set(VIOLATION_CODES)
