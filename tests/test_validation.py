@@ -379,8 +379,11 @@ def test_emitted_codes_stay_within_documented_catalog(seed_doc, seed_index):
 
 
 def _extended_seed_schema(seed_doc):
-    """The seed schema plus a type-valued range above a class range and tied associations."""
+    """The seed schema plus what it lacks: a domain overridden below an inherited one,
+    a type-valued range above a class range, tied associations, and an association
+    that wins only by its predicate's depth."""
     doc = copy.deepcopy(seed_doc)
+    doc.slots["affects"].domain = "BiologicalEntity"
     doc.slots["regulates_level"] = SlotDefinition(
         name="regulates_level",
         slot_kind="predicate",
@@ -408,6 +411,13 @@ def _extended_seed_schema(seed_doc):
         predicate="entity_regulates_entity",
         object="GeneOrGeneProduct",
         required_edge_properties=["knowledge_source"],
+    )
+    doc.associations["BiologicalToGeneAssociation"] = AssociationDefinition(
+        name="BiologicalToGeneAssociation",
+        subject="BiologicalEntity",
+        predicate="related_to",
+        object="GeneOrGeneProduct",
+        required_edge_properties=["has_evidence"],
     )
     return doc
 
