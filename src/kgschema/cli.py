@@ -192,7 +192,11 @@ def query(schema_path, nodes_path, edges_path, query_text, strict, lax) -> None:
     doc, index = _load_schema(config)
     kg = _load_graph(config, index, close=False)
     candidate = Path(query_text)
-    if candidate.is_file():
+    try:
+        is_file = candidate.is_file()
+    except OSError:  # e.g. a name longer than the file system allows
+        is_file = False
+    if is_file:
         query_text = candidate.read_text(encoding="utf-8")
     qg = parse_query(query_text, doc)
     expanded = expand_query(qg, index)

@@ -18,7 +18,14 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .schema_model import PREDICATE, SchemaDocument, mixin_reach, validate_schema
+from .schema_model import (
+    PREDICATE,
+    SchemaDocument,
+    _ancestor_lists,
+    _fill_down,
+    mixin_reach,
+    validate_schema,
+)
 
 
 @dataclass
@@ -44,33 +51,6 @@ class ClosureIndex:
 
     def predicate_depth(self, predicate: str) -> int:
         return len(self.predicate_ancestors[predicate]) - 1
-
-
-def _fill_down(parents: dict[str, str | None], empty, extend) -> dict:
-    """``extend(name, value of its parent)`` for every name, parents first.
-
-    Each name climbs to the first name whose value is known, or past a root,
-    and the values are filled back down the path, so a chain costs one pass.
-    ``on_path`` ends a cycle.
-    """
-    cache: dict = {}
-    for name in parents:
-        path: list[str] = []
-        on_path: set[str] = set()
-        current = name
-        while current in parents and current not in cache and current not in on_path:
-            path.append(current)
-            on_path.add(current)
-            current = parents[current]
-        above = cache.get(current, empty)
-        for member in reversed(path):
-            above = extend(member, above)
-            cache[member] = above
-    return cache
-
-
-def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
-    return _fill_down(parents, [], lambda member, above: [member] + above)
 
 
 def _mixin_membership(doc: SchemaDocument, parents: dict[str, str | None]) -> dict[str, frozenset[str]]:

@@ -47,42 +47,37 @@ class KnowledgeGraph:
     """Node map keyed by identifier plus an ordered, deduplicated edge list.
 
     The first :func:`~kgschema.query.match` on a graph caches an adjacency
-    index on it (see :meth:`adjacency`). The index is rebuilt when ``nodes``
-    or ``edges`` is replaced or changes length; editing a node or an edge of
-    a matched graph in place, with both lengths unchanged, is not supported.
+    index of its edges on it (see :meth:`adjacency`). The index is rebuilt
+    when ``edges`` is replaced or changes length; editing an edge of a
+    matched graph in place, with the edge count unchanged, is not
+    supported. Nodes may change freely.
     """
 
     nodes: dict[Curie, Node] = field(default_factory=dict)
     edges: list[Edge] = field(default_factory=list)
 
-    # (nodes, edges, len(nodes), len(edges), by_subject, by_object); not a
-    # field, so it stays out of __init__, equality and repr.
+    # (edges, len(edges), by_subject, by_object); not a field, so it stays
+    # out of __init__, equality and repr.
     _adjacency = None
 
     def adjacency(self) -> tuple[dict[Curie, list[int]], dict[Curie, list[int]]]:
-        """Ordinals of non-dangling edges per node, by stored subject and by stored object.
+        """Ordinals of every edge per node id, by stored subject and by stored object.
 
         Built in O(edges) on the first call and kept on this instance until
-        ``nodes`` or ``edges`` is replaced or changes length. A node with no
-        such edge is absent from the maps.
+        ``edges`` is replaced or changes length. Dangling edges are indexed
+        too: readers check that an end is in ``nodes``. An id with no edge
+        is absent from the maps.
         """
-        nodes, edges = self.nodes, self.edges
+        edges = self.edges
         cached = self._adjacency
-        if (
-            cached is None
-            or cached[0] is not nodes
-            or cached[1] is not edges
-            or cached[2] != len(nodes)
-            or cached[3] != len(edges)
-        ):
+        if cached is None or cached[0] is not edges or cached[1] != len(edges):
             by_subject: dict[Curie, list[int]] = {}
             by_object: dict[Curie, list[int]] = {}
             for ordinal, edge in enumerate(edges):
-                if edge.subject in nodes and edge.object in nodes:
-                    by_subject.setdefault(edge.subject, []).append(ordinal)
-                    by_object.setdefault(edge.object, []).append(ordinal)
-            cached = self._adjacency = (nodes, edges, len(nodes), len(edges), by_subject, by_object)
-        return cached[4], cached[5]
+                by_subject.setdefault(edge.subject, []).append(ordinal)
+                by_object.setdefault(edge.object, []).append(ordinal)
+            cached = self._adjacency = (edges, len(edges), by_subject, by_object)
+        return cached[2], cached[3]
 
     def dangling_edge_ordinals(self) -> list[int]:
         return [
@@ -244,6 +239,8 @@ def _jsonl_objects(source_text: str, what: str):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", number, exc.colno) from exc
+        except RecursionError as exc:
+            raise ParseError("invalid JSON: nested too deeply", number, 1) from exc
         if not isinstance(obj, dict):
             raise ParseError(f"each {what} line must be a JSON object", number, 1)
         yield number, obj

@@ -288,6 +288,8 @@ def match(
     so a pinned query touches only incident edges. The first match on a
     graph builds that index in O(edges). A query with no pinned node seeds
     its first edge with every node that satisfies the edge's subject, once.
+    The index covers every edge, dangling ones included, and is rebuilt when
+    ``kg.edges`` is replaced or changes length; nodes may change freely.
     Editing an edge of a matched graph in place, with the edge count
     unchanged, is not supported.
     """

@@ -514,6 +514,46 @@ def _find_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
     return sorted(cycles)
 
 
+def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict | None = None) -> dict:
+    """``extend(name, value of its parent)`` for every name, parents first.
+
+    Each name climbs to the first name whose value is known, in ``cache``
+    or computed, or past a root, and the values are filled back down the
+    path, so a chain costs one pass. ``on_path`` ends a cycle.
+    """
+    cache = {} if cache is None else cache
+    for name in parents:
+        path: list[str] = []
+        on_path: set[str] = set()
+        current = name
+        while current in parents and current not in cache and current not in on_path:
+            path.append(current)
+            on_path.add(current)
+            current = parents[current]
+        above = cache.get(current, empty)
+        for member in reversed(path):
+            above = extend(member, above)
+            cache[member] = above
+    return cache
+
+
+def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
+    """:func:`_chain` of every name, in one pass.
+
+    A chain stops at a root, before an unknown parent, or once round the
+    cycle it runs into, so each cycle member starts from its own rotation
+    of the cycle.
+    """
+    rotations: dict[str, list[str]] = {}
+    for members in _find_cycles(parents):
+        ring = [members[0]]
+        while parents[ring[-1]] != members[0]:
+            ring.append(parents[ring[-1]])
+        for i, name in enumerate(ring):
+            rotations[name] = ring[i:] + ring[:i]
+    return _fill_down(parents, [], lambda member, above: [member] + above, rotations)
+
+
 def _mixin_contribution(doc: SchemaDocument, mixin: str) -> list[str]:
     """Slots of ``mixin`` in pre-order: own slots, then is_a, then mixins."""
     out: list[str] = []
@@ -636,7 +676,9 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             err(UNKNOWN_CLASS_REF, name, f"range {slot.range!r} is not a class or type")
         _check_mappings(slot.mappings, name, err)
 
-    slot_cycles = _find_cycles({n: s.is_a for n, s in doc.slots.items()})
+    slot_parents = {n: s.is_a for n, s in doc.slots.items()}
+    slot_chains = _ancestor_lists(slot_parents)
+    slot_cycles = _find_cycles(slot_parents)
     for members in slot_cycles:
         err(CYCLE_IN_IS_A, members[0], "slot is_a cycle: " + " -> ".join(members))
     on_cycle = {name for members in slot_cycles for name in members}
@@ -649,9 +691,8 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             if slot.is_a is not None:
                 err(PREDICATE_NOT_UNDER_RELATED_TO, name, "the root predicate must have no parent")
             continue
-        chain = _chain(doc.slots, name)
-        top = doc.slots.get(chain[-1])
-        if chain[-1] != ROOT_PREDICATE or top is None or top.slot_kind != PREDICATE:
+        top = slot_chains[name][-1]
+        if top != ROOT_PREDICATE or doc.slots[top].slot_kind != PREDICATE:
             err(
                 PREDICATE_NOT_UNDER_RELATED_TO,
                 name,
@@ -708,7 +749,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
                     name,
                     f"{side} {child_t!r} is not a specialization of {parent_t!r}",
                 )
-        if parent.predicate not in _chain(doc.slots, assoc.predicate):
+        if parent.predicate not in slot_chains[assoc.predicate]:
             err(
                 ASSOCIATION_WIDENS_PARENT,
                 name,

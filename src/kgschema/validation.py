@@ -3,8 +3,11 @@
 Checks per node: category existence, mixin-only categorization, identifier
 prefix conformance. Checks per edge: predicate existence, inherited
 domain/range constraints, association matching with required edge
-properties, and provenance identifier shape. Violations are data; the
-report is deterministic across input order. Checks run on one thread.
+properties, and provenance identifier shape. Domain, range and association
+depend only on the edge's type signature (predicate, closed subject
+categories, closed object categories) and are decided once per signature.
+Violations are data; the report is deterministic across input order.
+Checks run on one thread.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .hierarchy import ClosureIndex, minimal_categories
-from .identifiers import Curie, MalformedCurieError, parse_curie
+from .identifiers import MalformedCurieError, parse_curie
 from .kg_store import Edge, KnowledgeGraph, Node
 from .schema_model import AssociationDefinition, SchemaDocument, serialize_schema
 
@@ -89,107 +92,6 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-class _Caches:
-    """Per-run lookup tables; all entries are pure functions of the inputs."""
-
-    def __init__(self, kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
-        self.kg = kg
-        self.doc = doc
-        self.index = index
-        self.closed: dict[Curie, frozenset[str]] = {}
-        self.constraints: dict[str, tuple[str | None, str | None]] = {}
-        self.candidates: dict[str, list[AssociationDefinition]] = {}
-        self.specificity: dict[str, int] = {}
-        self.matches: dict[tuple, AssociationDefinition | None] = {}
-        self.curie_ok: dict[str, bool] = {}
-
-    def closed_categories(self, node: Node) -> frozenset[str]:
-        closed = self.closed.get(node.id)
-        if closed is None:
-            gathered: set[str] = set()
-            for category in node.categories:
-                ancestors = self.index.class_ancestors.get(category)
-                if ancestors is None:
-                    continue
-                gathered.update(ancestors)
-                gathered.update(self.index.mixin_membership[category])
-            closed = frozenset(gathered)
-            self.closed[node.id] = closed
-        return closed
-
-    def inherited_constraints(self, predicate: str) -> tuple[str | None, str | None]:
-        cached = self.constraints.get(predicate)
-        if cached is None:
-            domain = None
-            rng = None
-            for ancestor in self.index.predicate_ancestors[predicate]:
-                slot = self.doc.slots[ancestor]
-                if domain is None and slot.domain is not None:
-                    domain = slot.domain
-                if rng is None and slot.range is not None:
-                    # Type-valued ranges impose no constraint on edges.
-                    if slot.range in self.doc.classes:
-                        rng = slot.range
-                if domain is not None and rng is not None:
-                    break
-            cached = (domain, rng)
-            self.constraints[predicate] = cached
-        return cached
-
-    def association_candidates(self, predicate: str) -> list[AssociationDefinition]:
-        cached = self.candidates.get(predicate)
-        if cached is None:
-            ancestors = set(self.index.predicate_ancestors[predicate])
-            cached = [
-                assoc
-                for assoc in self.doc.associations.values()
-                if assoc.predicate in ancestors
-            ]
-            self.candidates[predicate] = cached
-        return cached
-
-    def association_specificity(self, assoc: AssociationDefinition) -> int:
-        cached = self.specificity.get(assoc.name)
-        if cached is None:
-            cached = (
-                self.index.depth(assoc.subject)
-                + self.index.predicate_depth(assoc.predicate)
-                + self.index.depth(assoc.object)
-            )
-            self.specificity[assoc.name] = cached
-        return cached
-
-    def match_association(
-        self, predicate: str, subject_closed: frozenset[str], object_closed: frozenset[str]
-    ) -> AssociationDefinition | None:
-        """Most specific matching association, or None (also when no candidate
-        association governs the predicate family at all)."""
-        key = (predicate, subject_closed, object_closed)
-        if key in self.matches:
-            return self.matches[key]
-        matched = [
-            assoc
-            for assoc in self.association_candidates(predicate)
-            if assoc.subject in subject_closed and assoc.object in object_closed
-        ]
-        best = None
-        if matched:
-            best = min(matched, key=lambda a: (-self.association_specificity(a), a.name))
-        self.matches[key] = best
-        return best
-
-    def curie_shaped(self, value: str) -> bool:
-        ok = self.curie_ok.get(value)
-        if ok is None:
-            try:
-                parse_curie(value)
-                ok = True
-            except MalformedCurieError:
-                ok = False
-            self.curie_ok[value] = ok
-        return ok
-
-
 def validate_node(node: Node, doc: SchemaDocument, index: ClosureIndex) -> list[Violation]:
     """Category existence, mixin-only check, and id-prefix conformance."""
     out: list[Violation] = []
@@ -239,109 +141,158 @@ def _triple(edge: Edge) -> str:
     return f"{edge.subject.text} -{edge.predicate}-> {edge.object.text}"
 
 
-def _validate_edge(edge: Edge, ordinal_label: str, caches: _Caches) -> list[Violation]:
-    out: list[Violation] = []
-    kg, doc = caches.kg, caches.doc
-    properties = edge.properties
+def _signature_verdict(
+    predicate: str,
+    subject_closed: frozenset[str],
+    object_closed: frozenset[str],
+    doc: SchemaDocument,
+    index: ClosureIndex,
+) -> tuple[list[tuple[str, str, str]], AssociationDefinition | None]:
+    """What holds for every edge with this predicate and these closed end categories.
 
-    if edge.subject not in kg.nodes or edge.object not in kg.nodes:
-        missing = [c.text for c in (edge.subject, edge.object) if c not in kg.nodes]
-        out.append(
-            Violation(
-                DANGLING_EDGE,
-                "error",
-                ordinal_label,
-                f"{_triple(edge)}: absent node(s) {missing}",
-            )
+    Returns the ``(code, severity, detail suffix)`` of each domain, range and
+    association violation, and the most specific matching association or
+    None. Domain and range come from the nearest ancestor predicate that
+    sets them; association ties break by summed depth, then by name.
+    """
+    ancestors = index.predicate_ancestors[predicate]
+    domain = rng = None
+    for name in ancestors:
+        slot = doc.slots[name]
+        if domain is None:
+            domain = slot.domain
+        # Type-valued ranges impose no constraint on edges.
+        if rng is None and slot.range in doc.classes:
+            rng = slot.range
+    faults = []
+    if domain is not None and domain not in subject_closed:
+        faults.append((DOMAIN_VIOLATION, "error", f"subject is not a {domain!r}"))
+    if rng is not None and rng not in object_closed:
+        faults.append((RANGE_VIOLATION, "error", f"object is not a {rng!r}"))
+    governing = [assoc for assoc in doc.associations.values() if assoc.predicate in ancestors]
+    matched = [
+        assoc
+        for assoc in governing
+        if assoc.subject in subject_closed and assoc.object in object_closed
+    ]
+    best = None
+    if matched:
+        best = min(
+            matched,
+            key=lambda assoc: (
+                -index.depth(assoc.subject)
+                - index.predicate_depth(assoc.predicate)
+                - index.depth(assoc.object),
+                assoc.name,
+            ),
         )
-        return out
+    elif governing and not faults:
+        # A domain/range failure already explains the non-match; only a
+        # well-typed edge earns the separate warning.
+        faults.append(
+            (NO_MATCHING_ASSOCIATION, "warning", "no association accepts this subject/object pair")
+        )
+    return faults, best
 
-    if "publications" in properties:
-        for value in properties["publications"]:
-            if not caches.curie_shaped(value):
+
+def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
+    """``check(edge, label)``: every edge-level check, each type signature decided once."""
+    nodes = kg.nodes
+    closed: dict[tuple[str, ...], frozenset[str]] = {}
+    verdicts: dict[tuple, tuple] = {}
+    curie_ok: dict[str, bool] = {}
+
+    def closed_categories(categories: list[str]) -> frozenset[str]:
+        key = tuple(categories)
+        found = closed.get(key)
+        if found is None:
+            gathered: set[str] = set()
+            for category in categories:
+                if category in index.class_ancestors:
+                    gathered.update(index.class_ancestors[category])
+                    gathered.update(index.mixin_membership[category])
+            found = closed[key] = frozenset(gathered)
+        return found
+
+    def curie_shaped(value: str) -> bool:
+        ok = curie_ok.get(value)
+        if ok is None:
+            try:
+                parse_curie(value)
+                ok = True
+            except MalformedCurieError:
+                ok = False
+            curie_ok[value] = ok
+        return ok
+
+    def check(edge: Edge, label: str) -> list[Violation]:
+        out: list[Violation] = []
+        properties = edge.properties
+        if edge.subject not in nodes or edge.object not in nodes:
+            missing = [c.text for c in (edge.subject, edge.object) if c not in nodes]
+            out.append(
+                Violation(DANGLING_EDGE, "error", label, f"{_triple(edge)}: absent node(s) {missing}")
+            )
+            return out
+
+        for value in properties.get("publications", ()):
+            if not curie_shaped(value):
                 out.append(
                     Violation(
                         MALFORMED_PROVENANCE_CURIE,
                         "warning",
-                        ordinal_label,
+                        label,
                         f"publications value {value!r} is not a CURIE",
                     )
                 )
-    if "has_evidence" in properties:
-        for value in properties["has_evidence"]:
+        for value in properties.get("has_evidence", ()):
             prefix, sep, _ = value.partition(":")
-            if sep and prefix in doc.prefixes and not caches.curie_shaped(value):
+            if sep and prefix in doc.prefixes and not curie_shaped(value):
                 out.append(
                     Violation(
                         MALFORMED_PROVENANCE_CURIE,
                         "warning",
-                        ordinal_label,
+                        label,
                         f"has_evidence value {value!r} is not a CURIE",
                     )
                 )
 
-    if not doc.is_predicate(edge.predicate):
-        out.append(
-            Violation(
-                UNKNOWN_PREDICATE,
-                "error",
-                ordinal_label,
-                f"{edge.predicate!r} is not a predicate in the schema",
-            )
-        )
-        return out
-
-    subject_closed = caches.closed_categories(kg.nodes[edge.subject])
-    object_closed = caches.closed_categories(kg.nodes[edge.object])
-    domain, rng = caches.inherited_constraints(edge.predicate)
-    if domain is not None and domain not in subject_closed:
-        out.append(
-            Violation(
-                DOMAIN_VIOLATION,
-                "error",
-                ordinal_label,
-                f"{_triple(edge)}: subject is not a {domain!r}",
-            )
-        )
-    if rng is not None and rng not in object_closed:
-        out.append(
-            Violation(
-                RANGE_VIOLATION,
-                "error",
-                ordinal_label,
-                f"{_triple(edge)}: object is not a {rng!r}",
-            )
-        )
-
-    typed_ok = not out or all(
-        v.code not in (DOMAIN_VIOLATION, RANGE_VIOLATION) for v in out
-    )
-    if caches.association_candidates(edge.predicate):
-        best = caches.match_association(edge.predicate, subject_closed, object_closed)
-        if best is None:
-            # A domain/range failure already explains the non-match; only a
-            # well-typed edge earns the separate warning.
-            if typed_ok:
-                out.append(
-                    Violation(
-                        NO_MATCHING_ASSOCIATION,
-                        "warning",
-                        ordinal_label,
-                        f"{_triple(edge)}: no association accepts this subject/object pair",
-                    )
+        if not doc.is_predicate(edge.predicate):
+            out.append(
+                Violation(
+                    UNKNOWN_PREDICATE,
+                    "error",
+                    label,
+                    f"{edge.predicate!r} is not a predicate in the schema",
                 )
-        else:
+            )
+            return out
+
+        signature = (
+            edge.predicate,
+            closed_categories(nodes[edge.subject].categories),
+            closed_categories(nodes[edge.object].categories),
+        )
+        verdict = verdicts.get(signature)
+        if verdict is None:
+            verdict = verdicts[signature] = _signature_verdict(*signature, doc, index)
+        faults, best = verdict
+        for code, severity, suffix in faults:
+            out.append(Violation(code, severity, label, f"{_triple(edge)}: {suffix}"))
+        if best is not None:
             for prop in best.required_edge_properties:
                 if not properties.get(prop):
                     out.append(
                         Violation(
                             MISSING_REQUIRED_EDGE_PROPERTY,
                             "error",
-                            ordinal_label,
+                            label,
                             f"{_triple(edge)}: {best.name} requires {prop!r}",
                         )
                     )
-    return out
+        return out
+
+    return check
 
 
 def validate_edge(
@@ -356,10 +307,8 @@ def validate_edge(
     ``ordinal`` labels the violation subject; without it the core triple
     text is used.
     """
-    label = f"edge:{ordinal}" if ordinal is not None else (
-        f"{edge.subject.text} -{edge.predicate}-> {edge.object.text}"
-    )
-    return _validate_edge(edge, label, _Caches(kg, doc, index))
+    label = f"edge:{ordinal}" if ordinal is not None else _triple(edge)
+    return _edge_checker(kg, doc, index)(edge, label)
 
 
 def _sort_key(violation: Violation) -> tuple:
@@ -421,13 +370,13 @@ def validate_graph(
     accepted for compatibility and ignored: the checks are pure Python,
     which threads cannot speed up.
     """
-    caches = _Caches(kg, doc, index)
+    check = _edge_checker(kg, doc, index)
     violations: list[Violation] = []
     for node_id in sorted(kg.nodes, key=lambda c: c.text):
         violations.extend(validate_node(kg.nodes[node_id], doc, index))
 
     for ordinal, edge in enumerate(kg.edges):
-        violations.extend(_validate_edge(edge, f"edge:{ordinal}", caches))
+        violations.extend(check(edge, f"edge:{ordinal}"))
     violations.sort(key=_sort_key)
     counts: dict[str, int] = {}
     for violation in violations:

@@ -71,6 +71,21 @@ def test_validate_reports_errors_with_exit_one(runner, seed_path, tmp_path):
     assert violation["severity"] == "error"
 
 
+def test_validate_deeply_nested_jsonl_is_tool_error(runner, seed_path, tmp_path):
+    nodes_path = tmp_path / "nodes.jsonl"
+    nodes_path.write_text('{"id": "A:1", "category": %s}\n' % ("[" * 50_000 + "]" * 50_000))
+    result = runner.invoke(
+        main,
+        [
+            "validate", "--schema", str(seed_path),
+            "--nodes", str(nodes_path), "--edges", str(DATA / "rhobtb2_edges.tsv"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "nested too deeply" in result.stderr
+
+
 def test_validate_output_deterministic_and_pure(runner, seed_path):
     before = (DATA / "rhobtb2_nodes.tsv").read_bytes()
     first = _invoke(runner, "validate", *_demo_args(seed_path))
@@ -195,6 +210,15 @@ def test_query_accepts_inline_text(runner, seed_path):
         *_demo_args(seed_path),
         "--query", "MONDO:0005027 -[has_phenotype]-> ?p:PhenotypicFeature",
     )
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == 1
+
+
+def test_query_accepts_inline_text_longer_than_a_file_name(runner, seed_path):
+    predicates = "|".join(["related_to"] * 30)
+    text = f"MONDO:0005027 -[{predicates}|has_phenotype]-> ?p:PhenotypicFeature"
+    assert len(text.encode()) > 255
+    result = _invoke(runner, "query", *_demo_args(seed_path), "--query", text)
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == 1
 

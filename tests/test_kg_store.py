@@ -88,6 +88,23 @@ def test_read_jsonl_rejects_non_array_property():
         read_nodes('{"id": "A:1", "category": ["Gene"], "symbol": "A1"}\n')
 
 
+DEEP_ARRAY = "[" * 50_000 + "]" * 50_000
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_nodes, '{"id": "A:1", "category": ["Gene"]}\n{"id": "A:2", "category": %s}\n'),
+        (read_edges, '{"subject": "A:1", "predicate": "p", "object": "A:2"}\n{"subject": %s}\n'),
+    ],
+    ids=["nodes", "edges"],
+)
+def test_read_jsonl_rejects_deep_nesting_as_parse_error(read, text):
+    with pytest.raises(ParseError) as info:
+        read(text % DEEP_ARRAY)
+    assert info.value.line == 2
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as info:
         read_nodes("id\tcategory\tname\nNCBIGene:1\tGene\tok\nbroken row\tGene\n")

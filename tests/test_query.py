@@ -227,6 +227,25 @@ def test_match_sees_edges_and_nodes_changed_after_a_match(seed_doc, seed_index):
     assert found() == ["B:1", "E:4"]
 
 
+def test_match_sees_a_node_swapped_in_the_same_map(seed_doc, seed_index):
+    a, b, c, d = (Curie(prefix, str(i)) for i, prefix in enumerate("ABCD"))
+    genes = {x: Node(x, ["Gene"]) for x in (a, b, c, d)}
+    kg = build_graph(
+        [genes[a], genes[b], genes[c]],
+        [Edge(a, "interacts_with", b), Edge(a, "interacts_with", d)],
+    )
+    qg = expand_query(parse_query("A:0 -[related_to]-> ?x", seed_doc), seed_index)
+
+    def found() -> list[str]:
+        return [binding.assignments["x"].text for binding in match(qg, kg, seed_doc, seed_index)]
+
+    assert found() == ["B:1"]
+    # Same dict, same node count: only the edge to D:3 stops dangling.
+    del kg.nodes[c]
+    kg.nodes[d] = genes[d]
+    assert found() == ["B:1", "D:3"]
+
+
 def test_matcher_equals_brute_force_on_random_graphs(seed_doc, seed_index):
     rng = random.Random(2024)
     for _ in range(40):

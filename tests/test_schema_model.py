@@ -18,7 +18,7 @@ from kgschema import (
 )
 from kgschema.schema_model import AssociationDefinition, Mapping, TypeDefinition
 
-from generators import random_schema
+from generators import deep_chain_schema, random_schema
 from oracles import recursive_slot_union
 
 MINIMAL = "name: minimal\nversion: 0.0.1\n"
@@ -404,3 +404,98 @@ def test_mixin_contribution_order_own_then_is_a_then_mixins():
     )
     doc.classes["User"] = ClassDefinition(name="User", mixins=["Mix"])
     assert effective_slots(doc, "User") == ["own", "up", "shared", "first", "second"]
+
+
+def _slot_schema(*slots: tuple[str, str, str | None]) -> SchemaDocument:
+    """A schema of (name, slot kind, is_a) slots, declared in the given order."""
+    doc = SchemaDocument(name="x", version="0")
+    for name, kind, parent in slots:
+        doc.slots[name] = SlotDefinition(name=name, slot_kind=kind, is_a=parent)
+    return doc
+
+
+def _triples(violations):
+    return [(v.code, v.element, v.detail) for v in violations]
+
+
+NOT_UNDER = "predicate does not reach 'related_to' via is_a"
+
+
+def test_predicate_root_check_skips_cycle_members():
+    doc = _slot_schema(
+        ("related_to", "predicate", None),
+        ("a", "predicate", "b"),
+        ("b", "predicate", "a"),
+        ("loop", "predicate", "loop"),
+    )
+    assert _triples(validate_schema(doc)) == [
+        (sm.CYCLE_IN_IS_A, "a", "slot is_a cycle: a -> b"),
+        (sm.CYCLE_IN_IS_A, "loop", "slot is_a cycle: loop"),
+    ]
+
+
+def test_chain_into_a_cycle_goes_once_round_it_from_where_it_enters():
+    # related_to and x form a cycle, entered at x by p and at related_to by
+    # q: p's chain ends at related_to, q's at x.
+    doc = _slot_schema(
+        ("related_to", "predicate", "x"),
+        ("x", "predicate", "related_to"),
+        ("p", "predicate", "x"),
+        ("q", "predicate", "related_to"),
+    )
+    doc.classes["Thing"] = ClassDefinition(name="Thing")
+    for name, parent, predicate in (
+        ("BaseAssociation", None, "related_to"),
+        ("EnteringAssociation", "BaseAssociation", "p"),
+        ("MemberAssociation", "BaseAssociation", "x"),
+    ):
+        doc.associations[name] = AssociationDefinition(
+            name=name, is_a=parent, subject="Thing", predicate=predicate, object="Thing"
+        )
+    assert _triples(validate_schema(doc)) == [
+        (sm.CYCLE_IN_IS_A, "related_to", "slot is_a cycle: related_to -> x"),
+        (sm.PREDICATE_NOT_UNDER_RELATED_TO, "q", NOT_UNDER),
+    ]
+
+
+def test_predicate_under_an_unknown_parent_does_not_reach_the_root():
+    doc = _slot_schema(
+        ("related_to", "predicate", None),
+        ("child", "predicate", "orphan"),
+        ("orphan", "predicate", "ghost"),
+    )
+    assert _triples(validate_schema(doc)) == [
+        (sm.PREDICATE_NOT_UNDER_RELATED_TO, "child", NOT_UNDER),
+        (sm.PREDICATE_NOT_UNDER_RELATED_TO, "orphan", NOT_UNDER),
+        (sm.UNKNOWN_IS_A, "orphan", "is_a target 'ghost' is not a slot"),
+    ]
+
+
+def test_predicate_chain_ending_at_a_non_predicate_slot():
+    doc = _slot_schema(
+        ("related_to", "node_property", None),
+        ("p", "predicate", "related_to"),
+        ("q", "predicate", "note"),
+        ("note", "node_property", None),
+    )
+    assert _triples(validate_schema(doc)) == [
+        (sm.PREDICATE_NOT_UNDER_RELATED_TO, "p", NOT_UNDER),
+        (sm.PREDICATE_NOT_UNDER_RELATED_TO, "q", NOT_UNDER),
+        (sm.SLOT_KIND_MISMATCH, "p", "predicate slot extends node_property slot 'related_to'"),
+        (sm.SLOT_KIND_MISMATCH, "q", "predicate slot extends node_property slot 'note'"),
+    ]
+
+
+def test_ancestor_lists_equal_chain_walks_with_cycles_and_unknown_parents():
+    rng = random.Random(7)
+    for _ in range(300):
+        names = [f"s{i}" for i in range(rng.randint(1, 12))]
+        parents = {
+            name: rng.choice(names + ["ghost", None, None]) for name in names
+        }
+        slots = {n: SlotDefinition(name=n, slot_kind="predicate", is_a=p) for n, p in parents.items()}
+        assert sm._ancestor_lists(parents) == {n: sm._chain(slots, n) for n in names}, parents
+
+
+def test_validate_schema_on_deep_predicate_chain_is_clean():
+    assert validate_schema(deep_chain_schema(0, 6000)) == []
