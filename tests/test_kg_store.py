@@ -61,20 +61,106 @@ def test_read_jsonl_and_sniffing():
     assert read_edges(edge_text)[0].predicate == "treats"
 
 
+_N = "id\tcategory\tname\n"
+_E = "subject\tpredicate\tobject\n"
+_NJ = '{"id": "A:1", "category": ["Gene"]}\n'
+_EJ = '{"subject": "A:1", "predicate": "p", "object": "B:2"}\n'
+
+# (reader, text, exact str() of the ParseError: line, column and message),
+# over both record kinds, both formats and each per-row fault. Cases with
+# two faults pin which check runs first.
+MALFORMED = [
+    # nodes, TSV
+    (read_nodes, "id\tcategory\n",
+     "line 1, column 1: nodes header must start with ['id', 'category', 'name'], got ['id', 'category']"),
+    (read_nodes, "category\tid\tname\n",
+     "line 1, column 1: nodes header must start with ['id', 'category', 'name'], "
+     "got ['category', 'id', 'name']"),
+    (read_nodes, "", "line 1, column 1: missing nodes header"),
+    (read_nodes, "id\tcategory\tname\tsymbol\tsymbol\nA:1\tGene\tx\ta\tb\n",
+     "line 1, column 1: duplicate column 'symbol' in nodes header"),
+    (read_nodes, _N + "NCBIGene:1\tGene\n", "line 2, column 1: expected 3 columns, got 2"),
+    (read_nodes, _N + "A:1\tGene\tx\textra\n", "line 2, column 1: expected 3 columns, got 4"),
+    (read_nodes, _N + "NCBI|Gene:1\tGene\tx\n",
+     "line 2, column 1: literal '|' in single-valued column 'id'"),
+    (read_nodes, _N + "NCBIGene:1\tGene\ta|b\n",
+     "line 2, column 1: literal '|' in single-valued column 'name'"),
+    (read_nodes, _N + "NCBIGene:1\t\tx\n", "line 2, column 1: node has no categories"),
+    (read_nodes, _N + "A:1\t\ta|b\n", "line 2, column 1: node has no categories"),
+    (read_nodes, "id\tcategory\tname\r\nA:1\tGene\tx\r\n\r\nB:2\t|\tx\r\n",
+     "line 4, column 1: node has no categories"),
+    (read_nodes, _N + "not a curie\tGene\tx\n",
+     "line 2, column 1: not a prefix:local_id pair: 'not a curie'"),
+    (read_nodes, _N + "A:1\tGene\tx\nA1\t\ta|b\n",
+     "line 3, column 1: not a prefix:local_id pair: 'A1'"),
+    # nodes, JSONL
+    (read_nodes, '{"id": "A:1", "category": []}\n', "line 1, column 1: node has no categories"),
+    (read_nodes, '{"id": "A:1"}\n', "line 1, column 1: 'category' must be an array of strings"),
+    (read_nodes, '{"id": "A:1", "category": ["Gene", 1]}\n',
+     "line 1, column 1: 'category' must be an array of strings"),
+    (read_nodes, '{"id": "A:1", "category": ["Gene"], "name": 5}\n',
+     "line 1, column 1: 'name' must be a string"),
+    (read_nodes, '{"id": "A:1", "category": ["Gene"], "name": 5, "a": 2}\n',
+     "line 1, column 1: 'name' must be a string"),
+    (read_nodes, '{"id": "A:1", "category": ["Gene"], "symbol": "A1"}\n',
+     "line 1, column 1: 'symbol' must be an array of strings"),
+    (read_nodes, '{"id": "A:1", "category": ["Gene"], "b": 1, "a": 2}\n',
+     "line 1, column 1: 'a' must be an array of strings"),
+    (read_nodes, '{"id": "not a curie", "category": ["Gene"]}\n',
+     "line 1, column 1: not a prefix:local_id pair: 'not a curie'"),
+    (read_nodes, '{"id": "", "category": ["Gene"]}\n',
+     "line 1, column 1: 'id' must be a nonempty string"),
+    (read_nodes, '{"category": []}\n', "line 1, column 1: 'id' must be a nonempty string"),
+    (read_nodes, _NJ + "[1]\n", "line 2, column 1: each node line must be a JSON object"),
+    (read_nodes, _NJ + '\n{"id": \n', "line 3, column 7: invalid JSON: Expecting value"),
+    # edges, TSV
+    (read_edges, "subject\tpredicate\n",
+     "line 1, column 1: edges header must start with ['subject', 'predicate', 'object'], "
+     "got ['subject', 'predicate']"),
+    (read_edges, "\n", "line 1, column 1: missing edges header"),
+    (read_edges, "subject\tpredicate\tobject\tp\tp\nA:1\tq\tB:2\tx\ty\n",
+     "line 1, column 1: duplicate column 'p' in edges header"),
+    (read_edges, _E + "A:1\ttreats\n", "line 2, column 1: expected 3 columns, got 2"),
+    (read_edges, "subject\tpredicate\tobject\r\n\r\nA:1\ttreats\tB:2\tx\r\n",
+     "line 3, column 1: expected 3 columns, got 4"),
+    (read_edges, _E + "A:1\ttreats|affects\tB:2\n",
+     "line 2, column 1: literal '|' in single-valued column 'subject', 'predicate', or 'object'"),
+    (read_edges, _E + "A|1:1\t\tB:2\n",
+     "line 2, column 1: literal '|' in single-valued column 'subject', 'predicate', or 'object'"),
+    (read_edges, _E + "A:1\t\tB:2\n", "line 2, column 1: empty predicate"),
+    (read_edges, _E + "A1\t\tB:2\n", "line 2, column 1: empty predicate"),
+    (read_edges, _E + "A1\ttreats\tB:2\n", "line 2, column 1: not a prefix:local_id pair: 'A1'"),
+    (read_edges, _E + "A:1\ttreats\tB: 2\n",
+     "line 2, column 1: whitespace in identifier: 'B: 2'"),
+    # edges, JSONL
+    (read_edges, '{"subject": "A:1", "predicate": "", "object": "B:2"}\n',
+     "line 1, column 1: 'predicate' must be a nonempty string"),
+    (read_edges, '{"subject": "A:1", "predicate": 5, "object": "B:2"}\n',
+     "line 1, column 1: 'predicate' must be a nonempty string"),
+    (read_edges, '{"subject": "A1", "predicate": "", "object": "B:2"}\n',
+     "line 1, column 1: not a prefix:local_id pair: 'A1'"),
+    (read_edges, '{"subject": "A:1", "predicate": "p", "object": "B2"}\n',
+     "line 1, column 1: not a prefix:local_id pair: 'B2'"),
+    (read_edges, '{"predicate": "p", "object": "B:2"}\n',
+     "line 1, column 1: 'subject' must be a nonempty string"),
+    (read_edges, '{"subject": "A:1", "predicate": "p", "object": "B:2", "publications": "PMID:1"}\n',
+     "line 1, column 1: 'publications' must be an array of strings"),
+    (read_edges, _EJ + '"text"\n', "line 2, column 1: each edge line must be a JSON object"),
+    (read_edges, _EJ + '{"subject": "A:1",}\n',
+     "line 2, column 19: invalid JSON: Expecting property name enclosed in double quotes"),
+    (read_edges, _EJ + '\n\n{"subject" "A:1"}\n',
+     "line 4, column 12: invalid JSON: Expecting ':' delimiter"),
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "id\tcategory\n",  # wrong header
-        "id\tcategory\tname\nNCBIGene:1\tGene\n",  # short row
-        "id\tcategory\tname\nNCBI|Gene:1\tGene\tx\n",  # pipe in id
-        "id\tcategory\tname\nNCBIGene:1\tGene\ta|b\n",  # pipe in name
-        "id\tcategory\tname\nNCBIGene:1\t\tx\n",  # no category
-        "id\tcategory\tname\nnot a curie\tGene\tx\n",
-    ],
+    "read, text, message", [pytest.param(*case, id=case[1]) for case in MALFORMED]
 )
-def test_read_nodes_rejects_malformed(text):
-    with pytest.raises(ParseError):
-        read_nodes(text)
+def test_read_nodes_rejects_malformed(read, text, message):
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert str(info.value) == message
+    assert info.value.line == int(message.split(",")[0].removeprefix("line "))
 
 
 def test_read_edges_rejects_pipe_in_core_columns():
