@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kgschema import cli, hierarchy, serialize_schema, validate_schema
 from kgschema.cli import main
@@ -345,3 +348,90 @@ def test_convert_to_tsv_rejects_unrepresentable_value(runner, tmp_path, value):
     single = runner.invoke(main, ["convert", "--nodes", str(nodes), "--to", "tsv"])
     assert single.exit_code == 2
     assert single.stdout == ""
+
+
+def _demo_lines(name):
+    header, *rows = (DATA / name).read_text(encoding="utf-8").splitlines()
+    return header, rows
+
+
+_ids = st.sampled_from(["NCBIGene:23221", "NCBIGene:6850", "UniProtKB:O60674", "CHEBI:1", "A:1"])
+_hostile = st.sampled_from(["", "x|y", "a b", "not a curie", ":", "{", "\ufeff", "\r"]) | st.text(max_size=4)
+_categories = st.sampled_from(["Gene", "Protein|Gene", "SmallMolecule", "Disease", "NoSuchClass"])
+_predicates = st.sampled_from(
+    ["entity_regulates_entity", "genetically_interacts_with", "treats", "related_to", "no_such"]
+)
+_pubs = st.sampled_from(["PMID:1", "PMID:1|PMID:2", "not a curie", ""])
+
+
+def _record_file(columns, values, demo):
+    """Node or edge file text, TSV or JSONL, of well-formed records; in half
+    the files some records have one hostile cell, and arbitrary lines and
+    headers are mixed in."""
+    header, demo_rows = _demo_lines(demo)
+    clean = st.tuples(*values).map(list)
+    json_value = st.one_of(
+        st.integers(), st.none(), st.lists(st.text(max_size=3) | st.integers(), max_size=2)
+    )
+
+    def splice(row, at, value):
+        row[at] = value
+        return row
+
+    def as_json(row):
+        return json.dumps({
+            column: value.split("|") if column in ("category", "symbol", "publications")
+            and isinstance(value, str) else value
+            for column, value in zip(columns, row)
+        })
+
+    def lines(hostile):
+        if not hostile:
+            return (
+                st.lists(st.sampled_from(demo_rows) | clean.map("\t".join), max_size=6).map(
+                    lambda rows: [header, *rows]
+                )
+                | st.lists(clean.map(as_json), max_size=6)
+            )
+        at = st.integers(0, len(columns) - 1)
+        tsv_rows = clean.map("\t".join) | st.builds(splice, clean, at, _hostile).map("\t".join)
+        json_rows = clean.map(as_json) | st.builds(splice, clean, at, _hostile | json_value).map(as_json)
+        junk = st.text(max_size=6)
+        tsv = st.tuples(
+            st.sampled_from([header, "\t".join(columns), "\t".join(columns[:2])]),
+            st.lists(st.sampled_from(demo_rows) | tsv_rows | junk, max_size=6),
+        ).map(lambda parts: [parts[0], *parts[1]])
+        return tsv | st.lists(json_rows | junk, max_size=6)
+
+    return st.tuples(
+        st.sampled_from(["", "\ufeff"]), st.booleans().flatmap(lines), st.sampled_from(["\n", "\r\n"])
+    ).map(lambda parts: parts[0] + parts[2].join(parts[1]))
+
+
+_nodes_text = _record_file(("id", "category", "name", "symbol"), (_ids, _categories, _ids, _ids),
+                           "rhobtb2_nodes.tsv")
+_edges_text = _record_file(("subject", "predicate", "object", "publications"),
+                           (_ids, _predicates, _ids, _pubs), "rhobtb2_edges.tsv")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nodes_text=_nodes_text, edges_text=_edges_text)
+def test_any_input_file_exits_cleanly(seed_path, nodes_text, edges_text):
+    # Exit 0 or 1 for data, 2 for a tool failure; never a traceback.
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as scratch:
+        nodes = Path(scratch) / "nodes.txt"
+        edges = Path(scratch) / "edges.txt"
+        nodes.write_text(nodes_text, encoding="utf-8")
+        edges.write_text(edges_text, encoding="utf-8")
+        graph = ["--schema", str(seed_path), "--nodes", str(nodes), "--edges", str(edges)]
+        for args in (
+            ["validate", *graph],
+            ["stats", *graph],
+            ["query", *graph, "--query", str(DATA / "rhobtb2_query.txt")],
+            ["convert", "--nodes", str(nodes), "--edges", str(edges), "--to", "tsv"],
+            ["convert", "--nodes", str(nodes), "--to", "jsonl"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exception is None or isinstance(result.exception, SystemExit), args
+            assert result.exit_code in (0, 1, 2), args
