@@ -5,7 +5,8 @@ property values merge by order-preserving union so provenance is never
 dropped. The tabular format uses ``|`` to separate multiple values in a
 cell, with no escaping: a literal ``|`` in a single-valued cell is a syntax
 error. The writer raises ``ValueError`` rather than emit a tab, a line break
-or a ``|`` inside a value, none of which would read back.
+or a ``|`` inside a value, none of which would read back, or a property that
+shares its name with a core column (``NODE_COLUMNS``, ``EDGE_COLUMNS``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import DanglingEdgeError, ParseError
 from .hierarchy import ClosureIndex, minimal_categories
@@ -139,34 +141,24 @@ def _curie_cache_get(cache: dict[str, Curie], text: str, line: int) -> Curie:
     return curie
 
 
-def _tsv_header(source_text: str, leading: tuple[str, ...], what: str):
+def _tsv_rows(source_text: str, leading: tuple[str, ...], what: str):
+    """Check the header, then yield ``(line number, cells, properties)`` per nonblank row.
+
+    A trailing CR is dropped and every row must have as many cells as the
+    header. Properties map each nonempty cell past ``leading`` to its values.
+    """
     lines = source_text.split("\n")
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():
         raise ParseError(f"missing {what} header", 1, 1)
     header = lines[0].rstrip("\r").split("\t")
-    if tuple(header[: len(leading)]) != leading:
-        raise ParseError(
-            f"{what} header must start with {list(leading)}, got {header[: len(leading)]}", 1, 1
-        )
+    core = len(leading)
+    if tuple(header[:core]) != leading:
+        raise ParseError(f"{what} header must start with {list(leading)}, got {header[:core]}", 1, 1)
     if len(set(header)) != len(header):
         duplicate = next(name for name in header if header.count(name) > 1)
         raise ParseError(f"duplicate column {duplicate!r} in {what} header", 1, 1)
-    return lines, header, header[len(leading):]
-
-
-def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
-    """Parse nodes from TSV or JSONL text; the format is sniffed when unset.
-
-    One leading UTF-8 byte order mark (U+FEFF) is ignored.
-    """
-    source_text = source_text.removeprefix("\ufeff")
-    fmt = fmt or _sniff_format(source_text)
-    if fmt == "jsonl":
-        return _read_nodes_jsonl(source_text)
-    lines, header, extras = _tsv_header(source_text, NODE_COLUMNS, "nodes")
     width = len(header)
-    cache: dict[str, Curie] = {}
-    nodes = []
+    extras = header[core:]
     for number, raw in enumerate(lines[1:], start=2):
         row = raw.rstrip("\r")
         if not row:
@@ -174,63 +166,20 @@ def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
         cells = row.split("\t")
         if len(cells) != width:
             raise ParseError(f"expected {width} columns, got {len(cells)}", number, 1)
-        if "|" in cells[0]:
-            raise ParseError("literal '|' in single-valued column 'id'", number, 1)
-        node_id = _curie_cache_get(cache, cells[0], number)
-        categories = _split_cell(cells[1])
-        if not categories:
-            raise ParseError("node has no categories", number, 1)
-        name = cells[2]
-        if "|" in name:
-            raise ParseError("literal '|' in single-valued column 'name'", number, 1)
         properties = {}
-        for column, cell in zip(extras, cells[3:]):
+        for column, cell in zip(extras, cells[core:]):
             if cell:
                 properties[column] = _split_cell(cell)
-        nodes.append(Node(node_id, categories, name or None, properties))
-    return nodes
+        yield number, cells, properties
 
 
-def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
-    """Parse edges from TSV or JSONL text; the format is sniffed when unset.
+def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
+    """Yield ``(line number, object, properties)`` per nonblank line.
 
-    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    Properties hold the object's other keys in sorted order. They are read
+    when the caller asks for the next line, after its checks of the core
+    keys, so a fault in a core key is the one reported.
     """
-    source_text = source_text.removeprefix("\ufeff")
-    fmt = fmt or _sniff_format(source_text)
-    if fmt == "jsonl":
-        return _read_edges_jsonl(source_text)
-    lines, header, extras = _tsv_header(source_text, EDGE_COLUMNS, "edges")
-    width = len(header)
-    cache: dict[str, Curie] = {}
-    edges = []
-    for number, raw in enumerate(lines[1:], start=2):
-        row = raw.rstrip("\r")
-        if not row:
-            continue
-        cells = row.split("\t")
-        if len(cells) != width:
-            raise ParseError(f"expected {width} columns, got {len(cells)}", number, 1)
-        subject_text, predicate, object_text = cells[0], cells[1], cells[2]
-        if "|" in subject_text or "|" in predicate or "|" in object_text:
-            raise ParseError(
-                "literal '|' in single-valued column 'subject', 'predicate', or 'object'",
-                number,
-                1,
-            )
-        if not predicate:
-            raise ParseError("empty predicate", number, 1)
-        subject = _curie_cache_get(cache, subject_text, number)
-        obj = _curie_cache_get(cache, object_text, number)
-        properties = {}
-        for column, cell in zip(extras, cells[3:]):
-            if cell:
-                properties[column] = _split_cell(cell)
-        edges.append(Edge(subject, predicate, obj, properties))
-    return edges
-
-
-def _jsonl_objects(source_text: str, what: str):
     for number, raw in enumerate(source_text.split("\n"), start=1):
         line = raw.strip()
         if not line:
@@ -243,7 +192,13 @@ def _jsonl_objects(source_text: str, what: str):
             raise ParseError("invalid JSON: nested too deeply", number, 1) from exc
         if not isinstance(obj, dict):
             raise ParseError(f"each {what} line must be a JSON object", number, 1)
-        yield number, obj
+        properties: dict[str, list[str]] = {}
+        yield number, obj, properties
+        for key in sorted(obj):
+            if key not in core:
+                values = _json_values(obj[key], key, number)
+                if values:
+                    properties[key] = values
 
 
 def _json_string(obj: dict, key: str, line: int) -> str:
@@ -259,43 +214,66 @@ def _json_values(value, key: str, line: int) -> list[str]:
     return list(dict.fromkeys(v for v in value if v))
 
 
-def _read_nodes_jsonl(source_text: str) -> list[Node]:
+def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
+    """Parse nodes from TSV or JSONL text; the format is sniffed when unset.
+
+    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    """
+    source_text = source_text.removeprefix("\ufeff")
     cache: dict[str, Curie] = {}
     nodes = []
-    for number, obj in _jsonl_objects(source_text, "node"):
-        node_id = _curie_cache_get(cache, _json_string(obj, "id", number), number)
-        categories = _json_values(obj.get("category"), "category", number)
+    if (fmt or _sniff_format(source_text)) == "jsonl":
+        for number, obj, properties in _jsonl_rows(source_text, NODE_COLUMNS, "node"):
+            node_id = _curie_cache_get(cache, _json_string(obj, "id", number), number)
+            categories = _json_values(obj.get("category"), "category", number)
+            if not categories:
+                raise ParseError("node has no categories", number, 1)
+            name = obj.get("name")
+            if name is not None and not isinstance(name, str):
+                raise ParseError("'name' must be a string", number, 1)
+            nodes.append(Node(node_id, categories, name or None, properties))
+        return nodes
+    for number, cells, properties in _tsv_rows(source_text, NODE_COLUMNS, "nodes"):
+        if "|" in cells[0]:
+            raise ParseError("literal '|' in single-valued column 'id'", number, 1)
+        node_id = _curie_cache_get(cache, cells[0], number)
+        categories = _split_cell(cells[1])
         if not categories:
             raise ParseError("node has no categories", number, 1)
-        name = obj.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ParseError("'name' must be a string", number, 1)
-        properties = {}
-        for key in sorted(obj):
-            if key in ("id", "category", "name"):
-                continue
-            values = _json_values(obj[key], key, number)
-            if values:
-                properties[key] = values
-        nodes.append(Node(node_id, categories, name or None, properties))
+        if "|" in cells[2]:
+            raise ParseError("literal '|' in single-valued column 'name'", number, 1)
+        nodes.append(Node(node_id, categories, cells[2] or None, properties))
     return nodes
 
 
-def _read_edges_jsonl(source_text: str) -> list[Edge]:
+def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
+    """Parse edges from TSV or JSONL text; the format is sniffed when unset.
+
+    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    """
+    source_text = source_text.removeprefix("\ufeff")
     cache: dict[str, Curie] = {}
     edges = []
-    for number, obj in _jsonl_objects(source_text, "edge"):
-        subject = _curie_cache_get(cache, _json_string(obj, "subject", number), number)
-        predicate = _json_string(obj, "predicate", number)
-        obj_id = _curie_cache_get(cache, _json_string(obj, "object", number), number)
-        properties = {}
-        for key in sorted(obj):
-            if key in ("subject", "predicate", "object"):
-                continue
-            values = _json_values(obj[key], key, number)
-            if values:
-                properties[key] = values
-        edges.append(Edge(subject, predicate, obj_id, properties))
+    if (fmt or _sniff_format(source_text)) == "jsonl":
+        for number, obj, properties in _jsonl_rows(source_text, EDGE_COLUMNS, "edge"):
+            subject = _curie_cache_get(cache, _json_string(obj, "subject", number), number)
+            predicate = _json_string(obj, "predicate", number)
+            obj_id = _curie_cache_get(cache, _json_string(obj, "object", number), number)
+            edges.append(Edge(subject, predicate, obj_id, properties))
+        return edges
+    for number, cells, properties in _tsv_rows(source_text, EDGE_COLUMNS, "edges"):
+        subject_text, predicate, object_text = cells[0], cells[1], cells[2]
+        if "|" in subject_text or "|" in predicate or "|" in object_text:
+            raise ParseError(
+                "literal '|' in single-valued column 'subject', 'predicate', or 'object'",
+                number,
+                1,
+            )
+        if not predicate:
+            raise ParseError("empty predicate", number, 1)
+        subject = _curie_cache_get(cache, subject_text, number)
+        obj = _curie_cache_get(cache, object_text, number)
+        edges.append(Edge(subject, predicate, obj, properties))
     return edges
 
 
@@ -303,17 +281,46 @@ def _read_edges_jsonl(source_text: str) -> list[Edge]:
 # Writing
 
 
-def _tsv_text(rows: list[str], width: int, separators: int) -> str:
-    """Join a header and rows of ``width`` cells, rejecting what would not read back.
+def _write(records: list, fmt: str, columns: tuple[str, ...], core) -> str:
+    """Serialize ``records``; ``core(record)`` gives the value of each of ``columns``.
 
-    ``separators`` is the number of ``|`` that join multivalued cells; any
-    other ``|`` below the header sits inside a value and would split it on
-    reading, as would a tab or a line break. The joined text is checked
-    once, not value by value.
+    A value is a string, a list for a multivalued column, or None when
+    absent. TSV output is checked once as joined text: a ``|`` beyond the
+    header's and the separators counted while joining would split a value
+    on reading, as would a tab or a line break.
     """
+    keys = {key for record in records for key in record.properties}
+    if not keys.isdisjoint(columns):
+        clash = sorted(keys.intersection(columns))
+        raise ValueError(f"a property cannot be named like a core column: {clash}")
+    if fmt == "jsonl":
+        encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+        lines = []
+        for record in records:
+            obj = dict(record.properties)
+            for column, value in zip(columns, core(record)):
+                if value is not None:
+                    obj[column] = value
+            lines.append(encode(obj))
+        return "\n".join(lines) + ("\n" if lines else "")
+    extras = sorted(keys)
+    rows = ["\t".join((*columns, *extras))]
+    separators = 0
+    for record in records:
+        cells = []
+        for value in core(record):
+            if value and not isinstance(value, str):
+                separators += len(value) - 1
+                value = "|".join(value)
+            cells.append(value or "")
+        for values in map(record.properties.get, extras):
+            if values:
+                separators += len(values) - 1
+            cells.append("|".join(values or ()))
+        rows.append("\t".join(cells))
     text = "\n".join(rows) + "\n"
-    tabs = len(rows) * (width - 1)
-    if text.count("\t") != tabs or text.count("\n") != len(rows) or "\r" in text:
+    width = len(columns) + len(extras)
+    if text.count("\t") != len(rows) * (width - 1) or text.count("\n") != len(rows) or "\r" in text:
         bad = next(r for r in rows if r.count("\t") != width - 1 or "\n" in r or "\r" in r)
         raise ValueError(f"TSV cannot hold a tab or a line break inside a value: {bad!r}")
     if text.count("|") != rows[0].count("|") + separators:
@@ -323,53 +330,12 @@ def _tsv_text(rows: list[str], width: int, separators: int) -> str:
 
 def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
     """Serialize nodes; extra property columns appear sorted by name."""
-    if fmt == "jsonl":
-        lines = []
-        for node in nodes:
-            obj: dict = {"id": node.id.text, "category": list(node.categories)}
-            if node.name is not None:
-                obj["name"] = node.name
-            for key in sorted(node.properties):
-                obj[key] = list(node.properties[key])
-            lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-    extras = sorted({key for node in nodes for key in node.properties})
-    out = ["\t".join(NODE_COLUMNS + tuple(extras))]
-    for node in nodes:
-        cells = [node.id.text, "|".join(node.categories), node.name or ""]
-        cells.extend("|".join(node.properties.get(key, [])) for key in extras)
-        out.append("\t".join(cells))
-    separators = sum(
-        len(values) - 1
-        for node in nodes
-        for values in (node.categories, *node.properties.values())
-        if values
-    )
-    return _tsv_text(out, len(NODE_COLUMNS) + len(extras), separators)
+    return _write(nodes, fmt, NODE_COLUMNS, lambda node: (node.id.text, node.categories, node.name))
 
 
 def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
     """Serialize edges; extra property columns appear sorted by name."""
-    if fmt == "jsonl":
-        lines = []
-        for edge in edges:
-            obj: dict = {
-                "subject": edge.subject.text,
-                "predicate": edge.predicate,
-                "object": edge.object.text,
-            }
-            for key in sorted(edge.properties):
-                obj[key] = list(edge.properties[key])
-            lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-    extras = sorted({key for edge in edges for key in edge.properties})
-    out = ["\t".join(EDGE_COLUMNS + tuple(extras))]
-    for edge in edges:
-        cells = [edge.subject.text, edge.predicate, edge.object.text]
-        cells.extend("|".join(edge.properties.get(key, [])) for key in extras)
-        out.append("\t".join(cells))
-    separators = sum(len(v) - 1 for edge in edges for v in edge.properties.values() if v)
-    return _tsv_text(out, len(EDGE_COLUMNS) + len(extras), separators)
+    return _write(edges, fmt, EDGE_COLUMNS, lambda e: (e.subject.text, e.predicate, e.object.text))
 
 
 # ---------------------------------------------------------------------------
@@ -378,75 +344,65 @@ def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
 
 def _merge_values(target: list[str], extra: list[str]) -> None:
     seen = set(target)
-    for value in extra:
-        if value not in seen:
-            seen.add(value)
-            target.append(value)
+    target.extend(value for value in dict.fromkeys(extra) if value not in seen)
 
 
-def _merge_properties(target: dict[str, list[str]], extra: dict[str, list[str]]) -> None:
-    for key, values in extra.items():
+def _merge_properties(kept: Node | Edge, record: Node | Edge) -> None:
+    target = kept.properties
+    for key, values in record.properties.items():
         if key in target:
             _merge_values(target[key], values)
         else:
             target[key] = list(values)
 
 
+def _copy_properties(record: Node | Edge) -> dict[str, list[str]]:
+    return {key: list(values) for key, values in record.properties.items()}
+
+
 def _copy_node(node: Node) -> Node:
-    return Node(
-        node.id,
-        list(node.categories),
-        node.name,
-        {key: list(values) for key, values in node.properties.items()},
-    )
+    return Node(node.id, list(node.categories), node.name, _copy_properties(node))
 
 
 def _copy_edge(edge: Edge) -> Edge:
-    return Edge(
-        edge.subject,
-        edge.predicate,
-        edge.object,
-        {key: list(values) for key, values in edge.properties.items()},
-    )
+    return Edge(edge.subject, edge.predicate, edge.object, _copy_properties(edge))
 
 
-def _merge_nodes(nodes: list[Node], report: NormalizationReport | None = None) -> dict[Curie, Node]:
-    # Stored objects alias the input until a merge forces a private copy.
-    merged: dict[Curie, Node] = {}
-    owned: set[Curie] = set()
-    for node in nodes:
-        existing = merged.get(node.id)
-        if existing is None:
-            merged[node.id] = node
+def _merge(records: list, key, copy, absorb) -> dict:
+    """Records by ``key(record)``, each later duplicate folded in by ``absorb(kept, record)``.
+
+    Kept records alias the input until a merge forces a private ``copy``, so
+    the input is never mutated.
+    """
+    merged: dict = {}
+    owned: set = set()
+    for record in records:
+        k = key(record)
+        kept = merged.get(k)
+        if kept is None:
+            merged[k] = record
             continue
-        if node.id not in owned:
-            existing = _copy_node(existing)
-            merged[node.id] = existing
-            owned.add(node.id)
-        _merge_values(existing.categories, node.categories)
-        if existing.name is None:
-            existing.name = node.name
-        elif node.name is not None and node.name != existing.name and report is not None:
-            report.name_conflicts += 1
-        _merge_properties(existing.properties, node.properties)
+        if k not in owned:
+            kept = merged[k] = copy(kept)
+            owned.add(k)
+        absorb(kept, record)
     return merged
 
 
+def _merge_nodes(nodes: list[Node], report: NormalizationReport | None = None) -> dict[Curie, Node]:
+    def absorb(kept: Node, node: Node) -> None:
+        _merge_values(kept.categories, node.categories)
+        if kept.name is None:
+            kept.name = node.name
+        elif node.name is not None and node.name != kept.name and report is not None:
+            report.name_conflicts += 1
+        _merge_properties(kept, node)
+
+    return _merge(nodes, attrgetter("id"), _copy_node, absorb)
+
+
 def _merge_edges(edges: list[Edge]) -> list[Edge]:
-    merged: dict[tuple[Curie, str, Curie], Edge] = {}
-    owned: set[tuple[Curie, str, Curie]] = set()
-    for edge in edges:
-        key = edge.key()
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = edge
-            continue
-        if key not in owned:
-            existing = _copy_edge(existing)
-            merged[key] = existing
-            owned.add(key)
-        _merge_properties(existing.properties, edge.properties)
-    return list(merged.values())
+    return list(_merge(edges, Edge.key, _copy_edge, _merge_properties).values())
 
 
 def build_graph(nodes: list[Node], edges: list[Edge], *, strict: bool = False) -> KnowledgeGraph:
@@ -578,23 +534,16 @@ def graph_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
     Category order and property-value order are not significant.
     """
 
-    def node_key(node: Node):
-        return (
-            frozenset(node.categories),
-            node.name,
-            frozenset((k, frozenset(v)) for k, v in node.properties.items()),
-        )
+    def properties(record: Node | Edge) -> frozenset:
+        return frozenset((k, frozenset(v)) for k, v in record.properties.items())
 
-    if set(a.nodes) != set(b.nodes):
-        return False
-    for node_id, node in a.nodes.items():
-        if node_key(node) != node_key(b.nodes[node_id]):
-            return False
-
-    def edge_map(kg: KnowledgeGraph):
+    def node_map(kg: KnowledgeGraph) -> dict:
         return {
-            edge.key(): frozenset((k, frozenset(v)) for k, v in edge.properties.items())
-            for edge in kg.edges
+            node_id: (frozenset(node.categories), node.name, properties(node))
+            for node_id, node in kg.nodes.items()
         }
 
-    return edge_map(a) == edge_map(b)
+    def edge_map(kg: KnowledgeGraph) -> dict:
+        return {edge.key(): properties(edge) for edge in kg.edges}
+
+    return node_map(a) == node_map(b) and edge_map(a) == edge_map(b)

@@ -247,6 +247,11 @@ def test_tsv_jsonl_round_trips(demo_nodes_text, demo_edges_text):
         nodes_rt = read_nodes(write_nodes(nodes, fmt))
         edges_rt = read_edges(write_edges(edges, fmt))
         assert graph_equal(original, build_graph(nodes_rt, edges_rt))
+        # Core column names of the other record kind are ordinary properties.
+        node = Node(Curie("A", "1"), ["Gene"], properties={"subject": ["S:1"]})
+        edge = Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"id": ["I:1"], "name": ["n"]})
+        assert read_nodes(write_nodes([node], fmt)) == [node]
+        assert read_edges(write_edges([edge], fmt)) == [edge]
 
 
 def test_write_rejects_pipe_in_name():
@@ -267,13 +272,27 @@ def test_write_rejects_pipe_in_name():
         Edge(Curie("A", "1"), "treats\t", Curie("B", "2")),
         Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"publications": ["PMID:1|PMID:2"]}),
         Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"note": ["two\nlines"]}),
+        # A property named like a core column cannot be written in either format.
+        Node(Curie("A", "1"), ["Gene"], "x", {"id": ["B:2"]}),
+        Node(Curie("A", "1"), ["Gene"], properties={"category": ["Disease"]}),
+        Node(Curie("A", "1"), ["Gene"], properties={"name": ["y"], "xref": ["X:1"]}),
+        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"subject": ["C:3"]}),
+        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"predicate": ["affects"]}),
+        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"object": []}),
     ],
 )
 def test_write_tsv_rejects_what_cannot_read_back(item):
-    write, read = (write_nodes, read_nodes) if isinstance(item, Node) else (write_edges, read_edges)
+    if isinstance(item, Node):
+        write, read, core = write_nodes, read_nodes, {"id", "category", "name"}
+    else:
+        write, read, core = write_edges, read_edges, {"subject", "predicate", "object"}
     with pytest.raises(ValueError):
         write([item], "tsv")
-    assert read(write([item], "jsonl")) == [item]
+    if core.isdisjoint(item.properties):
+        assert read(write([item], "jsonl")) == [item]
+    else:
+        with pytest.raises(ValueError, match="core column"):
+            write([item], "jsonl")
 
 
 _ids = st.sampled_from(["A:1", "A:2", "B:1", "B:2"])
