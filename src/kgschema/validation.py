@@ -200,7 +200,6 @@ def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
     nodes = kg.nodes
     closed: dict[tuple[str, ...], frozenset[str]] = {}
     verdicts: dict[tuple, tuple] = {}
-    curie_ok: dict[str, bool] = {}
 
     def closed_categories(categories: list[str]) -> frozenset[str]:
         key = tuple(categories)
@@ -214,17 +213,6 @@ def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
             found = closed[key] = frozenset(gathered)
         return found
 
-    def curie_shaped(value: str) -> bool:
-        ok = curie_ok.get(value)
-        if ok is None:
-            try:
-                parse_curie(value)
-                ok = True
-            except MalformedCurieError:
-                ok = False
-            curie_ok[value] = ok
-        return ok
-
     def check(edge: Edge, label: str) -> list[Violation]:
         out: list[Violation] = []
         properties = edge.properties
@@ -236,7 +224,9 @@ def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
             return out
 
         for value in properties.get("publications", ()):
-            if not curie_shaped(value):
+            try:
+                parse_curie(value)
+            except MalformedCurieError:
                 out.append(
                     Violation(
                         MALFORMED_PROVENANCE_CURIE,
@@ -247,7 +237,11 @@ def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
                 )
         for value in properties.get("has_evidence", ()):
             prefix, sep, _ = value.partition(":")
-            if sep and prefix in doc.prefixes and not curie_shaped(value):
+            if not sep or prefix not in doc.prefixes:
+                continue
+            try:
+                parse_curie(value)
+            except MalformedCurieError:
                 out.append(
                     Violation(
                         MALFORMED_PROVENANCE_CURIE,
