@@ -141,15 +141,6 @@ def load_equivalences(source_text: str) -> EquivalenceTable:
     return table
 
 
-def _inherited_prefix_list(category: str, doc: SchemaDocument, index: ClosureIndex) -> list[str]:
-    """First nonempty id_prefixes list walking ancestors nearest-first."""
-    for ancestor in index.class_ancestors[category]:
-        id_prefixes = doc.classes[ancestor].id_prefixes
-        if id_prefixes:
-            return id_prefixes
-    return []
-
-
 def preferred_identifier(
     clique_members: set[Curie],
     category: str,
@@ -168,18 +159,16 @@ def preferred_identifier(
         raise EmptyCliqueError("empty clique")
     if category not in index.class_ancestors:
         raise UnknownClassError(category)
-    preference = _inherited_prefix_list(category, doc, index)
-    if preference:
-        owner = next(
-            ancestor
-            for ancestor in index.class_ancestors[category]
-            if doc.classes[ancestor].id_prefixes
-        )
-        rank = {prefix: position for position, prefix in enumerate(preference)}
-        ranked = [m for m in clique_members if m.prefix in rank]
-        if ranked:
-            best = min(ranked, key=lambda m: (rank[m.prefix], m.local_id))
-            return best, f"PREFERENCE_MATCH:{owner}:{best.prefix}"
+    # The nearest ancestor (the class itself first) with id_prefixes decides.
+    for owner in index.class_ancestors[category]:
+        preference = doc.classes[owner].id_prefixes
+        if preference:
+            rank = {prefix: position for position, prefix in enumerate(preference)}
+            ranked = [m for m in clique_members if m.prefix in rank]
+            if ranked:
+                best = min(ranked, key=lambda m: (rank[m.prefix], m.local_id))
+                return best, f"PREFERENCE_MATCH:{owner}:{best.prefix}"
+            break
     fallback = min(clique_members, key=lambda m: m.text)
     return fallback, NO_PREFERENCE_MATCH
 
