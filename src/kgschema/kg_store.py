@@ -377,14 +377,14 @@ def _merge(records: list, key, copy, absorb) -> dict:
     merged: dict = {}
     owned: set = set()
     for record in records:
-        k = key(record)
-        kept = merged.get(k)
+        record_key = key(record)
+        kept = merged.get(record_key)
         if kept is None:
-            merged[k] = record
+            merged[record_key] = record
             continue
-        if k not in owned:
-            kept = merged[k] = copy(kept)
-            owned.add(k)
+        if record_key not in owned:
+            kept = merged[record_key] = copy(kept)
+            owned.add(record_key)
         absorb(kept, record)
     return merged
 

@@ -350,11 +350,6 @@ def test_convert_to_tsv_rejects_unrepresentable_value(runner, tmp_path, value):
     assert single.stdout == ""
 
 
-def _demo_lines(name):
-    header, *rows = (DATA / name).read_text(encoding="utf-8").splitlines()
-    return header, rows
-
-
 _ids = st.sampled_from(["NCBIGene:23221", "NCBIGene:6850", "UniProtKB:O60674", "CHEBI:1", "A:1"])
 _hostile = st.sampled_from(["", "x|y", "a b", "not a curie", ":", "{", "\ufeff", "\r"]) | st.text(max_size=4)
 _categories = st.sampled_from(["Gene", "Protein|Gene", "SmallMolecule", "Disease", "NoSuchClass"])
@@ -368,7 +363,7 @@ def _record_file(columns, values, demo):
     """Node or edge file text, TSV or JSONL, of well-formed records; in half
     the files some records have one hostile cell, and arbitrary lines and
     headers are mixed in."""
-    header, demo_rows = _demo_lines(demo)
+    header, *demo_rows = (DATA / demo).read_text(encoding="utf-8").splitlines()
     clean = st.tuples(*values).map(list)
     json_value = st.one_of(
         st.integers(), st.none(), st.lists(st.text(max_size=3) | st.integers(), max_size=2)

@@ -254,6 +254,33 @@ def test_tsv_jsonl_round_trips(demo_nodes_text, demo_edges_text):
         assert read_edges(write_edges([edge], fmt)) == [edge]
 
 
+def test_writers_emit_exact_text():
+    nodes = [
+        Node(Curie("A", "1"), ["Gene", "Protein"], None, {"xref": ["X:1", "X:2"]}),
+        Node(Curie("B", "2"), ["Disease"], "beta"),
+    ]
+    edges = [
+        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"publications": ["PMID:1", "PMID:2"]}),
+        Edge(Curie("B", "2"), "affects", Curie("A", "1")),
+    ]
+    assert write_nodes(nodes) == (
+        "id\tcategory\tname\txref\nA:1\tGene|Protein\t\tX:1|X:2\nB:2\tDisease\tbeta\t\n"
+    )
+    assert write_nodes(nodes, "jsonl") == (
+        '{"category": ["Gene", "Protein"], "id": "A:1", "xref": ["X:1", "X:2"]}\n'
+        '{"category": ["Disease"], "id": "B:2", "name": "beta"}\n'
+    )
+    assert write_edges(edges) == (
+        "subject\tpredicate\tobject\tpublications\n"
+        "A:1\ttreats\tB:2\tPMID:1|PMID:2\nB:2\taffects\tA:1\t\n"
+    )
+    assert write_edges(edges, "jsonl") == (
+        '{"object": "B:2", "predicate": "treats", "publications": ["PMID:1", "PMID:2"], "subject": "A:1"}\n'
+        '{"object": "A:1", "predicate": "affects", "subject": "B:2"}\n'
+    )
+    assert (write_nodes([]), write_edges([], "jsonl")) == ("id\tcategory\tname\n", "")
+
+
 def test_write_rejects_pipe_in_name():
     with pytest.raises(ValueError):
         write_nodes([Node(Curie("A", "1"), ["Gene"], "bad|name")])
