@@ -58,6 +58,14 @@ def parse_curie(text: str) -> Curie:
     return Curie(prefix, local_id)
 
 
+def is_curie(text: str) -> bool:
+    """True exactly when :func:`parse_curie` accepts ``text``; allocates nothing.
+
+    The first colon has text on both sides, and no character is whitespace.
+    """
+    return 0 < text.find(":") < len(text) - 1 and _WHITESPACE_RE.search(text) is None
+
+
 def expand_iri(curie: Curie, prefixes: dict[str, str]) -> str:
     """Concatenate the declared base for ``curie.prefix`` with the local id."""
     base = prefixes.get(curie.prefix)

@@ -20,7 +20,7 @@ from kgschema import (
     parse_curie,
     preferred_identifier,
 )
-from kgschema.identifiers import NO_PREFERENCE_MATCH
+from kgschema.identifiers import NO_PREFERENCE_MATCH, is_curie
 from generators import random_cliques
 from oracles import scan_preferred
 
@@ -43,6 +43,33 @@ def test_parse_curie_rejects_degenerate_forms(text):
 
 def test_parse_curie_splits_on_first_colon():
     assert parse_curie("a:b:c") == Curie("a", "b:c")
+
+
+# Colons, ASCII and Unicode whitespace (which ``\s`` matches), and text.
+_curie_like = st.text(
+    st.sampled_from(":ab")
+    | st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000")
+    | st.characters(),
+    max_size=8,
+)
+
+
+@given(_curie_like)
+def test_is_curie_accepts_exactly_what_parse_curie_accepts(text):
+    # Both against the rule read naively: nonempty parts around the first
+    # colon, no whitespace anywhere.
+    prefix, sep, local_id = text.partition(":")
+    paired = bool(sep and prefix and local_id)
+    try:
+        curie = parse_curie(text)
+    except MalformedCurieError as exc:
+        accepted = False
+        reason = "whitespace in identifier" if paired else "not a prefix:local_id pair"
+        assert str(exc) == f"{reason}: {text!r}"
+    else:
+        accepted = True
+        assert curie == Curie(prefix, local_id)
+    assert is_curie(text) == accepted == (paired and not any(ch.isspace() for ch in text))
 
 
 @given(_prefix, _local)
