@@ -119,8 +119,9 @@ class StatsReport:
 
 
 def _sniff_format(source_text: str) -> str:
+    """JSONL when the first non-blank character starts a JSON object, array or string."""
     stripped = source_text.lstrip()
-    return "jsonl" if stripped.startswith("{") else "tsv"
+    return "jsonl" if stripped.startswith(("{", "[", '"')) else "tsv"
 
 
 def _split_cell(cell: str) -> list[str]:

@@ -112,6 +112,8 @@ MALFORMED = [
      "line 1, column 1: 'id' must be a nonempty string"),
     (read_nodes, '{"category": []}\n', "line 1, column 1: 'id' must be a nonempty string"),
     (read_nodes, _NJ + "[1]\n", "line 2, column 1: each node line must be a JSON object"),
+    (read_nodes, "[1]\n", "line 1, column 1: each node line must be a JSON object"),
+    (read_nodes, '"x"\n' + _NJ, "line 1, column 1: each node line must be a JSON object"),
     (read_nodes, _NJ + '\n{"id": \n', "line 3, column 7: invalid JSON: Expecting value"),
     # edges, TSV
     (read_edges, "subject\tpredicate\n",
@@ -146,6 +148,8 @@ MALFORMED = [
     (read_edges, '{"subject": "A:1", "predicate": "p", "object": "B:2", "publications": "PMID:1"}\n',
      "line 1, column 1: 'publications' must be an array of strings"),
     (read_edges, _EJ + '"text"\n', "line 2, column 1: each edge line must be a JSON object"),
+    (read_edges, "[1]\n" + _EJ, "line 1, column 1: each edge line must be a JSON object"),
+    (read_edges, '\n  "x"\n', "line 2, column 1: each edge line must be a JSON object"),
     (read_edges, _EJ + '{"subject": "A:1",}\n',
      "line 2, column 19: invalid JSON: Expecting property name enclosed in double quotes"),
     (read_edges, _EJ + '\n\n{"subject" "A:1"}\n',
