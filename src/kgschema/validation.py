@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .hierarchy import ClosureIndex, minimal_categories
-from .identifiers import MalformedCurieError, parse_curie
+from .identifiers import Curie, is_curie
 from .kg_store import Edge, KnowledgeGraph, Node
 from .schema_model import AssociationDefinition, SchemaDocument, serialize_schema
 
@@ -145,19 +145,21 @@ def _signature_verdict(
     predicate: str,
     subject_closed: frozenset[str],
     object_closed: frozenset[str],
+    governing: list[AssociationDefinition],
     doc: SchemaDocument,
     index: ClosureIndex,
 ) -> tuple[list[tuple[str, str, str]], AssociationDefinition | None]:
     """What holds for every edge with this predicate and these closed end categories.
 
-    Returns the ``(code, severity, detail suffix)`` of each domain, range and
-    association violation, and the most specific matching association or
-    None. Domain and range come from the nearest ancestor predicate that
-    sets them; association ties break by summed depth, then by name.
+    ``governing`` lists the associations whose predicate is this predicate
+    or one of its ancestors. Returns the ``(code, severity, detail suffix)``
+    of each domain, range and association violation, and the most specific
+    matching association or None. Domain and range come from the nearest
+    ancestor predicate that sets them; association ties break by summed
+    depth, then by name.
     """
-    ancestors = index.predicate_ancestors[predicate]
     domain = rng = None
-    for name in ancestors:
+    for name in index.predicate_ancestors[predicate]:
         slot = doc.slots[name]
         if domain is None:
             domain = slot.domain
@@ -169,7 +171,6 @@ def _signature_verdict(
         faults.append((DOMAIN_VIOLATION, "error", f"subject is not a {domain!r}"))
     if rng is not None and rng not in object_closed:
         faults.append((RANGE_VIOLATION, "error", f"object is not a {rng!r}"))
-    governing = [assoc for assoc in doc.associations.values() if assoc.predicate in ancestors]
     matched = [
         assoc
         for assoc in governing
@@ -196,97 +197,95 @@ def _signature_verdict(
 
 
 def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
-    """``check(edge, label)``: every edge-level check, each type signature decided once."""
+    """``check(edge, ordinal)``: every edge-level check, each type signature decided once.
+
+    A node's closed categories are worked out on the first edge that reaches
+    it, and shared by nodes with the same category list.
+    """
     nodes = kg.nodes
-    closed: dict[tuple[str, ...], frozenset[str]] = {}
+    predicates = set(doc.predicate_names())
+    # Per predicate, the associations set on it or on one of its ancestors.
+    governing: dict[str, list[AssociationDefinition]] = {}
+    for assoc in doc.associations.values():
+        for name in index.predicate_descendants.get(assoc.predicate, ()):
+            governing.setdefault(name, []).append(assoc)
+    by_categories: dict[tuple[str, ...], frozenset[str]] = {}
+    by_node: dict[Curie, frozenset[str]] = {}
     verdicts: dict[tuple, tuple] = {}
 
-    def closed_categories(categories: list[str]) -> frozenset[str]:
-        key = tuple(categories)
-        found = closed.get(key)
+    def closed_categories(node_id: Curie) -> frozenset[str] | None:
+        """The node's ancestor- and mixin-closed categories; None when it is absent."""
+        found = by_node.get(node_id)
         if found is None:
-            gathered: set[str] = set()
-            for category in categories:
-                if category in index.class_ancestors:
-                    gathered.update(index.class_ancestors[category])
-                    gathered.update(index.mixin_membership[category])
-            found = closed[key] = frozenset(gathered)
+            node = nodes.get(node_id)
+            if node is None:
+                return None
+            key = tuple(node.categories)
+            found = by_categories.get(key)
+            if found is None:
+                gathered: set[str] = set()
+                for category in key:
+                    if category in index.class_ancestors:
+                        gathered.update(index.class_ancestors[category])
+                        gathered.update(index.mixin_membership[category])
+                found = by_categories[key] = frozenset(gathered)
+            by_node[node_id] = found
         return found
 
-    def check(edge: Edge, label: str) -> list[Violation]:
-        out: list[Violation] = []
-        properties = edge.properties
-        if edge.subject not in nodes or edge.object not in nodes:
+    def check(edge: Edge, ordinal: int | None) -> list[Violation]:
+        """Violations of ``edge``, labelled ``edge:<ordinal>``, or by its triple without one."""
+        faults: list[tuple[str, str, str]] = []
+        subject_closed = closed_categories(edge.subject)
+        object_closed = closed_categories(edge.object)
+        if subject_closed is None or object_closed is None:
             missing = [c.text for c in (edge.subject, edge.object) if c not in nodes]
-            out.append(
-                Violation(DANGLING_EDGE, "error", label, f"{_triple(edge)}: absent node(s) {missing}")
-            )
-            return out
+            faults.append((DANGLING_EDGE, "error", f"{_triple(edge)}: absent node(s) {missing}"))
+            return _labelled(edge, ordinal, faults)
 
+        properties = edge.properties
         for value in properties.get("publications", ()):
-            try:
-                parse_curie(value)
-            except MalformedCurieError:
-                out.append(
-                    Violation(
-                        MALFORMED_PROVENANCE_CURIE,
-                        "warning",
-                        label,
-                        f"publications value {value!r} is not a CURIE",
-                    )
-                )
+            if not is_curie(value):
+                detail = f"publications value {value!r} is not a CURIE"
+                faults.append((MALFORMED_PROVENANCE_CURIE, "warning", detail))
         for value in properties.get("has_evidence", ()):
-            prefix, sep, _ = value.partition(":")
-            if not sep or prefix not in doc.prefixes:
-                continue
-            try:
-                parse_curie(value)
-            except MalformedCurieError:
-                out.append(
-                    Violation(
-                        MALFORMED_PROVENANCE_CURIE,
-                        "warning",
-                        label,
-                        f"has_evidence value {value!r} is not a CURIE",
-                    )
-                )
+            # Only values that name a declared prefix claim to be CURIEs.
+            if not is_curie(value):
+                prefix, sep, _ = value.partition(":")
+                if sep and prefix in doc.prefixes:
+                    detail = f"has_evidence value {value!r} is not a CURIE"
+                    faults.append((MALFORMED_PROVENANCE_CURIE, "warning", detail))
 
-        if not doc.is_predicate(edge.predicate):
-            out.append(
-                Violation(
-                    UNKNOWN_PREDICATE,
-                    "error",
-                    label,
-                    f"{edge.predicate!r} is not a predicate in the schema",
-                )
-            )
-            return out
+        predicate = edge.predicate
+        if predicate not in predicates:
+            detail = f"{predicate!r} is not a predicate in the schema"
+            faults.append((UNKNOWN_PREDICATE, "error", detail))
+            return _labelled(edge, ordinal, faults)
 
-        signature = (
-            edge.predicate,
-            closed_categories(nodes[edge.subject].categories),
-            closed_categories(nodes[edge.object].categories),
-        )
+        signature = (predicate, subject_closed, object_closed)
         verdict = verdicts.get(signature)
         if verdict is None:
-            verdict = verdicts[signature] = _signature_verdict(*signature, doc, index)
-        faults, best = verdict
-        for code, severity, suffix in faults:
-            out.append(Violation(code, severity, label, f"{_triple(edge)}: {suffix}"))
+            verdict = verdicts[signature] = _signature_verdict(
+                *signature, governing.get(predicate, []), doc, index
+            )
+        signature_faults, best = verdict
+        for code, severity, suffix in signature_faults:
+            faults.append((code, severity, f"{_triple(edge)}: {suffix}"))
         if best is not None:
             for prop in best.required_edge_properties:
                 if not properties.get(prop):
-                    out.append(
-                        Violation(
-                            MISSING_REQUIRED_EDGE_PROPERTY,
-                            "error",
-                            label,
-                            f"{_triple(edge)}: {best.name} requires {prop!r}",
-                        )
-                    )
-        return out
+                    detail = f"{_triple(edge)}: {best.name} requires {prop!r}"
+                    faults.append((MISSING_REQUIRED_EDGE_PROPERTY, "error", detail))
+        return _labelled(edge, ordinal, faults)
 
     return check
+
+
+def _labelled(edge: Edge, ordinal: int | None, faults: list[tuple]) -> list[Violation]:
+    """``(code, severity, detail)`` faults as violations; the label is built only for a fault."""
+    if not faults:
+        return []
+    label = f"edge:{ordinal}" if ordinal is not None else _triple(edge)
+    return [Violation(code, severity, label, detail) for code, severity, detail in faults]
 
 
 def validate_edge(
@@ -301,8 +300,7 @@ def validate_edge(
     ``ordinal`` labels the violation subject; without it the core triple
     text is used.
     """
-    label = f"edge:{ordinal}" if ordinal is not None else _triple(edge)
-    return _edge_checker(kg, doc, index)(edge, label)
+    return _edge_checker(kg, doc, index)(edge, ordinal)
 
 
 def _sort_key(violation: Violation) -> tuple:
@@ -312,43 +310,67 @@ def _sort_key(violation: Violation) -> tuple:
     return (violation.code, 0, 0, subject, violation.detail)
 
 
+def _escape(field: str) -> str:
+    field = field.replace("\\", "\\\\").replace("\t", "\\t")
+    return field.replace("\n", "\\n").replace("\x00", "\\0")
+
+
+def _canonical_line(fields: list[str]) -> str:
+    """``fields`` joined by tabs; all escaped when one holds a backslash, tab, newline or NUL.
+
+    The check counts on the joined line, as the TSV writer does, so a line
+    with none of them costs no pass per field.
+    """
+    line = "\t".join(fields)
+    if line.count("\t") != len(fields) - 1 or "\\" in line or "\n" in line or "\x00" in line:
+        line = "\t".join(map(_escape, fields))
+    return line
+
+
+def _add_properties(fields: list[str], properties: dict[str, list[str]]) -> list[str]:
+    for key in sorted(properties):
+        values = properties[key]
+        fields.append(key)
+        fields.append(str(len(values)))
+        fields.extend(sorted(values))
+    return fields
+
+
+def _node_line(node: Node) -> str:
+    name = "-" if node.name is None else "+" + node.name
+    fields = [node.id.text, name, str(len(node.categories)), *sorted(node.categories)]
+    return _canonical_line(_add_properties(fields, node.properties))
+
+
+def _edge_line(edge: Edge) -> str:
+    fields = [edge.subject.text, edge.predicate, edge.object.text]
+    return _canonical_line(_add_properties(fields, edge.properties))
+
+
+def _hash_lines(digest, lines: list[str]) -> None:
+    # Line by line: one joined text would hold a second copy of the graph.
+    update = digest.update
+    for line in lines:
+        update(line.encode("utf-8"))
+        update(b"\n")
+
+
 def inputs_digest(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
-    """Content hash of schema plus graph, independent of declaration order."""
+    """Content hash of schema plus graph, independent of declaration order.
+
+    SHA-256 over the serialized schema, the sorted canonical lines of the
+    nodes, a NUL, then the sorted canonical lines of the edges. A node's
+    line holds its id, ``-`` for no name or ``+`` and the name, its
+    category count and sorted categories; an edge's holds its subject,
+    predicate and object. Both go on with each sorted property key, its
+    value count and its sorted values. The counts and the escaping make a
+    line decode to exactly one record.
+    """
     digest = hashlib.sha256()
     digest.update(serialize_schema(doc).encode("utf-8"))
-    node_lines = sorted(
-        json.dumps(
-            {
-                "id": node.id.text,
-                "category": sorted(node.categories),
-                "name": node.name,
-                "properties": {k: sorted(v) for k, v in sorted(node.properties.items())},
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        for node in kg.nodes.values()
-    )
-    edge_lines = sorted(
-        json.dumps(
-            {
-                "subject": edge.subject.text,
-                "predicate": edge.predicate,
-                "object": edge.object.text,
-                "properties": {k: sorted(v) for k, v in sorted(edge.properties.items())},
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        for edge in kg.edges
-    )
-    for line in node_lines:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
+    _hash_lines(digest, sorted(map(_node_line, kg.nodes.values())))
     digest.update(b"\x00")
-    for line in edge_lines:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
+    _hash_lines(digest, sorted(map(_edge_line, kg.edges)))
     return digest.hexdigest()
 
 
@@ -370,7 +392,7 @@ def validate_graph(
         violations.extend(validate_node(kg.nodes[node_id], doc, index))
 
     for ordinal, edge in enumerate(kg.edges):
-        violations.extend(check(edge, f"edge:{ordinal}"))
+        violations.extend(check(edge, ordinal))
     violations.sort(key=_sort_key)
     counts: dict[str, int] = {}
     for violation in violations:

@@ -7,11 +7,13 @@ stay separate from the code paths they verify.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
 from kgschema import Curie, KnowledgeGraph, MalformedCurieError, SchemaDocument, parse_curie
 from kgschema.query import Binding, EdgeEvidence, QueryGraph
+from kgschema.schema_model import serialize_schema
 from kgschema.validation import inputs_digest
 
 
@@ -351,3 +353,48 @@ def naive_validate(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
         for _, code, severity, subject, detail in rows
     )
     return "\n".join(lines) + "\n"
+
+
+def json_inputs_digest(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
+    """A content hash with one ``json.dumps(sort_keys=True)`` object per node and per edge.
+
+    The reference for ``inputs_digest``: JSON is injective by construction,
+    so two graphs must share a package digest exactly when they share this
+    one.
+    """
+    digest = hashlib.sha256()
+    digest.update(serialize_schema(doc).encode("utf-8"))
+    node_lines = sorted(
+        json.dumps(
+            {
+                "id": node.id.text,
+                "category": sorted(node.categories),
+                "name": node.name,
+                "properties": {k: sorted(v) for k, v in sorted(node.properties.items())},
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        for node in kg.nodes.values()
+    )
+    edge_lines = sorted(
+        json.dumps(
+            {
+                "subject": edge.subject.text,
+                "predicate": edge.predicate,
+                "object": edge.object.text,
+                "properties": {k: sorted(v) for k, v in sorted(edge.properties.items())},
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        for edge in kg.edges
+    )
+    for line in node_lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    digest.update(b"\x00")
+    for line in edge_lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()

@@ -1,9 +1,16 @@
 import copy
+import itertools
 import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgschema import (
     Curie,
     Edge,
+    KnowledgeGraph,
     Node,
     build_graph,
     validate_edge,
@@ -17,9 +24,9 @@ from kgschema.schema_model import (
     SlotDefinition,
 )
 from kgschema import build_closure
-from kgschema.validation import VIOLATION_CODES
+from kgschema.validation import VIOLATION_CODES, inputs_digest
 from generators import dirty_graph, random_graph
-from oracles import naive_validate
+from oracles import json_inputs_digest, naive_validate
 
 
 def _node(id_text, categories, **properties):
@@ -434,3 +441,161 @@ def test_validate_graph_equals_naive_oracle(seed_doc, seed_index):
         assert report.to_jsonl() == naive_validate(kg, doc), trial
         seen.update(report.counts)
     assert seen == set(VIOLATION_CODES)
+
+
+# ---------------------------------------------------------------------------
+# Input digest
+
+# Few, short texts, rich in the characters a tab-joined line must escape or
+# that look like its escapes, so that distinct graphs often nearly collide.
+_text = st.sampled_from(
+    ["", "a", "0", "1", "\t", "\\t", "\\", "\n", "\x00", "|", '"', "-", "+"]
+) | st.text(alphabet="a01\t\\\n\x00|\"-+", max_size=3)
+_properties = st.dictionaries(_text, st.lists(_text, max_size=3), max_size=2)
+_names = st.none() | st.sampled_from(["", "-", "+"]) | _text
+_curies = st.builds(Curie, _text, _text)
+_nodes = st.builds(Node, _curies, st.lists(_text, max_size=3), _names, _properties)
+_edges = st.builds(Edge, _curies, _text, _curies, _properties)
+
+
+def _graph(nodes, edges):
+    return KnowledgeGraph({node.id: node for node in nodes}, edges)
+
+
+_graphs = st.builds(_graph, st.lists(_nodes, max_size=3), st.lists(_edges, max_size=3))
+
+# Texts that a careless line format would confuse with each other.
+_CONFUSABLE = [
+    ("x\\t", "x\t"),
+    ("x\\n", "x\n"),
+    ("x\\0", "x\x00"),
+    ("x\\\\", "x\\"),
+    ("a|b", "a\tb"),
+    ('"a"', "a"),
+]
+
+
+def _put(record, slot: str, text: str):
+    """``record`` with ``text`` in one of its fields."""
+    if slot == "value":
+        return replace(record, properties={**record.properties, "k": [text]})
+    if slot == "key":
+        return replace(record, properties={**record.properties, text: ["v"]})
+    if isinstance(record, Node):
+        if slot == "id":
+            return replace(record, id=Curie(text, "1"))
+        if slot == "name":
+            return replace(record, name=text)
+        return replace(record, categories=[text])
+    if slot == "id":
+        return replace(record, subject=Curie(text, "1"))
+    return replace(record, predicate=text)
+
+
+def _near_misses(record, a: str, b: str, c: str):
+    """Pairs of forms of ``record`` that differ in content by one small step."""
+
+    def pair(left: dict, right: dict):
+        return replace(record, **left), replace(record, **right)
+
+    yield pair({"properties": {a: [b + "\t" + c]}}, {"properties": {a: [b, c]}})
+    yield pair({"properties": {a: [a + "\t" + b, c]}}, {"properties": {a: [a, b + "\t" + c]}})
+    for slot in ("value", "key", "id", "name", "category"):
+        for left, right in _CONFUSABLE:
+            yield _put(record, slot, left), _put(record, slot, right)
+    yield pair({"properties": {a: [b, c], b: []}}, {"properties": {a: [b], b: [c]}})
+    yield pair({"properties": {a: [b, c]}}, {"properties": {a: [], b: [c]}})
+    if isinstance(record, Node):
+        for left, right in itertools.permutations([None, "", "-", "+"], 2):
+            yield pair({"name": left}, {"name": right})
+        yield pair(
+            {"categories": [a, b, c], "properties": {}},
+            {"categories": [a], "properties": {b: [c]}},
+        )
+        yield pair(
+            {"categories": [a, b], "properties": {}},
+            {"categories": [], "properties": {a: []}},
+        )
+
+
+def _with(kg: KnowledgeGraph, record) -> KnowledgeGraph:
+    if isinstance(record, Node):
+        return KnowledgeGraph({**kg.nodes, record.id: record}, kg.edges)
+    return KnowledgeGraph(kg.nodes, [*kg.edges, record])
+
+
+def _shuffled(kg: KnowledgeGraph, rng) -> KnowledgeGraph:
+    """``kg`` with nodes, edges, categories, property keys and values in a new order."""
+
+    def mixed(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    def properties(record):
+        return {key: mixed(record.properties[key]) for key in mixed(record.properties)}
+
+    nodes = {
+        node.id: Node(node.id, mixed(node.categories), node.name, properties(node))
+        for node in mixed(kg.nodes.values())
+    }
+    edges = [Edge(e.subject, e.predicate, e.object, properties(e)) for e in mixed(kg.edges)]
+    return KnowledgeGraph(nodes, edges)
+
+
+@st.composite
+def _graph_pairs(draw):
+    """Graph pairs: two drawn apart, one reordered, and each near miss of one record."""
+    kg = draw(_graphs)
+    pairs = [(kg, draw(_graphs)), (kg, _shuffled(kg, draw(st.randoms(use_true_random=False))))]
+    record = draw(_nodes | _edges)
+    for left, right in _near_misses(record, *draw(st.lists(_text, min_size=3, max_size=3))):
+        pairs.append((_with(kg, left), _with(kg, right)))
+    return pairs
+
+
+def _node_pair(left: dict, right: dict):
+    """Two one-node graphs: one node with the ``left`` and with the ``right`` field values."""
+    base = Node(Curie("A", "1"), ["Gene"])
+    return _graph([replace(base, **left)], []), _graph([replace(base, **right)], [])
+
+
+# Hand-picked near misses, each one a collision of some simpler line format.
+_NEAR_MISS_EXAMPLES = [
+    _node_pair({"properties": {"k": ["a\tb"]}}, {"properties": {"k": ["a", "b"]}}),
+    _node_pair({"properties": {"k": ["a\tb", "c"]}}, {"properties": {"k": ["a", "b\tc"]}}),
+    _node_pair({"properties": {"k": ["x\\t"]}}, {"properties": {"k": ["x\t"]}}),
+    _node_pair({"name": "x\\n"}, {"name": "x\n"}),
+    _node_pair({"id": Curie("A", "x\\0")}, {"id": Curie("A", "x\x00")}),
+    _node_pair({"properties": {"k\\": ["v"]}}, {"properties": {"k\t": ["v"]}}),
+    _node_pair({"name": None}, {"name": ""}),
+    _node_pair({"name": None}, {"name": "-"}),
+    _node_pair({"name": ""}, {"name": "+"}),
+    _node_pair({"properties": {"k": ["m", "v"]}}, {"properties": {"k": [], "m": ["v"]}}),
+    _node_pair({"properties": {"k": ["v"], "m": []}}, {"properties": {"k": [], "m": ["v"]}}),
+    _node_pair({"categories": ["", "1", "x"]}, {"categories": [], "properties": {"": ["x"]}}),
+    _node_pair({"categories": ["Gene", "x"]}, {"properties": {"x": []}}),
+]
+
+
+# The schema only prefixes the hashed text; a small one keeps examples cheap.
+_DOC = SchemaDocument("digest", "1")
+
+
+@given(_graph_pairs())
+def test_inputs_digest_equal_exactly_when_json_reference_equal(pairs):
+    for a, b in pairs:
+        same = inputs_digest(a, _DOC) == inputs_digest(b, _DOC)
+        assert same == (json_inputs_digest(a, _DOC) == json_inputs_digest(b, _DOC))
+
+
+@pytest.mark.parametrize("pair", _NEAR_MISS_EXAMPLES)
+def test_inputs_digest_tells_near_misses_apart(pair):
+    a, b = pair
+    assert json_inputs_digest(a, _DOC) != json_inputs_digest(b, _DOC)
+    assert inputs_digest(a, _DOC) != inputs_digest(b, _DOC)
+
+
+@given(_graphs, st.randoms(use_true_random=False))
+def test_inputs_digest_ignores_every_order(kg, rng):
+    assert inputs_digest(_shuffled(kg, rng), _DOC) == inputs_digest(kg, _DOC)
