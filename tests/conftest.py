@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from kgschema import (
     ClosureIndex,
@@ -17,7 +19,14 @@ from kgschema import (
     read_nodes,
 )
 
+from generators import DEEP_EXAMPLES
+
 DATA = Path(__file__).parent / "data"
+
+# HYPOTHESIS_PROFILE=deep runs every property test at DEEP_EXAMPLES examples;
+# without it each test keeps its tier-1 count.
+settings.register_profile("deep", max_examples=DEEP_EXAMPLES)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

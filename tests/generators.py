@@ -1,9 +1,14 @@
-"""Seeded random generators for schemas, graphs, cliques, and queries."""
+"""Seeded random generators for schemas, graphs, cliques, and queries.
+
+Also the example count of property tests that set their own.
+"""
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+
+from hypothesis import settings
 
 from kgschema import (
     ClassDefinition,
@@ -15,6 +20,14 @@ from kgschema import (
     validate_schema,
 )
 from kgschema.query import QEdge, QNode, QueryGraph
+
+# Examples per property test under the deep profile (HYPOTHESIS_PROFILE=deep).
+DEEP_EXAMPLES = 1000
+
+
+def max_examples(tier1: int) -> int:
+    """``tier1``, or ``DEEP_EXAMPLES`` when the deep profile is loaded."""
+    return DEEP_EXAMPLES if settings.default.max_examples >= DEEP_EXAMPLES else tier1
 
 
 def random_schema(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kgschema import cli, hierarchy, serialize_schema, validate_schema
 from kgschema.cli import main
 
-from generators import deep_chain_schema
+from generators import deep_chain_schema, max_examples
 
 DATA = Path(__file__).parent / "data"
 
@@ -409,7 +409,9 @@ _edges_text = _record_file(("subject", "predicate", "object", "publications"),
                            (_ids, _predicates, _ids, _pubs), "rhobtb2_edges.tsv")
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=max_examples(40), deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 @given(nodes_text=_nodes_text, edges_text=_edges_text)
 def test_any_input_file_exits_cleanly(seed_path, nodes_text, edges_text):
     # Exit 0 or 1 for data, 2 for a tool failure; never a traceback.
