@@ -10,6 +10,7 @@ and diagnostics to standard error.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .hierarchy import ClosureIndex, _build_closure, expand_predicates
 from .identifiers import load_equivalences, normalize_curie, parse_curie
 from .kg_store import (
     KnowledgeGraph,
+    _gc_paused,
     build_graph,
     close_categories,
     graph_stats,
@@ -82,11 +84,17 @@ def _load_schema(config: RunConfig) -> tuple[SchemaDocument, ClosureIndex]:
 
 
 def _load_graph(config: RunConfig, index: ClosureIndex, close: bool) -> KnowledgeGraph:
-    nodes = read_nodes(config.nodes_path.read_text(encoding="utf-8"))
-    edges = read_edges(config.edges_path.read_text(encoding="utf-8"))
-    kg = build_graph(nodes, edges, strict=config.strict)
-    if close:
-        kg = close_categories(kg, index)
+    # The graph lives until the process exits. It is built with the GC off
+    # and frozen before the GC comes back on, so no collection ever scans
+    # it: not the one each library call would leave for its return, nor the
+    # last one at exit. Nothing unfreezes.
+    with _gc_paused():
+        nodes = read_nodes(config.nodes_path.read_text(encoding="utf-8"))
+        edges = read_edges(config.edges_path.read_text(encoding="utf-8"))
+        kg = build_graph(nodes, edges, strict=config.strict)
+        if close:
+            kg = close_categories(kg, index)
+        gc.freeze()
     return kg
 
 
@@ -259,12 +267,13 @@ def convert(nodes_path, edges_path, target) -> None:
     if nodes_path is None and edges_path is None:
         raise click.UsageError("supply --nodes and/or --edges")
     outputs: list[tuple[Path, str]] = []
-    if nodes_path is not None:
-        text = write_nodes(read_nodes(nodes_path.read_text(encoding="utf-8")), fmt=target)
-        outputs.append((nodes_path, text))
-    if edges_path is not None:
-        text = write_edges(read_edges(edges_path.read_text(encoding="utf-8")), fmt=target)
-        outputs.append((edges_path, text))
+    for path, read, write in ((nodes_path, read_nodes, write_nodes), (edges_path, read_edges, write_edges)):
+        if path is not None:
+            with _gc_paused():  # as in _load_graph
+                records = read(path.read_text(encoding="utf-8"))
+                gc.freeze()
+            outputs.append((path, write(records, fmt=target)))
+            del records  # not held while the next file loads
     if len(outputs) == 1:
         sys.stdout.write(outputs[0][1])
     else:

@@ -11,8 +11,10 @@ shares its name with a core column (``NODE_COLUMNS``, ``EDGE_COLUMNS``).
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -114,6 +116,24 @@ class StatsReport:
         }
 
 
+@contextmanager
+def _gc_paused():
+    """Run the block with the cyclic GC off, then restore the caller's state.
+
+    Bulk construction allocates millions of containers and frees almost
+    none, so the collections it would trigger rescan a growing heap for
+    nothing. A caller that had the GC off keeps it off; an exception
+    restores the state too. Also a decorator.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Reading
 
@@ -179,7 +199,8 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
 
     Properties hold the object's other keys in sorted order. They are read
     when the caller asks for the next line, after its checks of the core
-    keys, so a fault in a core key is the one reported.
+    keys, so a fault in a core key is the one reported. An unpaired
+    surrogate escape is checked before both, and only on lines with a ``\\u``.
     """
     for number, raw in enumerate(source_text.split("\n"), start=1):
         line = raw.strip()
@@ -193,6 +214,8 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
             raise ParseError("invalid JSON: nested too deeply", number, 1) from exc
         if not isinstance(obj, dict):
             raise ParseError(f"each {what} line must be a JSON object", number, 1)
+        if "\\u" in line:
+            _reject_surrogates(obj, number)
         properties: dict[str, list[str]] = {}
         yield number, obj, properties
         for key in sorted(obj):
@@ -200,6 +223,24 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
                 values = _json_values(obj[key], key, number)
                 if values:
                     properties[key] = values
+
+
+def _reject_surrogates(obj: dict, line: int) -> None:
+    """Raise when a key or a string value holds an unpaired ``\\uD800``-``\\uDFFF`` escape.
+
+    ``json.loads`` decodes such an escape to a lone surrogate, which no
+    writer can encode as UTF-8; a valid escaped pair decodes to one
+    character and passes.
+    """
+    for key, value in obj.items():
+        texts = [key, *value] if isinstance(value, list) else [key, value]
+        for text in texts:
+            if not isinstance(text, str):
+                continue
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{key!r} holds an unpaired surrogate escape", line, 1) from None
 
 
 def _json_string(obj: dict, key: str, line: int) -> str:
@@ -215,6 +256,7 @@ def _json_values(value, key: str, line: int) -> list[str]:
     return list(dict.fromkeys(v for v in value if v))
 
 
+@_gc_paused()
 def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
     """Parse nodes from TSV or JSONL text; the format is sniffed when unset.
 
@@ -247,6 +289,7 @@ def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
     return nodes
 
 
+@_gc_paused()
 def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
     """Parse edges from TSV or JSONL text; the format is sniffed when unset.
 
@@ -406,6 +449,7 @@ def _merge_edges(edges: list[Edge]) -> list[Edge]:
     return list(_merge(edges, Edge.key, _copy_edge, _merge_properties).values())
 
 
+@_gc_paused()
 def build_graph(nodes: list[Node], edges: list[Edge], *, strict: bool = False) -> KnowledgeGraph:
     """Assemble a graph, merging duplicate nodes and duplicate core triples.
 
@@ -484,21 +528,22 @@ def normalize_graph(
 
     # Renamed objects share their value lists with the input: a merge copies
     # an object before it mutates it.
-    new_nodes = []
-    for node in kg.nodes.values():
-        normalized = mapping[node.id]
-        if normalized != node.id:
-            node = Node(normalized, node.categories, node.name, node.properties)
-        new_nodes.append(node)
-    new_edges = []
-    for edge in kg.edges:
-        subject = mapping[edge.subject]
-        obj = mapping[edge.object]
-        if subject != edge.subject or obj != edge.object:
-            edge = Edge(subject, edge.predicate, obj, edge.properties)
-        new_edges.append(edge)
-    merged_nodes = _merge_nodes(new_nodes, report)
-    merged_edges = _merge_edges(new_edges)
+    with _gc_paused():
+        new_nodes = []
+        for node in kg.nodes.values():
+            normalized = mapping[node.id]
+            if normalized != node.id:
+                node = Node(normalized, node.categories, node.name, node.properties)
+            new_nodes.append(node)
+        new_edges = []
+        for edge in kg.edges:
+            subject = mapping[edge.subject]
+            obj = mapping[edge.object]
+            if subject != edge.subject or obj != edge.object:
+                edge = Edge(subject, edge.predicate, obj, edge.properties)
+            new_edges.append(edge)
+        merged_nodes = _merge_nodes(new_nodes, report)
+        merged_edges = _merge_edges(new_edges)
     report.nodes_merged = len(kg.nodes) - len(merged_nodes)
     report.edges_deduplicated = len(kg.edges) - len(merged_edges)
     return KnowledgeGraph(nodes=merged_nodes, edges=merged_edges), report

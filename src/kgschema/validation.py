@@ -303,11 +303,18 @@ def validate_edge(
     return _edge_checker(kg, doc, index)(edge, ordinal)
 
 
+_NODE_CODES = frozenset((UNKNOWN_CATEGORY, ABSTRACT_MIXIN_INSTANTIATED, ID_PREFIX_NOT_ALLOWED))
+
+
 def _sort_key(violation: Violation) -> tuple:
-    subject = violation.subject
-    if subject.startswith("edge:"):
-        return (violation.code, 1, int(subject[5:]), "", violation.detail)
-    return (violation.code, 0, 0, subject, violation.detail)
+    """(code, subject, detail), with ``edge:<ordinal>`` subjects in ordinal order.
+
+    Node and edge checks raise disjoint codes, so the code tells what the
+    subject names: a node id may itself read ``edge:5`` or ``edge:x``.
+    """
+    if violation.code in _NODE_CODES:
+        return (violation.code, violation.subject, violation.detail)
+    return (violation.code, int(violation.subject[5:]), violation.detail)
 
 
 def _escape(field: str) -> str:
@@ -388,8 +395,10 @@ def validate_graph(
     """
     check = _edge_checker(kg, doc, index)
     violations: list[Violation] = []
-    for node_id in sorted(kg.nodes, key=lambda c: c.text):
-        violations.extend(validate_node(kg.nodes[node_id], doc, index))
+    # Node order does not matter: the sort below orders violations fully,
+    # and violations with equal keys are equal.
+    for node in kg.nodes.values():
+        violations.extend(validate_node(node, doc, index))
 
     for ordinal, edge in enumerate(kg.edges):
         violations.extend(check(edge, ordinal))

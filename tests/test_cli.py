@@ -1,4 +1,8 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kgschema
 from kgschema import cli, hierarchy, serialize_schema, validate_schema
 from kgschema.cli import main
 
@@ -432,3 +437,61 @@ def test_any_input_file_exits_cleanly(seed_path, nodes_text, edges_text):
             result = runner.invoke(main, args)
             assert result.exception is None or isinstance(result.exception, SystemExit), args
             assert result.exit_code in (0, 1, 2), args
+
+
+def _demo_verbs(seed_path):
+    return [
+        ["validate", *_demo_args(seed_path)],
+        ["query", *_demo_args(seed_path), "--query", str(DATA / "rhobtb2_query.txt")],
+        ["convert", "--nodes", str(DATA / "rhobtb2_nodes.tsv"), "--to", "jsonl"],
+        ["convert", "--edges", str(DATA / "rhobtb2_edges.tsv"), "--to", "jsonl"],
+    ]
+
+
+def test_verb_leaves_gc_enabled_and_freezes_the_loaded_input(runner, seed_path, tmp_path):
+    broken = tmp_path / "broken.tsv"
+    broken.write_text("id\tcategory\tname\nA:1\n", encoding="utf-8")
+    gc.unfreeze()
+    try:
+        for args in _demo_verbs(seed_path):
+            before = gc.get_freeze_count()
+            assert _invoke(runner, *args).exit_code == 0
+            assert gc.isenabled()
+            assert gc.get_freeze_count() > before, args
+        for args in (
+            ["validate", "--schema", str(seed_path), "--nodes", str(broken), "--edges", str(broken)],
+            ["convert", "--nodes", str(broken), "--to", "jsonl"],
+        ):
+            assert _invoke(runner, *args).exit_code == 2
+            assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+def test_real_process_matches_in_process_run(runner, seed_path, tmp_path):
+    # CliRunner never reaches interpreter exit, whose last collection skips
+    # the frozen heap; the bytes a real process writes must be the same.
+    # Besides the demo verbs: a data failure (exit 1) and a tool failure (2).
+    dirty = tmp_path / "dirty.tsv"
+    dirty.write_text("id\tcategory\tname\nNCBIGene:23221\tNoSuchClass\tx\n", encoding="utf-8")
+    surrogate = tmp_path / "surrogate.jsonl"
+    surrogate.write_text('{"id": "A:1", "category": ["Gene"], "name": "\\ud800"}\n', encoding="utf-8")
+    edges = ["--edges", str(DATA / "rhobtb2_edges.tsv")]
+    failing = [
+        ["validate", "--schema", str(seed_path), "--nodes", str(dirty), *edges],
+        ["validate", "--schema", str(seed_path), "--nodes", str(surrogate), *edges],
+        ["convert", "--nodes", str(surrogate), "--to", "tsv"],
+    ]
+    source = str(Path(kgschema.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    codes = []
+    for args in _demo_verbs(seed_path) + failing:
+        expected = _invoke(runner, *args)
+        process = subprocess.run(
+            [sys.executable, "-m", "kgschema", *args], capture_output=True, env=env, timeout=120
+        )
+        assert process.returncode == expected.exit_code, args
+        assert process.stdout == expected.stdout_bytes, args
+        assert process.stderr == expected.stderr_bytes, args
+        codes.append(process.returncode)
+    assert codes == [0, 0, 0, 0, 1, 2, 2]

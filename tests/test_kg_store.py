@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -22,6 +23,7 @@ from kgschema import (
     write_edges,
     write_nodes,
 )
+from kgschema import kg_store
 from generators import random_graph
 
 NODES_TSV = (
@@ -115,6 +117,14 @@ MALFORMED = [
     (read_nodes, "[1]\n", "line 1, column 1: each node line must be a JSON object"),
     (read_nodes, '"x"\n' + _NJ, "line 1, column 1: each node line must be a JSON object"),
     (read_nodes, _NJ + '\n{"id": \n', "line 3, column 7: invalid JSON: Expecting value"),
+    (read_nodes, r'{"id": "A:\ud800", "category": ["Gene"]}' "\n",
+     "line 1, column 1: 'id' holds an unpaired surrogate escape"),
+    (read_nodes, _NJ + r'{"id": "A:2", "category": ["Gene"], "name": "x\udc00"}',
+     "line 2, column 1: 'name' holds an unpaired surrogate escape"),
+    (read_nodes, r'{"id": "A:1", "category": ["Gene", "\udfff"]}',
+     "line 1, column 1: 'category' holds an unpaired surrogate escape"),
+    (read_nodes, r'{"id": "A:1", "category": ["Gene"], "xref": ["X:1", "\ud83d"]}',
+     "line 1, column 1: 'xref' holds an unpaired surrogate escape"),
     # edges, TSV
     (read_edges, "subject\tpredicate\n",
      "line 1, column 1: edges header must start with ['subject', 'predicate', 'object'], "
@@ -154,6 +164,14 @@ MALFORMED = [
      "line 2, column 19: invalid JSON: Expecting property name enclosed in double quotes"),
     (read_edges, _EJ + '\n\n{"subject" "A:1"}\n',
      "line 4, column 12: invalid JSON: Expecting ':' delimiter"),
+    (read_edges, r'{"subject": "A:1", "predicate": "p\ud800", "object": "B:2"}',
+     "line 1, column 1: 'predicate' holds an unpaired surrogate escape"),
+    (read_edges, _EJ + r'{"subject": "A:\udbff", "predicate": "p", "object": "B:2"}',
+     "line 2, column 1: 'subject' holds an unpaired surrogate escape"),
+    (read_edges, r'{"subject": "A:1", "predicate": "p", "object": "B:2", "publications": ["\ud800"]}',
+     "line 1, column 1: 'publications' holds an unpaired surrogate escape"),
+    (read_edges, r'{"subject": "A:1", "predicate": "p", "object": "B:2", "\ud800": ["x"]}',
+     "line 1, column 1: '\\ud800' holds an unpaired surrogate escape"),
 ]
 
 
@@ -176,6 +194,14 @@ def test_read_edges_rejects_pipe_in_core_columns():
 def test_read_jsonl_rejects_non_array_property():
     with pytest.raises(ParseError):
         read_nodes('{"id": "A:1", "category": ["Gene"], "symbol": "A1"}\n')
+
+
+def test_read_jsonl_keeps_escapes_that_utf8_can_hold():
+    text = r'{"id": "A:1", "category": ["Gene"], "name": "\u00e9\ud83d\ude00", "xref": ["\\ud800"]}'
+    node = read_nodes(text)[0]
+    assert node.name == "\u00e9\U0001f600"
+    assert node.properties == {"xref": ["\\ud800"]}
+    assert read_nodes(write_nodes([node], fmt="jsonl")) == [node]
 
 
 DEEP_ARRAY = "[" * 50_000 + "]" * 50_000
@@ -592,3 +618,56 @@ def test_leading_byte_order_mark_is_ignored(fmt):
     edges_text = write_edges(read_edges(EDGES_TSV), fmt=fmt)
     assert read_nodes("\ufeff" + nodes_text) == read_nodes(nodes_text)
     assert read_edges("\ufeff" + edges_text) == read_edges(edges_text)
+
+
+@pytest.fixture()
+def gc_restored():
+    """Start with nothing frozen; restore the GC's state and unfreeze afterwards."""
+    enabled = gc.isenabled()
+    gc.unfreeze()
+    yield
+    gc.unfreeze()
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_bulk_builders_pause_gc_and_restore_the_callers_state(
+    enabled, gc_restored, seed_doc, seed_index, monkeypatch
+):
+    # Readers, build_graph and a rewriting normalize_graph run with the GC
+    # off and leave it as they found it, also when they raise; none freezes.
+    states = []
+
+    def probe(original):
+        def probed(*args):
+            states.append(gc.isenabled())
+            return original(*args)
+        return probed
+
+    monkeypatch.setattr(kg_store, "parse_curie", probe(kg_store.parse_curie))
+    monkeypatch.setattr(kg_store, "_merge", probe(kg_store._merge))
+    table = load_equivalences("Gene\tNCBIGene:1|HGNC:1\n")
+    hgnc = build_graph(read_nodes(_N + "HGNC:1\tGene\tx\n"), read_edges(_E + "HGNC:1\tp\tHGNC:1\n"))
+    calls = [
+        (lambda: read_nodes(NODES_TSV), None),
+        (lambda: read_nodes(_NJ), None),
+        (lambda: read_edges(EDGES_TSV), None),
+        (lambda: read_edges(_EJ), None),
+        (lambda: build_graph(read_nodes(NODES_TSV), read_edges(EDGES_TSV)), None),
+        (lambda: normalize_graph(hgnc, table, seed_doc, seed_index), None),
+        (lambda: read_nodes(_NJ + "[1]\n"), ParseError),
+        (lambda: read_edges(_E + "A:1\tp\tB:2\nA1\tp\tB:2\n"), ParseError),
+        (lambda: build_graph([], read_edges(EDGES_TSV), strict=True), DanglingEdgeError),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    for call, error in calls:
+        states.clear()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert states and not any(states), call
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+    assert normalize_graph(hgnc, table, seed_doc, seed_index)[1].ids_rewritten == 1

@@ -248,6 +248,20 @@ def test_report_sorted_and_counts_match(seed_doc, seed_index):
     assert tally == report.counts
 
 
+def test_node_ids_that_read_like_edge_labels(seed_doc, seed_index):
+    # A node id may read "edge:5" or "edge:x": its violations still sort by
+    # id text, as in the oracle, and the report does not depend on node order.
+    ids = ["edge:x", "edge:5", "edge:05", "A:1"]
+    reports = set()
+    for order in itertools.permutations(ids):
+        nodes = [_node(node_id, ["NoSuchClass"]) for node_id in order]
+        kg = build_graph(nodes, [_edge("edge:5", "treats", "edge:x")])
+        report = validate_graph(kg, seed_doc, seed_index).to_jsonl()
+        assert report == naive_validate(kg, seed_doc)
+        reports.add(report)
+    assert len(reports) == 1
+
+
 def test_inputs_hash_and_findings_stable_under_input_permutation(seed_doc, seed_index):
     # Edge ordinals follow input order, so reports are compared as multisets
     # of (code, core triple); the content digest must not move at all.
