@@ -13,7 +13,6 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -42,21 +41,6 @@ EXIT_DOMAIN = 1
 EXIT_TOOL = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation options shared by the pipeline verbs."""
-
-    schema_path: Path
-    nodes_path: Path | None = None
-    edges_path: Path | None = None
-    strict: bool = False
-    lax: bool = False
-
-    def __post_init__(self) -> None:
-        if self.strict and self.lax:
-            raise click.UsageError("--strict and --lax are mutually exclusive")
-
-
 def _tool_errors(func):
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -69,8 +53,13 @@ def _tool_errors(func):
     return wrapper
 
 
-def _load_schema(config: RunConfig) -> tuple[SchemaDocument, ClosureIndex]:
-    doc = parse_schema(config.schema_path.read_text(encoding="utf-8"), lax=config.lax)
+def _load_schema(
+    schema_path: Path, *, lax: bool, strict: bool = False
+) -> tuple[SchemaDocument, ClosureIndex]:
+    """Parse and check the schema; a verb's first read, so it also rejects ``--strict --lax``."""
+    if strict and lax:
+        raise click.UsageError("--strict and --lax are mutually exclusive")
+    doc = parse_schema(schema_path.read_text(encoding="utf-8"), lax=lax)
     errors = [v for v in validate_schema(doc) if v.severity == "error"]
     if errors:
         for violation in errors:
@@ -79,19 +68,21 @@ def _load_schema(config: RunConfig) -> tuple[SchemaDocument, ClosureIndex]:
                 f"{violation.detail}",
                 err=True,
             )
-        raise KgschemaError(f"schema {config.schema_path} has {len(errors)} error(s)")
+        raise KgschemaError(f"schema {schema_path} has {len(errors)} error(s)")
     return doc, _build_closure(doc)
 
 
-def _load_graph(config: RunConfig, index: ClosureIndex, close: bool) -> KnowledgeGraph:
+def _load_graph(
+    nodes_path: Path, edges_path: Path, index: ClosureIndex, *, strict: bool, close: bool
+) -> KnowledgeGraph:
     # The graph lives until the process exits. It is built with the GC off
     # and frozen before the GC comes back on, so no collection ever scans
     # it: not the one each library call would leave for its return, nor the
     # last one at exit. Nothing unfreezes.
     with _gc_paused():
-        nodes = read_nodes(config.nodes_path.read_text(encoding="utf-8"))
-        edges = read_edges(config.edges_path.read_text(encoding="utf-8"))
-        kg = build_graph(nodes, edges, strict=config.strict)
+        nodes = read_nodes(nodes_path.read_text(encoding="utf-8"))
+        edges = read_edges(edges_path.read_text(encoding="utf-8"))
+        kg = build_graph(nodes, edges, strict=strict)
         if close:
             kg = close_categories(kg, index)
         gc.freeze()
@@ -130,9 +121,8 @@ def main() -> None:
 @_tool_errors
 def validate(schema_path, nodes_path, edges_path, strict, lax, jobs, close_categories) -> None:
     """Check a graph against a schema and print a JSONL report."""
-    config = RunConfig(schema_path, nodes_path, edges_path, strict=strict, lax=lax)
-    doc, index = _load_schema(config)
-    kg = _load_graph(config, index, close_categories)
+    doc, index = _load_schema(schema_path, lax=lax, strict=strict)
+    kg = _load_graph(nodes_path, edges_path, index, strict=strict, close=close_categories)
     report = validate_graph(kg, doc, index, parallelism=jobs)
     sys.stdout.write(report.to_jsonl())
     sys.exit(EXIT_DOMAIN if report.error_count else EXIT_OK)
@@ -151,8 +141,7 @@ def validate(schema_path, nodes_path, edges_path, strict, lax, jobs, close_categ
 @_tool_errors
 def normalize(schema_path, equivalences_path, lax) -> None:
     """Rewrite CURIEs from stdin to their preferred form, one per line."""
-    config = RunConfig(schema_path, lax=lax)
-    doc, index = _load_schema(config)
+    doc, index = _load_schema(schema_path, lax=lax)
     table = load_equivalences(equivalences_path.read_text(encoding="utf-8"))
     for clique in table.cliques:
         for category in clique.categories:
@@ -196,9 +185,8 @@ def normalize(schema_path, equivalences_path, lax) -> None:
 @_tool_errors
 def query(schema_path, nodes_path, edges_path, query_text, strict, lax) -> None:
     """Run a pattern query and print one binding per line as JSON."""
-    config = RunConfig(schema_path, nodes_path, edges_path, strict=strict, lax=lax)
-    doc, index = _load_schema(config)
-    kg = _load_graph(config, index, close=False)
+    doc, index = _load_schema(schema_path, lax=lax, strict=strict)
+    kg = _load_graph(nodes_path, edges_path, index, strict=strict, close=False)
     candidate = Path(query_text)
     try:
         is_file = candidate.is_file()
@@ -220,8 +208,7 @@ def query(schema_path, nodes_path, edges_path, query_text, strict, lax) -> None:
 @_tool_errors
 def expand(schema_path, predicate, lax) -> None:
     """Print the descendant closure of a predicate, sorted, one per line."""
-    config = RunConfig(schema_path, lax=lax)
-    _, index = _load_schema(config)
+    _, index = _load_schema(schema_path, lax=lax)
     for name in sorted(expand_predicates(index, {predicate})):
         sys.stdout.write(name + "\n")
     sys.exit(EXIT_OK)
@@ -237,9 +224,8 @@ def expand(schema_path, predicate, lax) -> None:
 @_tool_errors
 def stats(schema_path, nodes_path, edges_path, output_format, strict, lax) -> None:
     """Count nodes per most specific category and edges per predicate."""
-    config = RunConfig(schema_path, nodes_path, edges_path, strict=strict, lax=lax)
-    _, index = _load_schema(config)
-    kg = _load_graph(config, index, close=False)
+    _, index = _load_schema(schema_path, lax=lax, strict=strict)
+    kg = _load_graph(nodes_path, edges_path, index, strict=strict, close=False)
     report = graph_stats(kg, index)
     if output_format == "jsonl":
         sys.stdout.write(json.dumps(report.as_dict(), sort_keys=True, ensure_ascii=False) + "\n")

@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import DanglingEdgeError, ParseError
@@ -138,17 +139,17 @@ def _gc_paused():
 # Reading
 
 
-def _sniff_format(source_text: str) -> str:
-    """JSONL when the first non-blank character starts a JSON object, array or string."""
-    stripped = source_text.lstrip()
-    return "jsonl" if stripped.startswith(("{", "[", '"')) else "tsv"
+def _distinct(values: list[str]) -> list[str]:
+    """The nonempty values, first occurrences only: merged cells have union semantics."""
+    found = dict.fromkeys(values)
+    found.pop("", None)
+    return list(found)
 
 
 def _split_cell(cell: str) -> list[str]:
     if "|" not in cell:
         return [cell] if cell else []
-    # Order-preserving dedup: merged cells have union semantics.
-    return list(dict.fromkeys(v for v in cell.split("|") if v))
+    return _distinct(cell.split("|"))
 
 
 def _curie_cache_get(cache: dict[str, Curie], text: str, line: int) -> Curie:
@@ -162,24 +163,45 @@ def _curie_cache_get(cache: dict[str, Curie], text: str, line: int) -> Curie:
     return curie
 
 
-def _tsv_rows(source_text: str, leading: tuple[str, ...], what: str):
-    """Check the header, then yield ``(line number, cells, properties)`` per nonblank row.
+def _rows(source_text: str, fmt: str | None, core: tuple[str, ...], what: str):
+    """Yield ``(line number, core values, properties)`` per record of TSV or JSONL text.
 
-    A trailing CR is dropped and every row must have as many cells as the
-    header. Properties map each nonempty cell past ``leading`` to its values.
+    One leading byte order mark (U+FEFF) is dropped, then the format is
+    sniffed when unset: JSONL when the first non-blank character starts a
+    JSON object, array or string. Each format checks only its own syntax.
+    Core values come in ``core`` order, the ``category`` value as a list of
+    strings and every other one as a string, empty when absent.
+    """
+    source_text = source_text.removeprefix("\ufeff")
+    if fmt is None:
+        fmt = "jsonl" if source_text.lstrip().startswith(("{", "[", '"')) else "tsv"
+    if fmt == "jsonl":
+        return _jsonl_rows(source_text, core, what)
+    return _tsv_rows(source_text, core, f"{what}s")
+
+
+def _tsv_rows(source_text: str, core: tuple[str, ...], what: str):
+    """Check the header, each row's width and its single-valued core cells.
+
+    A trailing CR is dropped. A ``|`` splits the ``category`` cell into
+    values and is an error in any other core cell. Properties map each
+    nonempty cell past ``core`` to its values. The yielded cells may run
+    past ``core``.
     """
     lines = source_text.split("\n")
     if not lines[0].strip():
         raise ParseError(f"missing {what} header", 1, 1)
     header = lines[0].rstrip("\r").split("\t")
-    core = len(leading)
-    if tuple(header[:core]) != leading:
-        raise ParseError(f"{what} header must start with {list(leading)}, got {header[:core]}", 1, 1)
+    leading = len(core)
+    if tuple(header[:leading]) != core:
+        raise ParseError(f"{what} header must start with {list(core)}, got {header[:leading]}", 1, 1)
     if len(set(header)) != len(header):
         duplicate = next(name for name in header if header.count(name) > 1)
         raise ParseError(f"duplicate column {duplicate!r} in {what} header", 1, 1)
     width = len(header)
-    extras = header[core:]
+    extras = header[leading:]
+    multi = core.index("category") if "category" in core else -1
+    single = [(i, column) for i, column in enumerate(core) if i != multi]
     for number, raw in enumerate(lines[1:], start=2):
         row = raw.rstrip("\r")
         if not row:
@@ -187,21 +209,29 @@ def _tsv_rows(source_text: str, leading: tuple[str, ...], what: str):
         cells = row.split("\t")
         if len(cells) != width:
             raise ParseError(f"expected {width} columns, got {len(cells)}", number, 1)
+        if "|" in row:
+            for i, column in single:
+                if "|" in cells[i]:
+                    raise ParseError(f"literal '|' in single-valued column {column!r}", number, 1)
+        if multi >= 0:
+            cells[multi] = _split_cell(cells[multi])
         properties = {}
-        for column, cell in zip(extras, cells[core:]):
+        for column, cell in zip(extras, cells[leading:]):
             if cell:
                 properties[column] = _split_cell(cell)
         yield number, cells, properties
 
 
 def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
-    """Yield ``(line number, object, properties)`` per nonblank line.
+    """Check each nonblank line's JSON, that it is an object, and its core types.
 
-    Properties hold the object's other keys in sorted order. They are read
-    when the caller asks for the next line, after its checks of the core
-    keys, so a fault in a core key is the one reported. An unpaired
-    surrogate escape is checked before both, and only on lines with a ``\\u``.
+    An unpaired surrogate escape is checked before the types, and only on
+    lines with a ``\\u``. ``category`` must be an array of strings and every
+    other core value a string or null. Properties hold the object's other
+    keys in sorted order. They are read when the caller asks for the next
+    line, after its field rules, so a field fault is the one reported.
     """
+    multi = core.index("category") if "category" in core else -1
     for number, raw in enumerate(source_text.split("\n"), start=1):
         line = raw.strip()
         if not line:
@@ -216,13 +246,21 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
             raise ParseError(f"each {what} line must be a JSON object", number, 1)
         if "\\u" in line:
             _reject_surrogates(obj, number)
+        values = list(map(obj.get, core))
+        for i, value in enumerate(values):
+            if i == multi:
+                values[i] = _json_values(value, "category", number)
+            elif not isinstance(value, str):
+                if value is not None:
+                    raise ParseError(f"{core[i]!r} must be a string", number, 1)
+                values[i] = ""
         properties: dict[str, list[str]] = {}
-        yield number, obj, properties
+        yield number, values, properties
         for key in sorted(obj):
             if key not in core:
-                values = _json_values(obj[key], key, number)
-                if values:
-                    properties[key] = values
+                found = _json_values(obj[key], key, number)
+                if found:
+                    properties[key] = found
 
 
 def _reject_surrogates(obj: dict, line: int) -> None:
@@ -243,49 +281,26 @@ def _reject_surrogates(obj: dict, line: int) -> None:
                 raise ParseError(f"{key!r} holds an unpaired surrogate escape", line, 1) from None
 
 
-def _json_string(obj: dict, key: str, line: int) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{key!r} must be a nonempty string", line, 1)
-    return value
-
-
 def _json_values(value, key: str, line: int) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise ParseError(f"{key!r} must be an array of strings", line, 1)
-    return list(dict.fromkeys(v for v in value if v))
+    return _distinct(value)
 
 
 @_gc_paused()
 def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
     """Parse nodes from TSV or JSONL text; the format is sniffed when unset.
 
-    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    One leading UTF-8 byte order mark (U+FEFF) is ignored. After each
+    format's syntax, the id must be a CURIE and the categories nonempty.
     """
-    source_text = source_text.removeprefix("\ufeff")
     cache: dict[str, Curie] = {}
     nodes = []
-    if (fmt or _sniff_format(source_text)) == "jsonl":
-        for number, obj, properties in _jsonl_rows(source_text, NODE_COLUMNS, "node"):
-            node_id = _curie_cache_get(cache, _json_string(obj, "id", number), number)
-            categories = _json_values(obj.get("category"), "category", number)
-            if not categories:
-                raise ParseError("node has no categories", number, 1)
-            name = obj.get("name")
-            if name is not None and not isinstance(name, str):
-                raise ParseError("'name' must be a string", number, 1)
-            nodes.append(Node(node_id, categories, name or None, properties))
-        return nodes
-    for number, cells, properties in _tsv_rows(source_text, NODE_COLUMNS, "nodes"):
-        if "|" in cells[0]:
-            raise ParseError("literal '|' in single-valued column 'id'", number, 1)
-        node_id = _curie_cache_get(cache, cells[0], number)
-        categories = _split_cell(cells[1])
-        if not categories:
+    for number, values, properties in _rows(source_text, fmt, NODE_COLUMNS, "node"):
+        node_id = _curie_cache_get(cache, values[0], number)
+        if not values[1]:
             raise ParseError("node has no categories", number, 1)
-        if "|" in cells[2]:
-            raise ParseError("literal '|' in single-valued column 'name'", number, 1)
-        nodes.append(Node(node_id, categories, cells[2] or None, properties))
+        nodes.append(Node(node_id, values[1], values[2] or None, properties))
     return nodes
 
 
@@ -293,31 +308,18 @@ def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
 def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
     """Parse edges from TSV or JSONL text; the format is sniffed when unset.
 
-    One leading UTF-8 byte order mark (U+FEFF) is ignored.
+    One leading UTF-8 byte order mark (U+FEFF) is ignored. After each
+    format's syntax, the predicate must be nonempty, then the subject and
+    the object must be CURIEs.
     """
-    source_text = source_text.removeprefix("\ufeff")
     cache: dict[str, Curie] = {}
     edges = []
-    if (fmt or _sniff_format(source_text)) == "jsonl":
-        for number, obj, properties in _jsonl_rows(source_text, EDGE_COLUMNS, "edge"):
-            subject = _curie_cache_get(cache, _json_string(obj, "subject", number), number)
-            predicate = _json_string(obj, "predicate", number)
-            obj_id = _curie_cache_get(cache, _json_string(obj, "object", number), number)
-            edges.append(Edge(subject, predicate, obj_id, properties))
-        return edges
-    for number, cells, properties in _tsv_rows(source_text, EDGE_COLUMNS, "edges"):
-        subject_text, predicate, object_text = cells[0], cells[1], cells[2]
-        if "|" in subject_text or "|" in predicate or "|" in object_text:
-            raise ParseError(
-                "literal '|' in single-valued column 'subject', 'predicate', or 'object'",
-                number,
-                1,
-            )
-        if not predicate:
+    for number, values, properties in _rows(source_text, fmt, EDGE_COLUMNS, "edge"):
+        if not values[1]:
             raise ParseError("empty predicate", number, 1)
-        subject = _curie_cache_get(cache, subject_text, number)
-        obj = _curie_cache_get(cache, object_text, number)
-        edges.append(Edge(subject, predicate, obj, properties))
+        subject = _curie_cache_get(cache, values[0], number)
+        obj = _curie_cache_get(cache, values[2], number)
+        edges.append(Edge(subject, values[1], obj, properties))
     return edges
 
 

@@ -426,15 +426,14 @@ def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
 
 
 def _finalize(qg: QueryGraph, bindings: list[Binding]) -> list[Binding]:
+    """Bindings deduplicated by their JSON text, sorted by assignment, that text breaking ties."""
     variables = list(qg.qnodes)
     unique: dict[str, Binding] = {}
     for binding in bindings:
         unique.setdefault(binding.to_json(), binding)
 
-    def key(binding: Binding):
-        return (
-            tuple(binding.assignments[var].text for var in variables),
-            binding.to_json(),
-        )
+    def key(item: tuple[str, Binding]):
+        text, binding = item
+        return tuple(binding.assignments[var].text for var in variables), text
 
-    return sorted(unique.values(), key=key)
+    return [binding for _, binding in sorted(unique.items(), key=key)]

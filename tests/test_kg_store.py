@@ -24,6 +24,7 @@ from kgschema import (
     write_nodes,
 )
 from kgschema import kg_store
+from kgschema.identifiers import MalformedCurieError, parse_curie
 from generators import random_graph
 
 NODES_TSV = (
@@ -88,13 +89,14 @@ MALFORMED = [
     (read_nodes, _N + "NCBIGene:1\tGene\ta|b\n",
      "line 2, column 1: literal '|' in single-valued column 'name'"),
     (read_nodes, _N + "NCBIGene:1\t\tx\n", "line 2, column 1: node has no categories"),
-    (read_nodes, _N + "A:1\t\ta|b\n", "line 2, column 1: node has no categories"),
+    (read_nodes, _N + "A:1\t\ta|b\n",
+     "line 2, column 1: literal '|' in single-valued column 'name'"),
     (read_nodes, "id\tcategory\tname\r\nA:1\tGene\tx\r\n\r\nB:2\t|\tx\r\n",
      "line 4, column 1: node has no categories"),
     (read_nodes, _N + "not a curie\tGene\tx\n",
      "line 2, column 1: not a prefix:local_id pair: 'not a curie'"),
     (read_nodes, _N + "A:1\tGene\tx\nA1\t\ta|b\n",
-     "line 3, column 1: not a prefix:local_id pair: 'A1'"),
+     "line 3, column 1: literal '|' in single-valued column 'name'"),
     # nodes, JSONL
     (read_nodes, '{"id": "A:1", "category": []}\n', "line 1, column 1: node has no categories"),
     (read_nodes, '{"id": "A:1"}\n', "line 1, column 1: 'category' must be an array of strings"),
@@ -111,8 +113,8 @@ MALFORMED = [
     (read_nodes, '{"id": "not a curie", "category": ["Gene"]}\n',
      "line 1, column 1: not a prefix:local_id pair: 'not a curie'"),
     (read_nodes, '{"id": "", "category": ["Gene"]}\n',
-     "line 1, column 1: 'id' must be a nonempty string"),
-    (read_nodes, '{"category": []}\n', "line 1, column 1: 'id' must be a nonempty string"),
+     "line 1, column 1: not a prefix:local_id pair: ''"),
+    (read_nodes, '{"category": []}\n', "line 1, column 1: not a prefix:local_id pair: ''"),
     (read_nodes, _NJ + "[1]\n", "line 2, column 1: each node line must be a JSON object"),
     (read_nodes, "[1]\n", "line 1, column 1: each node line must be a JSON object"),
     (read_nodes, '"x"\n' + _NJ, "line 1, column 1: each node line must be a JSON object"),
@@ -136,9 +138,9 @@ MALFORMED = [
     (read_edges, "subject\tpredicate\tobject\r\n\r\nA:1\ttreats\tB:2\tx\r\n",
      "line 3, column 1: expected 3 columns, got 4"),
     (read_edges, _E + "A:1\ttreats|affects\tB:2\n",
-     "line 2, column 1: literal '|' in single-valued column 'subject', 'predicate', or 'object'"),
+     "line 2, column 1: literal '|' in single-valued column 'predicate'"),
     (read_edges, _E + "A|1:1\t\tB:2\n",
-     "line 2, column 1: literal '|' in single-valued column 'subject', 'predicate', or 'object'"),
+     "line 2, column 1: literal '|' in single-valued column 'subject'"),
     (read_edges, _E + "A:1\t\tB:2\n", "line 2, column 1: empty predicate"),
     (read_edges, _E + "A1\t\tB:2\n", "line 2, column 1: empty predicate"),
     (read_edges, _E + "A1\ttreats\tB:2\n", "line 2, column 1: not a prefix:local_id pair: 'A1'"),
@@ -146,15 +148,15 @@ MALFORMED = [
      "line 2, column 1: whitespace in identifier: 'B: 2'"),
     # edges, JSONL
     (read_edges, '{"subject": "A:1", "predicate": "", "object": "B:2"}\n',
-     "line 1, column 1: 'predicate' must be a nonempty string"),
+     "line 1, column 1: empty predicate"),
     (read_edges, '{"subject": "A:1", "predicate": 5, "object": "B:2"}\n',
-     "line 1, column 1: 'predicate' must be a nonempty string"),
+     "line 1, column 1: 'predicate' must be a string"),
     (read_edges, '{"subject": "A1", "predicate": "", "object": "B:2"}\n',
-     "line 1, column 1: not a prefix:local_id pair: 'A1'"),
+     "line 1, column 1: empty predicate"),
     (read_edges, '{"subject": "A:1", "predicate": "p", "object": "B2"}\n',
      "line 1, column 1: not a prefix:local_id pair: 'B2'"),
     (read_edges, '{"predicate": "p", "object": "B:2"}\n',
-     "line 1, column 1: 'subject' must be a nonempty string"),
+     "line 1, column 1: not a prefix:local_id pair: ''"),
     (read_edges, '{"subject": "A:1", "predicate": "p", "object": "B:2", "publications": "PMID:1"}\n',
      "line 1, column 1: 'publications' must be an array of strings"),
     (read_edges, _EJ + '"text"\n', "line 2, column 1: each edge line must be a JSON object"),
@@ -402,6 +404,72 @@ def test_jsonl_to_tsv_is_lossless_or_rejected(texts):
         return
     round_trip = build_graph(read_nodes(nodes_tsv, "tsv"), read_edges(edges_tsv, "tsv"))
     assert graph_equal(build_graph(nodes, edges), round_trip)
+
+
+# Values TSV can hold, so that one record set renders in both formats.
+_cell_text = st.text(st.characters(exclude_characters="\t\n\r|", exclude_categories=("Cs",)), max_size=4)
+_values = st.lists(_cell_text.filter(bool), min_size=1, max_size=2)
+_properties = st.dictionaries(st.sampled_from(["symbol", "xref"]), _values, max_size=2)
+_good_curies = st.builds(
+    "{}:{}".format, st.text("AB.", min_size=1, max_size=2), st.text("1:a", min_size=1, max_size=2)
+)
+_BAD_CURIES = ["", "A1", ":1", "A:", "A: 1", " A:1"]
+_records = {
+    "node": st.builds(Node, _good_curies.map(parse_curie), _values, st.none() | _cell_text, _properties),
+    "edge": st.builds(Edge, _good_curies.map(parse_curie), _cell_text.filter(bool),
+                      _good_curies.map(parse_curie), _properties),
+}
+_FAULTS = {"node": ["id", "category"], "edge": ["subject", "predicate", "object"]}
+
+
+def _curie_message(text):
+    with pytest.raises(MalformedCurieError) as info:
+        parse_curie(text)
+    return str(info.value)
+
+
+@given(st.data())
+def test_twin_faults_give_one_message_in_both_formats(data):
+    """A field fault injected into the TSV and the JSONL rendering of one record
+    set is reported with one message, in TSV's rule order, on the same record."""
+    kind = data.draw(st.sampled_from(["node", "edge"]))
+    read, write = (read_nodes, write_nodes) if kind == "node" else (read_edges, write_edges)
+    records = data.draw(st.lists(_records[kind], min_size=1, max_size=4))
+    at = data.draw(st.integers(0, len(records) - 1))
+    faults = data.draw(st.lists(st.sampled_from(_FAULTS[kind]), min_size=1, max_size=2, unique=True))
+    tsv_lines = write(records, "tsv").split("\n")
+    jsonl_lines = write(records, "jsonl").split("\n")
+    header = tsv_lines[0].split("\t")
+    cells = tsv_lines[at + 1].split("\t")
+    obj = json.loads(jsonl_lines[at])
+    bad = {}
+    for column in faults:
+        if column == "category":
+            cells[1] = data.draw(st.sampled_from(["", "|", "||"]))
+            obj[column] = data.draw(st.sampled_from([[], [""], ["", ""]]))
+            continue
+        bad[column] = "" if column == "predicate" else data.draw(st.sampled_from(_BAD_CURIES))
+        cells[header.index(column)] = bad[column]
+        # JSONL may spell an empty core value as "", null or an absent key.
+        spelling = data.draw(st.sampled_from(["text", "null", "absent"]) if not bad[column] else st.just("text"))
+        if spelling == "absent":
+            del obj[column]
+        else:
+            obj[column] = None if spelling == "null" else bad[column]
+    tsv_lines[at + 1] = "\t".join(cells)
+    jsonl_lines[at] = json.dumps(obj)
+    with pytest.raises(ParseError) as tsv_error:
+        read("\n".join(tsv_lines))
+    with pytest.raises(ParseError) as jsonl_error:
+        read("\n".join(jsonl_lines))
+    if kind == "node":
+        expected = _curie_message(bad["id"]) if "id" in bad else "node has no categories"
+    elif "predicate" in bad:
+        expected = "empty predicate"
+    else:
+        expected = _curie_message(bad.get("subject", bad.get("object")))
+    assert tsv_error.value.message == jsonl_error.value.message == expected
+    assert tsv_error.value.line == jsonl_error.value.line + 1 == at + 2
 
 
 def test_normalize_graph_fixed_point(seed_doc, seed_index, demo_graph, demo_equivalences):
