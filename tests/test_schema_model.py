@@ -499,3 +499,243 @@ def test_ancestor_lists_equal_chain_walks_with_cycles_and_unknown_parents():
 
 def test_validate_schema_on_deep_predicate_chain_is_clean():
     assert validate_schema(deep_chain_schema(0, 6000)) == []
+
+
+# ---------------------------------------------------------------------------
+# Canonical text and the definition fault table
+
+
+def test_seed_schema_serializes_to_its_file_without_the_leading_comment(seed_doc, seed_text):
+    lines = seed_text.split("\n")
+    assert lines[:2] == [
+        "# Seed schema: core biomedical categories, relationship hierarchy, and",
+        "# association rules used by the bundled fixtures and tests.",
+    ]
+    assert serialize_schema(seed_doc) == "\n".join(lines[2:])
+
+
+def _every_field_schema() -> SchemaDocument:
+    doc = SchemaDocument(name="full", version="2.0", prefixes={"EX": "http://example.org/"})
+    doc.classes["Thing"] = ClassDefinition(
+        name="Thing",
+        description="a thing",
+        is_a="Root",
+        mixins=["M1", "M2"],
+        is_mixin=True,
+        slots=["s1"],
+        id_prefixes=["EX"],
+        mappings=[Mapping("exact", "EX:1"), Mapping("broad", "EX:9")],
+    )
+    doc.slots["s1"] = SlotDefinition(
+        name="s1",
+        slot_kind="predicate",
+        description="a slot",
+        is_a="related_to",
+        domain="Thing",
+        range="Thing",
+        multivalued=True,
+        required=True,
+        symmetric=True,
+        mappings=[Mapping("close", "EX:2")],
+    )
+    doc.associations["ThingAssociation"] = AssociationDefinition(
+        name="ThingAssociation",
+        subject="Thing",
+        predicate="s1",
+        object="Thing",
+        is_a="BaseAssociation",
+        required_edge_properties=["e1"],
+        optional_edge_properties=["e2", "e3"],
+    )
+    doc.types["quotient"] = TypeDefinition(name="quotient", base="float", description="a ratio")
+    return doc
+
+
+EVERY_FIELD_TEXT = """\
+name: full
+version: 2.0
+prefixes:
+  EX: http://example.org/
+classes:
+  Thing:
+    description: a thing
+    is_a: Root
+    is_mixin: true
+    mixins:
+      - M1
+      - M2
+    slots:
+      - s1
+    id_prefixes:
+      - EX
+    mappings:
+      - relation: exact
+        target: EX:1
+      - relation: broad
+        target: EX:9
+slots:
+  s1:
+    description: a slot
+    is_a: related_to
+    slot_kind: predicate
+    domain: Thing
+    range: Thing
+    multivalued: true
+    required: true
+    symmetric: true
+    mappings:
+      - relation: close
+        target: EX:2
+associations:
+  ThingAssociation:
+    is_a: BaseAssociation
+    subject: Thing
+    predicate: s1
+    object: Thing
+    required_edge_properties:
+      - e1
+    optional_edge_properties:
+      - e2
+      - e3
+types:
+  quotient:
+    base: float
+    description: a ratio
+"""
+
+
+def test_every_field_of_every_kind_serializes_to_exact_text():
+    doc = _every_field_schema()
+    assert serialize_schema(doc) == EVERY_FIELD_TEXT
+    assert parse_schema(EVERY_FIELD_TEXT) == doc
+
+
+def test_definitions_at_their_defaults_serialize_to_exact_text():
+    doc = SchemaDocument(name="bare", version="0")
+    doc.classes["Bare"] = ClassDefinition(name="Bare")
+    doc.slots["s"] = SlotDefinition(name="s", slot_kind="node_property")
+    doc.associations["A"] = AssociationDefinition(name="A", subject="Bare", predicate="s", object="Bare")
+    doc.types["t"] = TypeDefinition(name="t", base="string")
+    text = (
+        "name: bare\nversion: 0\n"
+        "classes:\n  Bare:\n    is_mixin: false\n"
+        "slots:\n  s:\n    slot_kind: node_property\n"
+        "associations:\n  A:\n    subject: Bare\n    predicate: s\n    object: Bare\n"
+        "types:\n  t:\n    base: string\n"
+    )
+    assert serialize_schema(doc) == text
+    assert parse_schema(text) == doc
+
+
+_LONG = "X" * 257
+# The required keys of each kind, so that a block reaches its value checks.
+_REQUIRED = {
+    "classes": "",
+    "slots": "    slot_kind: predicate\n",
+    "associations": "    subject: A\n    predicate: p\n    object: B\n",
+    "types": "    base: string\n",
+}
+
+
+def _definition(section: str, body: str, required: bool = True) -> str:
+    """A schema whose one definition, ``x`` in ``section``, starts its body at line 5."""
+    return MINIMAL + f"{section}:\n  x:\n" + body + (_REQUIRED[section] if required else "")
+
+
+# (section, body, exact str() of the ParseError). The body starts at line 5;
+# every row has one malformed value per key and reader, or one missing key.
+DEFINITION_FAULTS = [
+    ("classes", "    description:\n      - a\n", "line 6, column 7: description must be a single value"),
+    ("classes", f"    is_a: {_LONG}\n", "line 5, column 11: identifier longer than 256 bytes"),
+    ("classes", "    is_mixin: yes\n", "line 5, column 15: is_mixin must be 'true' or 'false', got 'yes'"),
+    ("classes", "    mixins: M1\n", "line 5, column 13: mixins must be a sequence"),
+    ("classes", "    slots:\n      - s\n      - k: v\n", "line 7, column 9: slots must be a single value"),
+    ("classes", f"    id_prefixes:\n      - {_LONG}\n", "line 6, column 9: identifier longer than 256 bytes"),
+    ("classes", "    mappings: exact\n", "line 5, column 15: mappings must be a sequence"),
+    ("classes", "    mappings:\n      - exact\n",
+     "line 6, column 9: each mapping must have relation and target keys"),
+    ("classes", "    mappings:\n      - relation: exact\n", "line 6, column 9: mapping missing 'target'"),
+    ("classes", "    mappings:\n      - target: X:1\n", "line 6, column 9: mapping missing 'relation'"),
+    ("classes", "    mappings:\n      - relation: exact\n        target: X:1\n        note: n\n",
+     "line 8, column 9: unknown key 'note' in mappings"),
+    ("classes", "    mappings:\n      - relation:\n          - exact\n        target: X:1\n",
+     "line 7, column 11: relation must be a single value"),
+    ("classes", f"    mappings:\n      - relation: exact\n        target: {_LONG}\n",
+     "line 7, column 17: identifier longer than 256 bytes"),
+    ("classes", "    colour: green\n", "line 5, column 5: unknown key 'colour' in class 'x'"),
+    ("slots", "    description:\n      - a\n", "line 6, column 7: description must be a single value"),
+    ("slots", "    is_a:\n      - a\n", "line 6, column 7: is_a must be a single value"),
+    ("slots", "    domain:\n      k: v\n", "line 6, column 7: domain must be a single value"),
+    ("slots", f"    range: {_LONG}\n", "line 5, column 12: identifier longer than 256 bytes"),
+    ("slots", "    multivalued: 1\n", "line 5, column 18: multivalued must be 'true' or 'false', got '1'"),
+    ("slots", "    required: True\n", "line 5, column 15: required must be 'true' or 'false', got 'True'"),
+    ("slots", "    symmetric: no\n", "line 5, column 16: symmetric must be 'true' or 'false', got 'no'"),
+    ("slots", "    mappings: close\n", "line 5, column 15: mappings must be a sequence"),
+    ("slots", "    colour: green\n", "line 5, column 5: unknown key 'colour' in slot 'x'"),
+    ("associations", f"    is_a: {_LONG}\n", "line 5, column 11: identifier longer than 256 bytes"),
+    ("associations", "    required_edge_properties: e\n",
+     "line 5, column 31: required_edge_properties must be a sequence"),
+    ("associations", "    optional_edge_properties:\n      k: v\n",
+     "line 6, column 7: optional_edge_properties must be a sequence"),
+    ("associations", "    colour: green\n", "line 5, column 5: unknown key 'colour' in association 'x'"),
+    ("types", "    description:\n      - a\n", "line 6, column 7: description must be a single value"),
+    ("types", "    colour: green\n", "line 5, column 5: unknown key 'colour' in type 'x'"),
+]
+
+# Required values, malformed or missing; the row's other keys are valid.
+REQUIRED_FAULTS = [
+    ("slots", "    slot_kind:\n      - predicate\n",
+     "line 6, column 7: slot_kind must be a single value"),
+    ("slots", "    description: no kind\n", "line 5, column 5: slot 'x' is missing slot_kind"),
+    ("associations", f"    subject: {_LONG}\n    predicate: p\n    object: B\n",
+     "line 5, column 14: identifier longer than 256 bytes"),
+    ("associations", "    subject: A\n    predicate:\n      - p\n    object: B\n",
+     "line 7, column 7: predicate must be a single value"),
+    ("associations", f"    subject: A\n    predicate: p\n    object: {_LONG}\n",
+     "line 7, column 13: identifier longer than 256 bytes"),
+    ("associations", "    predicate: p\n    object: B\n",
+     "line 5, column 5: association 'x' is missing 'subject'"),
+    ("associations", "    subject: A\n    object: B\n",
+     "line 5, column 5: association 'x' is missing 'predicate'"),
+    ("associations", "    subject: A\n    predicate: p\n",
+     "line 5, column 5: association 'x' is missing 'object'"),
+    ("associations", "    is_a: Base\n", "line 5, column 5: association 'x' is missing 'subject'"),
+    ("types", f"    base: {_LONG}\n", "line 5, column 11: identifier longer than 256 bytes"),
+    ("types", "    description: no base\n", "line 5, column 5: type 'x' is missing base"),
+]
+
+
+@pytest.mark.parametrize(("section", "body", "expected"), DEFINITION_FAULTS)
+def test_definition_fault_table(section, body, expected):
+    with pytest.raises(ParseError) as info:
+        parse_schema(_definition(section, body))
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(("section", "body", "expected"), REQUIRED_FAULTS)
+def test_required_key_fault_table(section, body, expected):
+    with pytest.raises(ParseError) as info:
+        parse_schema(_definition(section, body, required=False))
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    ("section", "kind"),
+    [("classes", "class"), ("slots", "slot"), ("associations", "association"), ("types", "type")],
+)
+def test_lax_parsing_skips_an_unknown_key_of_each_kind(section, kind):
+    with pytest.warns(SchemaFormatWarning) as record:
+        lax = parse_schema(_definition(section, "    colour: green\n    shade:\n      - dark\n"), lax=True)
+    assert [str(w.message) for w in record] == [
+        f"ignoring unknown key 'colour' in {kind} 'x' (line 5)",
+        f"ignoring unknown key 'shade' in {kind} 'x' (line 6)",
+    ]
+    strict = parse_schema(_definition(section, "" if section != "classes" else "    is_mixin: false\n"))
+    assert lax == strict
+
+
+def test_lax_parsing_skips_an_unknown_mapping_key():
+    text = _definition("slots", "    mappings:\n      - relation: exact\n        target: X:1\n        note: n\n")
+    with pytest.warns(SchemaFormatWarning, match=r"^ignoring unknown key 'note' in mappings \(line 8\)$"):
+        doc = parse_schema(text, lax=True)
+    assert doc.slots["x"].mappings == [Mapping("exact", "X:1")]
