@@ -18,8 +18,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .errors import KgschemaError, MalformedCurieError
-from .hierarchy import ClosureIndex, _build_closure, expand_predicates
+from .errors import KgschemaError, MalformedCurieError, SchemaNotValidError
+from .hierarchy import ClosureIndex, build_closure, expand_predicates
 from .identifiers import load_equivalences, normalize_curie, parse_curie
 from .kg_store import (
     KnowledgeGraph,
@@ -33,7 +33,7 @@ from .kg_store import (
     write_nodes,
 )
 from .query import expand_query, match, parse_query
-from .schema_model import SCHEMA_FORMAT_VERSION, SchemaDocument, parse_schema, validate_schema
+from .schema_model import SCHEMA_FORMAT_VERSION, SchemaDocument, parse_schema
 from .validation import validate_graph
 
 EXIT_OK = 0
@@ -60,16 +60,16 @@ def _load_schema(
     if strict and lax:
         raise click.UsageError("--strict and --lax are mutually exclusive")
     doc = parse_schema(schema_path.read_text(encoding="utf-8"), lax=lax)
-    errors = [v for v in validate_schema(doc) if v.severity == "error"]
-    if errors:
-        for violation in errors:
+    try:
+        return doc, build_closure(doc)
+    except SchemaNotValidError as exc:
+        for violation in exc.violations:
             click.echo(
                 f"kgschema: schema error {violation.code} at {violation.element}: "
                 f"{violation.detail}",
                 err=True,
             )
-        raise KgschemaError(f"schema {schema_path} has {len(errors)} error(s)")
-    return doc, _build_closure(doc)
+        raise KgschemaError(f"schema {schema_path} has {len(exc.violations)} error(s)") from exc
 
 
 def _load_graph(

@@ -77,7 +77,14 @@ class EmptyCategorySetError(KgschemaError):
 
 
 class SchemaNotValidError(KgschemaError):
-    """An operation requiring a validated schema received one with errors."""
+    """An operation requiring a validated schema received one with errors.
+
+    ``violations`` holds the error-severity violations found.
+    """
+
+    def __init__(self, message: str, violations=()):
+        self.violations = list(violations)
+        super().__init__(message)
 
 
 class DanglingEdgeError(KgschemaError):

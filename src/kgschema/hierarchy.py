@@ -91,18 +91,13 @@ def _invert(ancestors: dict[str, list[str]]) -> dict[str, frozenset[str]]:
 def build_closure(doc: SchemaDocument) -> ClosureIndex:
     """Materialize ancestor/descendant reachability for ``doc``.
 
-    Raises :class:`SchemaNotValidError` if the schema has error-severity
-    violations (warnings are tolerated).
+    Raises :class:`SchemaNotValidError`, holding the error-severity
+    violations, if the schema has any (warnings are tolerated).
     """
     errors = [v for v in validate_schema(doc) if v.severity == "error"]
     if errors:
         summary = ", ".join(sorted({v.code for v in errors}))
-        raise SchemaNotValidError(f"schema has {len(errors)} error(s): {summary}")
-    return _build_closure(doc)
-
-
-def _build_closure(doc: SchemaDocument) -> ClosureIndex:
-    """:func:`build_closure` for a schema its caller has already validated."""
+        raise SchemaNotValidError(f"schema has {len(errors)} error(s): {summary}", errors)
     index = ClosureIndex()
     class_parents = {n: c.is_a for n, c in doc.classes.items()}
     index.class_ancestors = _ancestor_lists(class_parents)

@@ -227,9 +227,10 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
 
     An unpaired surrogate escape is checked before the types, and only on
     lines with a ``\\u``. ``category`` must be an array of strings and every
-    other core value a string or null. Properties hold the object's other
-    keys in sorted order. They are read when the caller asks for the next
-    line, after its field rules, so a field fault is the one reported.
+    other core value a string; an absent or null core value reads as an
+    empty cell would. Properties hold the object's other keys in sorted
+    order. They are read when the caller asks for the next line, after its
+    field rules, so a field fault is the one reported.
     """
     multi = core.index("category") if "category" in core else -1
     for number, raw in enumerate(source_text.split("\n"), start=1):
@@ -249,7 +250,7 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
         values = list(map(obj.get, core))
         for i, value in enumerate(values):
             if i == multi:
-                values[i] = _json_values(value, "category", number)
+                values[i] = [] if value is None else _json_values(value, "category", number)
             elif not isinstance(value, str):
                 if value is not None:
                     raise ParseError(f"{core[i]!r} must be a string", number, 1)

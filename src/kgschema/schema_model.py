@@ -10,21 +10,15 @@ referential and hierarchy rules are checked separately by
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import warnings
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 
 from . import blockyaml
 from .blockyaml import MappingNode, Scalar, Sequence, YamlNode
 from .errors import DuplicateNameError, ParseError, SchemaFormatWarning, UnknownClassError
-
-_SECTION_KINDS = {
-    "classes": "class",
-    "slots": "slot",
-    "associations": "association",
-    "types": "type",
-    "prefixes": "prefix",
-}
 
 PREDICATE = "predicate"
 NODE_PROPERTY = "node_property"
@@ -150,27 +144,6 @@ ASSOCIATION_NAME_STYLE = "ASSOCIATION_NAME_STYLE"
 MIXIN_SLOT_SHADOWED = "MIXIN_SLOT_SHADOWED"
 
 _TOP_KEYS = ("name", "version", "prefixes", "classes", "slots", "associations", "types")
-_CLASS_KEYS = ("description", "is_a", "is_mixin", "mixins", "slots", "id_prefixes", "mappings")
-_SLOT_KEYS = (
-    "description",
-    "is_a",
-    "slot_kind",
-    "domain",
-    "range",
-    "multivalued",
-    "required",
-    "symmetric",
-    "mappings",
-)
-_ASSOC_KEYS = (
-    "is_a",
-    "subject",
-    "predicate",
-    "object",
-    "required_edge_properties",
-    "optional_edge_properties",
-)
-_TYPE_KEYS = ("base", "description")
 
 MAX_IDENTIFIER_BYTES = blockyaml.MAX_KEY_BYTES
 
@@ -211,7 +184,7 @@ def _ident_list(node: YamlNode, what: str) -> list[str]:
     return [_ident(item, what) for item in node.items]
 
 
-def _check_keys(block: MappingNode, allowed: tuple[str, ...], what: str, lax: bool) -> None:
+def _check_keys(block: MappingNode, allowed: Container[str], what: str, lax: bool) -> None:
     for key in block.entries:
         if key not in allowed:
             line, column = block.key_positions[key]
@@ -256,75 +229,66 @@ def _named_blocks(node: YamlNode, what: str) -> dict[str, MappingNode]:
     return out
 
 
-def _build_class(name: str, block: MappingNode, lax: bool) -> ClassDefinition:
-    _check_keys(block, _CLASS_KEYS, f"class {name!r}", lax)
-    e = block.entries
-    return ClassDefinition(
-        name=name,
-        description=_scalar(e["description"], "description") if "description" in e else "",
-        is_a=_ident(e["is_a"], "is_a") if "is_a" in e else None,
-        mixins=_ident_list(e["mixins"], "mixins") if "mixins" in e else [],
-        is_mixin=_bool(e["is_mixin"], "is_mixin") if "is_mixin" in e else False,
-        slots=_ident_list(e["slots"], "slots") if "slots" in e else [],
-        id_prefixes=_ident_list(e["id_prefixes"], "id_prefixes") if "id_prefixes" in e else [],
-        mappings=_mapping_list(e["mappings"], "mappings", lax) if "mappings" in e else [],
-    )
+# Each definition kind's keys in canonical order, each with the reader that
+# converts its value and whether it is required. Parsing, the unknown-key
+# check and serialization all follow these tables.
+_FIELDS: dict[str, dict[str, tuple[Callable, bool]]] = {
+    "class": {
+        "description": (_scalar, False),
+        "is_a": (_ident, False),
+        "is_mixin": (_bool, False),
+        "mixins": (_ident_list, False),
+        "slots": (_ident_list, False),
+        "id_prefixes": (_ident_list, False),
+        "mappings": (_mapping_list, False),
+    },
+    "slot": {
+        "description": (_scalar, False),
+        "is_a": (_ident, False),
+        "slot_kind": (_ident, True),
+        "domain": (_ident, False),
+        "range": (_ident, False),
+        "multivalued": (_bool, False),
+        "required": (_bool, False),
+        "symmetric": (_bool, False),
+        "mappings": (_mapping_list, False),
+    },
+    "association": {
+        "is_a": (_ident, False),
+        "subject": (_ident, True),
+        "predicate": (_ident, True),
+        "object": (_ident, True),
+        "required_edge_properties": (_ident_list, False),
+        "optional_edge_properties": (_ident_list, False),
+    },
+    "type": {
+        "base": (_ident, True),
+        "description": (_scalar, False),
+    },
+}
+
+# Each definition section of a document: its kind and its dataclass.
+_SECTIONS: dict[str, tuple[str, type]] = {
+    "classes": ("class", ClassDefinition),
+    "slots": ("slot", SlotDefinition),
+    "associations": ("association", AssociationDefinition),
+    "types": ("type", TypeDefinition),
+}
 
 
-def _build_slot(name: str, block: MappingNode, lax: bool) -> SlotDefinition:
-    _check_keys(block, _SLOT_KEYS, f"slot {name!r}", lax)
-    e = block.entries
-    if "slot_kind" not in e:
-        raise _err(f"slot {name!r} is missing slot_kind", block)
-    return SlotDefinition(
-        name=name,
-        slot_kind=_ident(e["slot_kind"], "slot_kind"),
-        description=_scalar(e["description"], "description") if "description" in e else "",
-        is_a=_ident(e["is_a"], "is_a") if "is_a" in e else None,
-        domain=_ident(e["domain"], "domain") if "domain" in e else None,
-        range=_ident(e["range"], "range") if "range" in e else None,
-        multivalued=_bool(e["multivalued"], "multivalued") if "multivalued" in e else False,
-        required=_bool(e["required"], "required") if "required" in e else False,
-        symmetric=_bool(e["symmetric"], "symmetric") if "symmetric" in e else False,
-        mappings=_mapping_list(e["mappings"], "mappings", lax) if "mappings" in e else [],
-    )
-
-
-def _build_association(name: str, block: MappingNode, lax: bool) -> AssociationDefinition:
-    _check_keys(block, _ASSOC_KEYS, f"association {name!r}", lax)
-    e = block.entries
-    for required in ("subject", "predicate", "object"):
-        if required not in e:
-            raise _err(f"association {name!r} is missing {required!r}", block)
-    return AssociationDefinition(
-        name=name,
-        is_a=_ident(e["is_a"], "is_a") if "is_a" in e else None,
-        subject=_ident(e["subject"], "subject"),
-        predicate=_ident(e["predicate"], "predicate"),
-        object=_ident(e["object"], "object"),
-        required_edge_properties=(
-            _ident_list(e["required_edge_properties"], "required_edge_properties")
-            if "required_edge_properties" in e
-            else []
-        ),
-        optional_edge_properties=(
-            _ident_list(e["optional_edge_properties"], "optional_edge_properties")
-            if "optional_edge_properties" in e
-            else []
-        ),
-    )
-
-
-def _build_type(name: str, block: MappingNode, lax: bool) -> TypeDefinition:
-    _check_keys(block, _TYPE_KEYS, f"type {name!r}", lax)
-    e = block.entries
-    if "base" not in e:
-        raise _err(f"type {name!r} is missing base", block)
-    return TypeDefinition(
-        name=name,
-        base=_ident(e["base"], "base"),
-        description=_scalar(e["description"], "description") if "description" in e else "",
-    )
+def _build(kind: str, cls: type, name: str, block: MappingNode, lax: bool):
+    fields = _FIELDS[kind]
+    _check_keys(block, fields, f"{kind} {name!r}", lax)
+    entries = block.entries
+    for key, (_, required) in fields.items():
+        if required and key not in entries:
+            raise _err(f"{kind} {name!r} is missing {key!r}", block)
+    values = {}
+    for key, (reader, _) in fields.items():
+        if key in entries:
+            node = entries[key]
+            values[key] = _mapping_list(node, key, lax) if reader is _mapping_list else reader(node, key)
+    return cls(name=name, **values)
 
 
 def parse_schema(source_text: str, *, lax: bool = False, max_depth: int = 8) -> SchemaDocument:
@@ -337,10 +301,10 @@ def parse_schema(source_text: str, *, lax: bool = False, max_depth: int = 8) -> 
     try:
         root = blockyaml.parse(source_text, max_depth=max_depth)
     except DuplicateNameError as exc:
-        if len(exc.path) == 1 and exc.path[0] in _SECTION_KINDS:
-            raise DuplicateNameError(
-                _SECTION_KINDS[exc.path[0]], exc.name, exc.line, exc.column
-            ) from exc
+        section = exc.path[0] if len(exc.path) == 1 else None
+        if section == "prefixes" or section in _SECTIONS:
+            kind = _SECTIONS[section][0] if section in _SECTIONS else "prefix"
+            raise DuplicateNameError(kind, exc.name, exc.line, exc.column) from exc
         raise
     _check_keys(root, _TOP_KEYS, "document", lax)
     for required in ("name", "version"):
@@ -356,18 +320,11 @@ def parse_schema(source_text: str, *, lax: bool = False, max_depth: int = 8) -> 
             raise _err("prefixes must be a mapping", block)
         for prefix, base in block.entries.items():
             doc.prefixes[prefix] = _scalar(base, f"prefix {prefix!r}")
-    if "classes" in root.entries:
-        for name, block in _named_blocks(root.entries["classes"], "classes").items():
-            doc.classes[name] = _build_class(name, block, lax)
-    if "slots" in root.entries:
-        for name, block in _named_blocks(root.entries["slots"], "slots").items():
-            doc.slots[name] = _build_slot(name, block, lax)
-    if "associations" in root.entries:
-        for name, block in _named_blocks(root.entries["associations"], "associations").items():
-            doc.associations[name] = _build_association(name, block, lax)
-    if "types" in root.entries:
-        for name, block in _named_blocks(root.entries["types"], "types").items():
-            doc.types[name] = _build_type(name, block, lax)
+    for section, (kind, cls) in _SECTIONS.items():
+        if section in root.entries:
+            definitions = getattr(doc, section)
+            for name, block in _named_blocks(root.entries[section], section).items():
+                definitions[name] = _build(kind, cls, name, block, lax)
     return doc
 
 
@@ -388,84 +345,40 @@ def serialize_schema(doc: SchemaDocument) -> str:
         out.append("prefixes:")
         for prefix, base in doc.prefixes.items():
             blockyaml.emit_entry(out, 2, prefix, base)
-    if doc.classes:
-        out.append("classes:")
-        for cls in doc.classes.values():
-            out.append(f"  {cls.name}:")
-            empty = not (
-                cls.description
-                or cls.is_a
-                or cls.is_mixin
-                or cls.mixins
-                or cls.slots
-                or cls.id_prefixes
-                or cls.mappings
-            )
-            if cls.description:
-                blockyaml.emit_entry(out, 4, "description", cls.description)
-            if cls.is_a is not None:
-                blockyaml.emit_entry(out, 4, "is_a", cls.is_a)
-            if cls.is_mixin or empty:
-                # A definition block cannot be empty in the text format; the
-                # explicit default keeps the round trip faithful.
-                blockyaml.emit_entry(out, 4, "is_mixin", "true" if cls.is_mixin else "false")
-            if cls.mixins:
-                blockyaml.emit_seq_of_scalars(out, 4, "mixins", cls.mixins)
-            if cls.slots:
-                blockyaml.emit_seq_of_scalars(out, 4, "slots", cls.slots)
-            if cls.id_prefixes:
-                blockyaml.emit_seq_of_scalars(out, 4, "id_prefixes", cls.id_prefixes)
-            _emit_mappings(out, cls.mappings)
-    if doc.slots:
-        out.append("slots:")
-        for slot in doc.slots.values():
-            out.append(f"  {slot.name}:")
-            if slot.description:
-                blockyaml.emit_entry(out, 4, "description", slot.description)
-            if slot.is_a is not None:
-                blockyaml.emit_entry(out, 4, "is_a", slot.is_a)
-            blockyaml.emit_entry(out, 4, "slot_kind", slot.slot_kind)
-            if slot.domain is not None:
-                blockyaml.emit_entry(out, 4, "domain", slot.domain)
-            if slot.range is not None:
-                blockyaml.emit_entry(out, 4, "range", slot.range)
-            if slot.multivalued:
-                blockyaml.emit_entry(out, 4, "multivalued", "true")
-            if slot.required:
-                blockyaml.emit_entry(out, 4, "required", "true")
-            if slot.symmetric:
-                blockyaml.emit_entry(out, 4, "symmetric", "true")
-            _emit_mappings(out, slot.mappings)
-    if doc.associations:
-        out.append("associations:")
-        for assoc in doc.associations.values():
-            out.append(f"  {assoc.name}:")
-            if assoc.is_a is not None:
-                blockyaml.emit_entry(out, 4, "is_a", assoc.is_a)
-            blockyaml.emit_entry(out, 4, "subject", assoc.subject)
-            blockyaml.emit_entry(out, 4, "predicate", assoc.predicate)
-            blockyaml.emit_entry(out, 4, "object", assoc.object)
-            if assoc.required_edge_properties:
-                blockyaml.emit_seq_of_scalars(
-                    out, 4, "required_edge_properties", assoc.required_edge_properties
-                )
-            if assoc.optional_edge_properties:
-                blockyaml.emit_seq_of_scalars(
-                    out, 4, "optional_edge_properties", assoc.optional_edge_properties
-                )
-    if doc.types:
-        out.append("types:")
-        for typ in doc.types.values():
-            out.append(f"  {typ.name}:")
-            blockyaml.emit_entry(out, 4, "base", typ.base)
-            if typ.description:
-                blockyaml.emit_entry(out, 4, "description", typ.description)
+    for section, (kind, cls) in _SECTIONS.items():
+        definitions = getattr(doc, section)
+        if not definitions:
+            continue
+        out.append(f"{section}:")
+        defaults = {
+            spec.name: spec.default if spec.default_factory is dataclasses.MISSING else spec.default_factory()
+            for spec in dataclasses.fields(cls)
+        }
+        for definition in definitions.values():
+            out.append(f"  {definition.name}:")
+            written = len(out)
+            for key, (reader, required) in _FIELDS[kind].items():
+                value = getattr(definition, key)
+                if not required and value == defaults[key]:
+                    continue
+                if reader is _bool:
+                    blockyaml.emit_entry(out, 4, key, "true" if value else "false")
+                elif reader is _ident_list:
+                    blockyaml.emit_seq_of_scalars(out, 4, key, value)
+                elif reader is _mapping_list:
+                    _emit_mappings(out, value)
+                else:
+                    blockyaml.emit_entry(out, 4, key, value)
+            if len(out) == written:
+                # A definition block cannot be empty in the text format, and
+                # only a class, which has no required key, can have every
+                # field at its default: the explicit default keeps the round
+                # trip faithful.
+                blockyaml.emit_entry(out, 4, "is_mixin", "false")
     return "\n".join(out) + "\n"
 
 
 def _emit_mappings(out: list[str], mappings: list[Mapping]) -> None:
-    if not mappings:
-        return
     out.append("    mappings:")
     for m in mappings:
         blockyaml.check_emit_scalar(m.relation)
@@ -554,22 +467,32 @@ def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
     return _fill_down(parents, [], lambda member, above: [member] + above, rotations)
 
 
-def _mixin_contribution(doc: SchemaDocument, mixin: str) -> list[str]:
-    """Slots of ``mixin`` in pre-order: own slots, then is_a, then mixins."""
+def _reachable(doc: SchemaDocument, start: str) -> list[str]:
+    """Classes reachable from ``start`` through is_a and mixin links, in pre-order.
+
+    A class comes first, then what its is_a reaches, then what each of its
+    mixins reaches in declaration order. Unknown names are skipped, and
+    each class is listed once.
+    """
     out: list[str] = []
     seen: set[str] = set()
-    stack = [mixin]
+    stack = [start]
     while stack:
         current = stack.pop()
         if current in seen or current not in doc.classes:
             continue
         seen.add(current)
+        out.append(current)
         cls = doc.classes[current]
-        out.extend(cls.slots)
         stack.extend(reversed(cls.mixins))
         if cls.is_a is not None:
             stack.append(cls.is_a)
     return out
+
+
+def _mixin_contribution(doc: SchemaDocument, mixin: str) -> list[str]:
+    """Slots of ``mixin`` in pre-order: own slots, then is_a, then mixins."""
+    return [slot for name in _reachable(doc, mixin) for slot in doc.classes[name].slots]
 
 
 def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
@@ -818,18 +741,4 @@ def _narrows(doc: SchemaDocument, child: str, parent: str) -> bool:
 
 def mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
     """Mixins reachable from ``start`` through is_a and mixin declarations."""
-    reach: set[str] = set()
-    stack = [start]
-    seen = {start}
-    while stack:
-        current = stack.pop()
-        cls = doc.classes.get(current)
-        if cls is None:
-            continue
-        if cls.is_mixin:
-            reach.add(current)
-        for nxt in ([cls.is_a] if cls.is_a else []) + list(cls.mixins):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return reach
+    return {name for name in _reachable(doc, start) if doc.classes[name].is_mixin}

@@ -334,7 +334,6 @@ def test_verb_validates_the_schema_once(runner, seed_path, monkeypatch):
         calls.append(doc)
         return validate_schema(doc)
 
-    monkeypatch.setattr(cli, "validate_schema", counting)
     monkeypatch.setattr(hierarchy, "validate_schema", counting)
     result = _invoke(runner, "stats", *_demo_args(seed_path))
     assert result.exit_code == 0

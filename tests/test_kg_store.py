@@ -99,7 +99,8 @@ MALFORMED = [
      "line 3, column 1: literal '|' in single-valued column 'name'"),
     # nodes, JSONL
     (read_nodes, '{"id": "A:1", "category": []}\n', "line 1, column 1: node has no categories"),
-    (read_nodes, '{"id": "A:1"}\n', "line 1, column 1: 'category' must be an array of strings"),
+    (read_nodes, '{"id": "A:1"}\n', "line 1, column 1: node has no categories"),
+    (read_nodes, '{"id": "A:1", "category": null}\n', "line 1, column 1: node has no categories"),
     (read_nodes, '{"id": "A:1", "category": ["Gene", 1]}\n',
      "line 1, column 1: 'category' must be an array of strings"),
     (read_nodes, '{"id": "A:1", "category": ["Gene"], "name": 5}\n',
@@ -446,7 +447,12 @@ def test_twin_faults_give_one_message_in_both_formats(data):
     for column in faults:
         if column == "category":
             cells[1] = data.draw(st.sampled_from(["", "|", "||"]))
-            obj[column] = data.draw(st.sampled_from([[], [""], ["", ""]]))
+            # JSONL may also leave the categories out or spell them null.
+            spelling = data.draw(st.sampled_from([[], [""], ["", ""], None, "absent"]))
+            if spelling == "absent":
+                del obj[column]
+            else:
+                obj[column] = spelling
             continue
         bad[column] = "" if column == "predicate" else data.draw(st.sampled_from(_BAD_CURIES))
         cells[header.index(column)] = bad[column]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -686,7 +687,7 @@ DEFINITION_FAULTS = [
 REQUIRED_FAULTS = [
     ("slots", "    slot_kind:\n      - predicate\n",
      "line 6, column 7: slot_kind must be a single value"),
-    ("slots", "    description: no kind\n", "line 5, column 5: slot 'x' is missing slot_kind"),
+    ("slots", "    description: no kind\n", "line 5, column 5: slot 'x' is missing 'slot_kind'"),
     ("associations", f"    subject: {_LONG}\n    predicate: p\n    object: B\n",
      "line 5, column 14: identifier longer than 256 bytes"),
     ("associations", "    subject: A\n    predicate:\n      - p\n    object: B\n",
@@ -701,8 +702,26 @@ REQUIRED_FAULTS = [
      "line 5, column 5: association 'x' is missing 'object'"),
     ("associations", "    is_a: Base\n", "line 5, column 5: association 'x' is missing 'subject'"),
     ("types", f"    base: {_LONG}\n", "line 5, column 11: identifier longer than 256 bytes"),
-    ("types", "    description: no base\n", "line 5, column 5: type 'x' is missing base"),
+    ("types", "    description: no base\n", "line 5, column 5: type 'x' is missing 'base'"),
+    # Two faults in one block: a missing required key comes first, then the
+    # first malformed value in canonical key order.
+    ("associations", f"    is_a: {_LONG}\n    predicate: p\n    object: B\n",
+     "line 5, column 5: association 'x' is missing 'subject'"),
+    ("classes", "    mixins: M1\n    is_mixin: yes\n",
+     "line 6, column 15: is_mixin must be 'true' or 'false', got 'yes'"),
+    ("slots", "    slot_kind:\n      - p\n    description:\n      - a\n",
+     "line 8, column 7: description must be a single value"),
+    ("slots", "    slot_kind:\n      - p\n    is_a:\n      - a\n",
+     "line 8, column 7: is_a must be a single value"),
 ]
+
+
+def test_each_kind_lists_exactly_its_dataclass_fields():
+    for section, (kind, cls) in sm._SECTIONS.items():
+        names = [spec.name for spec in dataclasses.fields(cls)]
+        assert names[0] == "name", section
+        assert sorted(sm._FIELDS[kind]) == sorted(names[1:]), section
+        assert getattr(SchemaDocument(name="x", version="0"), section) == {}
 
 
 @pytest.mark.parametrize(("section", "body", "expected"), DEFINITION_FAULTS)
