@@ -16,7 +16,7 @@ from kgschema import (
 )
 from kgschema.kg_store import Edge, Node
 from kgschema.query import QEdge, QNode, QueryGraph
-from generators import random_graph, random_query
+from generators import ABSENT, dirty_graph, random_graph, random_query
 from oracles import bindings_as_dicts, brute_force_match
 
 TWO_HOP = (
@@ -255,6 +255,34 @@ def test_matcher_equals_brute_force_on_random_graphs(seed_doc, seed_index):
         ours = bindings_as_dicts(match(qg, kg, seed_doc, seed_index))
         oracle = brute_force_match(qg, kg, seed_doc)
         assert ours == oracle
+
+
+def test_matcher_equals_brute_force_on_one_node_and_unpinned_queries(seed_doc, seed_index):
+    """One-node queries of every kind and unpinned chains, over clean and dirty graphs.
+
+    Dirty graphs bring unknown categories, mixin-only nodes and dangling edges.
+    """
+    rng = random.Random(2025)
+    classes = sorted(seed_doc.classes)  # mixins included
+    kinds = ("present", "absent", "categories", "bare", "unpinned")
+    for trial in range(100):
+        make = random_graph if trial % 2 else dirty_graph
+        nodes, edges = make(rng, seed_doc, max_nodes=10, max_edges=20)
+        kg = build_graph(nodes, edges)
+        kind = kinds[trial % len(kinds)]
+        if kind == "unpinned":
+            qg = random_query(rng, seed_doc, nodes, edges, "unpinned")
+        else:
+            qnode = {
+                "present": QNode("a", id=rng.choice(nodes).id if nodes else ABSENT),
+                "absent": QNode("a", id=ABSENT),
+                "categories": QNode("a", categories=frozenset(rng.sample(classes, rng.randint(1, 2)))),
+                "bare": QNode("a"),
+            }[kind]
+            qg = QueryGraph({"a": qnode}, [])
+        qg = expand_query(qg, seed_index)
+        ours = bindings_as_dicts(match(qg, kg, seed_doc, seed_index))
+        assert ours == brute_force_match(qg, kg, seed_doc), (trial, kind)
 
 
 def test_expansion_soundness(seed_doc, seed_index, demo_graph):
