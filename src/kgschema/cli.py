@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -41,14 +42,23 @@ EXIT_DOMAIN = 1
 EXIT_TOOL = 2
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    click.echo(f"kgschema: warning: {message}", err=True)
+
+
 def _tool_errors(func):
+    """Report tool failures with exit code 2 and warnings as ``kgschema: warning: ...``."""
+
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except (KgschemaError, OSError, ValueError) as exc:
-            click.echo(f"kgschema: {exc}", err=True)
-            sys.exit(EXIT_TOOL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # each distinct message once per issuing line
+            warnings.showwarning = _show_warning
+            try:
+                return func(*args, **kwargs)
+            except (KgschemaError, OSError, ValueError) as exc:
+                click.echo(f"kgschema: {exc}", err=True)
+                sys.exit(EXIT_TOOL)
 
     return wrapper
 

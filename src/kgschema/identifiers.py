@@ -114,11 +114,12 @@ def load_equivalences(source_text: str) -> EquivalenceTable:
     """Read the one-clique-per-line equivalence format.
 
     Each line is ``category1|category2<TAB>curie1|curie2``; ``#`` starts a
-    comment line. An identifier appearing in two cliques raises
+    comment line. One leading byte order mark (U+FEFF) is dropped. An
+    identifier appearing in two cliques raises
     :class:`OverlappingCliquesError`.
     """
     table = EquivalenceTable()
-    for number, raw in enumerate(source_text.split("\n"), start=1):
+    for number, raw in enumerate(source_text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

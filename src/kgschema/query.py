@@ -162,11 +162,12 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
     """Parse the arrow-notation query format against a loaded schema.
 
     Every line is a chain ``node -[p1|p2]-> node (...)`` or a single-hop
-    ``EDGE node -[..]-> node`` line. Unknown predicate or category names
-    fail at parse time; the pattern must be weakly connected.
+    ``EDGE node -[..]-> node`` line. One leading byte order mark (U+FEFF)
+    is dropped. Unknown predicate or category names fail at parse time; the
+    pattern must be weakly connected.
     """
     builder = _QueryBuilder(doc)
-    for number, raw in enumerate(source_text.split("\n"), start=1):
+    for number, raw in enumerate(source_text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,8 +240,11 @@ def expand_query(qg: QueryGraph, index: ClosureIndex) -> QueryGraph:
 # Matching
 
 
-def _node_match_sets(kg: KnowledgeGraph, index: ClosureIndex | None):
-    """Ancestor-closed category set per graph node, computed lazily."""
+def _node_match_sets(kg: KnowledgeGraph, index: ClosureIndex):
+    """Ancestor-closed category set per graph node, computed lazily.
+
+    An unknown category is kept as it is.
+    """
     closed: dict[Curie, frozenset[str]] = {}
 
     def get(node_id: Curie) -> frozenset[str]:
@@ -248,7 +252,7 @@ def _node_match_sets(kg: KnowledgeGraph, index: ClosureIndex | None):
         if cached is None:
             gathered: set[str] = set()
             for category in kg.nodes[node_id].categories:
-                if index is not None and category in index.class_ancestors:
+                if category in index.class_ancestors:
                     gathered.update(index.class_ancestors[category])
                 else:
                     gathered.add(category)
@@ -259,119 +263,45 @@ def _node_match_sets(kg: KnowledgeGraph, index: ClosureIndex | None):
     return get
 
 
-def _satisfies(qnode: QNode, node_id: Curie, kg: KnowledgeGraph, closed) -> bool:
-    if qnode.id is not None:
-        return node_id == qnode.id
-    if qnode.categories is None:
-        return node_id in kg.nodes
-    return node_id in kg.nodes and bool(closed(node_id) & qnode.categories)
-
-
 def match(
-    qg: QueryGraph,
-    kg: KnowledgeGraph,
-    doc: SchemaDocument | None = None,
-    index: ClosureIndex | None = None,
+    qg: QueryGraph, kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex
 ) -> list[Binding]:
     """Enumerate all bindings of an (already expanded) query graph.
 
-    ``doc`` supplies symmetric-predicate declarations; without it every
-    edge matches only in its stored direction. ``index`` closes node
-    categories under ancestors during category tests. Results are sorted by
-    the tuple of bound identifiers in variable declaration order and are
-    identical regardless of exploration order.
+    ``doc`` supplies symmetric-predicate declarations and ``index`` closes
+    node categories under ancestors during category tests. Results are
+    sorted by the tuple of bound identifiers in variable declaration order
+    and are identical regardless of exploration order.
 
-    The search binds pinned nodes first; a pinned identifier absent from
-    the graph matches nothing. It then extends the binding one query edge
-    at a time, always along an edge with a bound end, and reads only the
-    graph edges incident to that node from :meth:`KnowledgeGraph.adjacency`,
-    so a pinned query touches only incident edges. The first match on a
-    graph builds that index in O(edges). A query with no pinned node seeds
-    its first edge with every node that satisfies the edge's subject, once.
-    The index covers every edge, dangling ones included, and is rebuilt when
-    ``kg.edges`` is replaced or changes length; nodes may change freely.
-    Editing an edge of a matched graph in place, with the edge count
-    unchanged, is not supported.
+    The search binds every pinned node first; a pinned identifier absent
+    from the graph matches nothing. A query with no pinned node starts once
+    from each node that satisfies the subject of its first edge, or, with
+    no edge, its only node. Each step then follows a query edge out of a
+    bound end, reading only the graph edges at that node from
+    :meth:`KnowledgeGraph.adjacency`, so a pinned query touches only
+    incident edges. The first match on a graph builds that index in
+    O(edges). The index covers every edge, dangling ones included, and is
+    rebuilt when ``kg.edges`` is replaced or changes length; nodes may
+    change freely. Editing an edge of a matched graph in place, with the
+    edge count unchanged, is not supported.
     """
-    symmetric: set[str] = set()
-    if doc is not None:
-        symmetric = {
-            name
-            for name, slot in doc.slots.items()
-            if slot.slot_kind == PREDICATE and slot.symmetric
-        }
+    symmetric = {
+        name for name, slot in doc.slots.items() if slot.slot_kind == PREDICATE and slot.symmetric
+    }
+    nodes = kg.nodes
     closed = _node_match_sets(kg, index)
 
-    if not qg.qedges:
-        # Zero-edge query: connectivity means a single qnode.
-        qnode = next(iter(qg.qnodes.values()))
-        bindings = [
-            Binding({qnode.var: node_id}, {})
-            for node_id in kg.nodes
-            if _satisfies(qnode, node_id, kg, closed)
-        ]
-        return _finalize(qg, bindings)
+    def satisfies(qnode: QNode, node_id: Curie) -> bool:
+        return node_id in nodes and (
+            qnode.categories is None or not closed(node_id).isdisjoint(qnode.categories)
+        )
 
-    assignment: dict[str, Curie] = {}
-    for var, qnode in qg.qnodes.items():
-        if qnode.id is not None:
-            if qnode.id not in kg.nodes:
-                return []
-            assignment[var] = qnode.id
+    assignment = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}
+    if any(node_id not in nodes for node_id in assignment.values()):
+        return []
     order = _edge_order(qg, set(assignment))
     by_subject, by_object = kg.adjacency()
     edges = kg.edges
-
-    def candidates(qedge: QEdge) -> list[tuple[int, Curie, Curie]]:
-        """(edge ordinal, subject binding, object binding) under ``assignment``."""
-        subject_q = qg.qnodes[qedge.subject_var]
-        object_q = qg.qnodes[qedge.object_var]
-        predicates = qedge.predicates
-        bound_subject = assignment.get(qedge.subject_var)
-        bound_object = assignment.get(qedge.object_var)
-        found: list[tuple[int, Curie, Curie]] = []
-        if bound_subject is None and bound_object is None:
-            # The first edge of a query without pinned nodes: seed its
-            # subject with every node that satisfies it.
-            for node_id in kg.nodes:
-                if _satisfies(subject_q, node_id, kg, closed):
-                    assignment[qedge.subject_var] = node_id
-                    found.extend(candidates(qedge))
-                    del assignment[qedge.subject_var]
-            return found
-
-        from_subject = bound_subject is not None
-        if from_subject:
-            anchor, other_q, stored, reverse = bound_subject, object_q, by_subject, by_object
-        else:
-            anchor, other_q, stored, reverse = bound_object, subject_q, by_object, by_subject
-        bound_other = assignment.get(other_q.var)
-
-        def take(ordinal: int, other: Curie) -> None:
-            if bound_other is not None:
-                if other != bound_other:
-                    return
-            elif not _satisfies(other_q, other, kg, closed):
-                return
-            if from_subject:
-                found.append((ordinal, anchor, other))
-            else:
-                found.append((ordinal, other, anchor))
-
-        for ordinal in stored.get(anchor, ()):
-            edge = edges[ordinal]
-            if edge.predicate in predicates:
-                take(ordinal, edge.object if from_subject else edge.subject)
-        for ordinal in reverse.get(anchor, ()):
-            edge = edges[ordinal]
-            if (
-                edge.predicate in predicates
-                and edge.predicate in symmetric
-                and edge.subject != edge.object
-            ):
-                take(ordinal, edge.subject if from_subject else edge.object)
-        return found
-
     bindings: list[Binding] = []
     chosen: dict[int, int] = {}
 
@@ -389,19 +319,45 @@ def match(
             return
         qedge_ordinal = order[position]
         qedge = qg.qedges[qedge_ordinal]
-        for edge_ordinal, subject_id, object_id in candidates(qedge):
-            added = []
-            for var, node_id in ((qedge.subject_var, subject_id), (qedge.object_var, object_id)):
-                if var not in assignment:
-                    assignment[var] = node_id
-                    added.append(var)
+        predicates = qedge.predicates
+        if qedge.subject_var in assignment:
+            anchor, other_var = assignment[qedge.subject_var], qedge.object_var
+            stored, mirrored = by_subject.get(anchor, ()), by_object.get(anchor, ())
+        else:
+            anchor, other_var = assignment[qedge.object_var], qedge.subject_var
+            stored, mirrored = by_object.get(anchor, ()), by_subject.get(anchor, ())
+        bound_other = assignment.get(other_var)
+        other_q = qg.qnodes[other_var]
+        # The stored-direction edges at the anchor, then the reversed ones
+        # of a symmetric predicate; a self-loop is in both and counts once.
+        for hop, edge_ordinal in enumerate((*stored, *mirrored)):
+            edge = edges[edge_ordinal]
+            predicate = edge.predicate
+            if predicate not in predicates or hop >= len(stored) and (
+                predicate not in symmetric or edge.subject == edge.object
+            ):
+                continue
+            other = edge.object if edge.subject == anchor else edge.subject
+            if bound_other is None:
+                if not satisfies(other_q, other):
+                    continue
+                assignment[other_var] = other
+            elif other != bound_other:
+                continue
             chosen[qedge_ordinal] = edge_ordinal
             extend(position + 1)
             del chosen[qedge_ordinal]
-            for var in added:
-                del assignment[var]
+            if bound_other is None:
+                del assignment[other_var]
 
-    extend(0)
+    if assignment:
+        extend(0)
+    else:  # no pinned node: start from the first edge's subject, or the only node
+        start = qg.qedges[order[0]].subject_var if order else next(iter(qg.qnodes))
+        for node_id in nodes:
+            if satisfies(qg.qnodes[start], node_id):
+                assignment[start] = node_id
+                extend(0)
     return _finalize(qg, bindings)
 
 

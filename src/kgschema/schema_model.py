@@ -291,15 +291,16 @@ def _build(kind: str, cls: type, name: str, block: MappingNode, lax: bool):
     return cls(name=name, **values)
 
 
-def parse_schema(source_text: str, *, lax: bool = False, max_depth: int = 8) -> SchemaDocument:
+def parse_schema(source_text: str, *, lax: bool = False) -> SchemaDocument:
     """Parse a schema document from its textual form.
 
-    Declaration order of prefixes and of every list field is preserved.
-    Unknown keys raise :class:`ParseError` unless ``lax`` is set, in which
-    case they are reported as :class:`SchemaFormatWarning` and skipped.
+    One leading byte order mark (U+FEFF) is dropped. Declaration order of
+    prefixes and of every list field is preserved. Unknown keys raise
+    :class:`ParseError` unless ``lax`` is set, in which case they are
+    reported as :class:`SchemaFormatWarning` and skipped.
     """
     try:
-        root = blockyaml.parse(source_text, max_depth=max_depth)
+        root = blockyaml.parse(source_text.removeprefix("\ufeff"))
     except DuplicateNameError as exc:
         section = exc.path[0] if len(exc.path) == 1 else None
         if section == "prefixes" or section in _SECTIONS:

@@ -140,6 +140,23 @@ def test_expand_prints_sorted_descendants(runner, seed_path, seed_doc):
     ]
 
 
+def test_lax_prints_an_ignored_key_as_a_warning(runner, seed_path, seed_text, tmp_path):
+    lines = seed_text.splitlines(keepends=True)
+    slot = lines.index("  related_to:\n")
+    lines.insert(slot + 1, "    colour: red\n")
+    schema = tmp_path / "colour.kgs.yaml"
+    schema.write_text("".join(lines), encoding="utf-8")
+    expected = _invoke(runner, "expand", "--schema", str(seed_path), "--predicate", "related_to")
+    result = _invoke(runner, "expand", "--schema", str(schema), "--predicate", "related_to", "--lax")
+    assert result.exit_code == 0
+    assert result.stdout == expected.stdout
+    assert result.stderr == (
+        f"kgschema: warning: ignoring unknown key 'colour' in slot 'related_to' (line {slot + 2})\n"
+    )
+    strict = _invoke(runner, "expand", "--schema", str(schema), "--predicate", "related_to")
+    assert strict.exit_code == 2
+
+
 def test_expand_unknown_predicate_is_tool_error(runner, seed_path):
     result = _invoke(runner, "expand", "--schema", str(seed_path), "--predicate", "nope")
     assert result.exit_code == 2
@@ -168,6 +185,26 @@ def test_normalize_stdin_to_stdout(runner, seed_path):
     assert result.exit_code == 0
     assert result.stdout.splitlines() == ["NCBIGene:23221", "MONDO:0005027", "FOO:1"]
     assert "total=3 changed=2 unchanged=1 unknown=1 malformed=0" in result.stderr
+
+
+def test_normalize_prints_an_incomparable_clique_warning_once(runner, seed_path, tmp_path):
+    table = tmp_path / "eq.tsv"
+    table.write_text("Gene|Disease\tNCBIGene:1|MONDO:2\n")
+    for _ in range(2):  # each invocation prints it afresh
+        result = _invoke(
+            runner,
+            "normalize",
+            "--schema", str(seed_path),
+            "--equivalences", str(table),
+            input="NCBIGene:1\nMONDO:2\nNCBIGene:1\n",
+        )
+        assert result.exit_code == 0
+        assert result.stdout == "MONDO:2\n" * 3
+        assert result.stderr == (
+            "kgschema: warning: incomparable categories ['Disease', 'Gene']; "
+            "choosing 'Disease' lexicographically\n"
+            "total=3 changed=2 unchanged=1 unknown=0 malformed=0\n"
+        )
 
 
 def test_normalize_malformed_line_exits_one(runner, seed_path):
@@ -209,6 +246,19 @@ def test_query_verb_returns_both_chemicals(runner, seed_path):
         "CHEMBL.COMPOUND:CHEMBL3989516",
         "CHEMBL.COMPOUND:CHEMBL1789941",
     }
+
+
+def test_query_file_with_a_leading_bom_reads_as_without_it(runner, seed_path, tmp_path):
+    pattern = (DATA / "rhobtb2_query.txt").read_text(encoding="utf-8").splitlines()[-1]
+    assert pattern.startswith("NCBIGene:23221 ")
+    outputs = []
+    for name, text in (("plain.txt", pattern), ("marked.txt", "\ufeff" + pattern)):
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        result = _invoke(runner, "query", *_demo_args(seed_path), "--query", str(tmp_path / name))
+        assert result.exit_code == 0
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[1] == outputs[0]
 
 
 def test_query_accepts_inline_text(runner, seed_path):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -193,6 +194,12 @@ def test_load_equivalences_parses_comments_and_cliques(demo_equivalences):
     assert clique is not None
     assert Curie("NCBIGene", "23221") in clique.members
     assert clique.categories == {"Gene"}
+
+
+def test_load_equivalences_ignores_a_leading_bom(demo_equivalences):
+    text = (Path(__file__).parent / "data" / "equivalences.tsv").read_text(encoding="utf-8")
+    assert text.startswith("#")
+    assert load_equivalences("\ufeff" + text) == demo_equivalences
 
 
 def test_load_equivalences_rejects_overlap():

@@ -102,6 +102,11 @@ def test_parse_comments_and_reuse_of_pinned_node(seed_doc):
     assert len(qg.qnodes) == 3  # one shared pinned node
 
 
+def test_parse_query_ignores_a_leading_bom(seed_doc, demo_query_text):
+    for text in (TWO_HOP, demo_query_text):
+        assert parse_query("\ufeff" + text, seed_doc) == parse_query(text, seed_doc)
+
+
 # ---------------------------------------------------------------------------
 # Expansion
 

@@ -102,6 +102,10 @@ def test_unknown_key_strict_vs_lax():
     assert "Gene" in doc.classes
 
 
+def test_leading_bom_is_ignored(seed_text, seed_doc):
+    assert parse_schema("\ufeff" + seed_text) == seed_doc
+
+
 def test_missing_headers_rejected():
     with pytest.raises(ParseError):
         parse_schema("name: only\n")
