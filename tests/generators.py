@@ -5,12 +5,14 @@ Also the example count of property tests that set their own.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections.abc import Sequence
 
 from hypothesis import settings
 
 from kgschema import (
+    AssociationDefinition,
     ClassDefinition,
     Curie,
     Edge,
@@ -250,3 +252,47 @@ def dirty_graph(
         }
         edges.append(Edge(rng.choice(ids), rng.choice(predicates), rng.choice(ids), properties))
     return nodes, edges
+
+
+def extended_seed_schema(seed_doc: SchemaDocument) -> SchemaDocument:
+    """The seed schema plus what it lacks: a domain overridden below an inherited one,
+    a type-valued range above a class range, tied associations, and an association
+    that wins only by its predicate's depth."""
+    doc = copy.deepcopy(seed_doc)
+    doc.slots["affects"].domain = "BiologicalEntity"
+    doc.slots["regulates_level"] = SlotDefinition(
+        name="regulates_level",
+        slot_kind="predicate",
+        is_a="entity_regulates_entity",
+        domain="ChemicalEntity",
+        range="quotient",
+    )
+    doc.slots["measured_in"] = SlotDefinition(
+        name="measured_in", slot_kind="predicate", is_a="related_to", range="unit"
+    )
+    for name, required in (
+        ("AlphaRegulationAssociation", ["has_evidence"]),
+        ("BetaRegulationAssociation", ["knowledge_source"]),
+    ):
+        doc.associations[name] = AssociationDefinition(
+            name=name,
+            subject="ChemicalEntity",
+            predicate="regulates_level",
+            object="Gene",
+            required_edge_properties=required,
+        )
+    doc.associations["RegulationAssociation"] = AssociationDefinition(
+        name="RegulationAssociation",
+        subject="NamedThing",
+        predicate="entity_regulates_entity",
+        object="GeneOrGeneProduct",
+        required_edge_properties=["knowledge_source"],
+    )
+    doc.associations["BiologicalToGeneAssociation"] = AssociationDefinition(
+        name="BiologicalToGeneAssociation",
+        subject="BiologicalEntity",
+        predicate="related_to",
+        object="GeneOrGeneProduct",
+        required_edge_properties=["has_evidence"],
+    )
+    return doc

@@ -69,6 +69,51 @@ def mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
     return reach
 
 
+def naive_minimal(doc: SchemaDocument, known: set[str]) -> list[str]:
+    """Members of ``known`` with no other member below them, sorted.
+
+    A class is below another when its is_a chain reaches it, or, when the
+    other is a mixin, when it is an instantiable class that reaches it.
+    """
+    parents = {name: cls.is_a for name, cls in doc.classes.items()}
+
+    def below(category: str) -> set[str]:
+        found = {name for name in doc.classes if category in dfs_ancestors(parents, name)}
+        if doc.classes[category].is_mixin:
+            found |= {
+                name
+                for name, cls in doc.classes.items()
+                if not cls.is_mixin and category in mixin_reach(doc, name)
+            }
+        return found
+
+    return sorted(
+        category
+        for category in known
+        if not any(other != category and other in below(category) for other in known)
+    )
+
+
+def naive_stats_bucket(doc: SchemaDocument, categories: list[str]) -> str:
+    """Where ``graph_stats`` counts a node: its lexicographically first minimal
+    known category, or else its first declared one."""
+    known = {category for category in categories if category in doc.classes}
+    return naive_minimal(doc, known)[0] if known else categories[0]
+
+
+def naive_closed_list(doc: SchemaDocument, categories: list[str]) -> list[str]:
+    """The declared categories, then each known one's ancestors nearest first;
+    an ancestor already in the list is not added again."""
+    parents = {name: cls.is_a for name, cls in doc.classes.items()}
+    closed = list(categories)
+    for category in categories:
+        if category in doc.classes:
+            for ancestor in dfs_ancestors(parents, category):
+                if ancestor not in closed:
+                    closed.append(ancestor)
+    return closed
+
+
 def scan_preferred(
     members: set[Curie], category: str, doc: SchemaDocument
 ) -> tuple[Curie, str | None]:
@@ -198,16 +243,6 @@ def naive_validate(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
                 out.update(mixin_reach(doc, category))
         return out
 
-    def below(category: str) -> set[str]:
-        found = {name for name in doc.classes if category in dfs_ancestors(class_parents, name)}
-        if category in mixins:
-            found |= {
-                name
-                for name in doc.classes
-                if name not in mixins and category in mixin_reach(doc, name)
-            }
-        return found
-
     def curie_shaped(value: str) -> bool:
         try:
             parse_curie(value)
@@ -242,11 +277,7 @@ def naive_validate(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
                 "ABSTRACT_MIXIN_INSTANTIATED", "error", subject,
                 f"only mixin categories: {sorted(known)}",
             )
-        most_specific = sorted(
-            category
-            for category in known
-            if not any(other != category and other in below(category) for other in known)
-        )[0]
+        most_specific = naive_minimal(doc, known)[0]
         allowed: set[str] = set()
         for ancestor in dfs_ancestors(class_parents, most_specific):
             allowed.update(doc.classes[ancestor].id_prefixes)

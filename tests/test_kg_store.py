@@ -23,9 +23,10 @@ from kgschema import (
     write_edges,
     write_nodes,
 )
-from kgschema import kg_store
+from kgschema import build_closure, kg_store
 from kgschema.identifiers import MalformedCurieError, parse_curie
-from generators import random_graph
+from generators import dirty_graph, extended_seed_schema, random_graph, random_schema
+from oracles import naive_closed_list, naive_stats_bucket
 
 NODES_TSV = (
     "id\tcategory\tname\n"
@@ -664,6 +665,47 @@ def test_close_categories_adds_ancestors(demo_graph, seed_index):
     assert {"Gene", "GenomicEntity", "BiologicalEntity", "NamedThing"} <= set(gene.categories)
     # idempotent
     assert graph_equal(close_categories(closed, seed_index), closed)
+
+
+def test_graph_stats_and_close_categories_equal_naive_oracle(seed_doc, seed_index):
+    """Dirty graphs under the seed, extended and random schemas: unknown
+    ``Sickness``, mixins, one to three names, now and then one twice, and
+    many nodes sharing one list."""
+    extended = extended_seed_schema(seed_doc)
+    schemas = [(seed_doc, seed_index), (extended, build_closure(extended))]
+    rng = random.Random(1111)
+    for trial in range(150):
+        if trial % 3 == 2:
+            doc = random_schema(rng, max_classes=12)
+            while len(doc.classes) < 2:  # dirty_graph draws up to three names
+                doc = random_schema(rng, max_classes=12)
+            index = build_closure(doc)
+        else:
+            doc, index = schemas[trial % 3]
+        nodes, edges = dirty_graph(rng, doc)
+        for node in nodes:
+            if rng.random() < 0.5:
+                node.categories = list(rng.choice(nodes).categories)
+            elif rng.random() < 0.1:
+                node.categories.append(rng.choice(node.categories))
+        kg = build_graph(nodes, edges)
+
+        stats = graph_stats(kg, index)
+        expected: dict[str, int] = {}
+        for node in kg.nodes.values():
+            bucket = naive_stats_bucket(doc, node.categories)
+            expected[bucket] = expected.get(bucket, 0) + 1
+        assert stats.nodes_by_category == expected, trial
+        assert stats.num_nodes == len(kg.nodes)
+
+        closed = close_categories(kg, index)
+        assert list(closed.nodes) == list(kg.nodes)
+        for node_id, node in kg.nodes.items():
+            assert closed.nodes[node_id].categories == naive_closed_list(doc, node.categories)
+        # Each node gets a list of its own.
+        lists = [node.categories for node in (*kg.nodes.values(), *closed.nodes.values())]
+        assert len({id(categories) for categories in lists}) == len(lists)
+        assert closed.edges == kg.edges
 
 
 def test_categories_and_values_deduplicated_at_read():

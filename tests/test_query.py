@@ -251,6 +251,23 @@ def test_match_sees_a_node_swapped_in_the_same_map(seed_doc, seed_index):
     assert found() == ["B:1", "D:3"]
 
 
+def test_match_sees_a_node_swapped_for_one_with_other_categories(seed_doc, seed_index):
+    a, b = Curie("A", "0"), Curie("B", "1")
+    kg = build_graph([Node(a, ["Gene"]), Node(b, ["Gene"])], [Edge(a, "interacts_with", b)])
+    diseases = expand_query(parse_query("A:0 -[related_to]-> ?x:Disease", seed_doc), seed_index)
+    genes = expand_query(parse_query("A:0 -[related_to]-> ?x:GeneOrGeneProduct", seed_doc), seed_index)
+
+    def found(qg) -> list[str]:
+        return [binding.assignments["x"].text for binding in match(qg, kg, seed_doc, seed_index)]
+
+    assert (found(diseases), found(genes)) == ([], ["B:1"])
+    # Same dict, same node id: only the category list of B:1 changes.
+    kg.nodes[b] = Node(b, ["Disease"])
+    assert (found(diseases), found(genes)) == (["B:1"], [])
+    kg.nodes[b] = Node(b, ["Sickness"])
+    assert (found(diseases), found(genes)) == ([], [])
+
+
 def test_matcher_equals_brute_force_on_random_graphs(seed_doc, seed_index):
     rng = random.Random(2024)
     for _ in range(40):

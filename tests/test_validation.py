@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 from dataclasses import replace
@@ -25,7 +24,7 @@ from kgschema.schema_model import (
 )
 from kgschema import build_closure
 from kgschema.validation import VIOLATION_CODES, inputs_digest
-from generators import dirty_graph, random_graph
+from generators import dirty_graph, extended_seed_schema, random_graph, random_schema
 from oracles import json_inputs_digest, naive_validate
 
 
@@ -399,52 +398,8 @@ def test_emitted_codes_stay_within_documented_catalog(seed_doc, seed_index):
     assert seen <= set(VIOLATION_CODES)
 
 
-def _extended_seed_schema(seed_doc):
-    """The seed schema plus what it lacks: a domain overridden below an inherited one,
-    a type-valued range above a class range, tied associations, and an association
-    that wins only by its predicate's depth."""
-    doc = copy.deepcopy(seed_doc)
-    doc.slots["affects"].domain = "BiologicalEntity"
-    doc.slots["regulates_level"] = SlotDefinition(
-        name="regulates_level",
-        slot_kind="predicate",
-        is_a="entity_regulates_entity",
-        domain="ChemicalEntity",
-        range="quotient",
-    )
-    doc.slots["measured_in"] = SlotDefinition(
-        name="measured_in", slot_kind="predicate", is_a="related_to", range="unit"
-    )
-    for name, required in (
-        ("AlphaRegulationAssociation", ["has_evidence"]),
-        ("BetaRegulationAssociation", ["knowledge_source"]),
-    ):
-        doc.associations[name] = AssociationDefinition(
-            name=name,
-            subject="ChemicalEntity",
-            predicate="regulates_level",
-            object="Gene",
-            required_edge_properties=required,
-        )
-    doc.associations["RegulationAssociation"] = AssociationDefinition(
-        name="RegulationAssociation",
-        subject="NamedThing",
-        predicate="entity_regulates_entity",
-        object="GeneOrGeneProduct",
-        required_edge_properties=["knowledge_source"],
-    )
-    doc.associations["BiologicalToGeneAssociation"] = AssociationDefinition(
-        name="BiologicalToGeneAssociation",
-        subject="BiologicalEntity",
-        predicate="related_to",
-        object="GeneOrGeneProduct",
-        required_edge_properties=["has_evidence"],
-    )
-    return doc
-
-
 def test_validate_graph_equals_naive_oracle(seed_doc, seed_index):
-    extended = _extended_seed_schema(seed_doc)
+    extended = extended_seed_schema(seed_doc)
     schemas = [(seed_doc, seed_index), (extended, build_closure(extended))]
     rng = random.Random(4004)
     seen = set()
@@ -455,6 +410,66 @@ def test_validate_graph_equals_naive_oracle(seed_doc, seed_index):
         assert report.to_jsonl() == naive_validate(kg, doc), trial
         seen.update(report.counts)
     assert seen == set(VIOLATION_CODES)
+    # Several nodes share each faulty list, under different ids and prefixes.
+    faulty = (
+        ["Gene", "Sickness"],
+        ["Sickness", "Protein", "Sickness"],
+        ["GeneOrGeneProduct"],
+        ["DiseaseOrPhenotypicFeature", "Sickness"],
+        ["Gene"],
+        ["Disease", "PhenotypicFeature"],
+    )
+    prefixes = ("NCBIGene", "MONDO", "HP", "XX", "UniProtKB")
+    nodes = [
+        Node(Curie(prefix, str(serial)), list(categories))
+        for serial, (categories, prefix) in enumerate(
+            itertools.product(faulty * 2, prefixes)
+        )
+    ]
+    edges = [Edge(a.id, "related_to", b.id) for a, b in zip(nodes, nodes[7:])]
+    kg = build_graph(nodes, edges)
+    for doc, index in schemas:
+        report = validate_graph(kg, doc, index)
+        assert report.to_jsonl() == naive_validate(kg, doc)
+    assert {"UNKNOWN_CATEGORY", "ABSTRACT_MIXIN_INSTANTIATED", "ID_PREFIX_NOT_ALLOWED"} <= set(
+        report.counts
+    )
+
+
+def test_one_graph_validated_under_several_schemas_in_turn(seed_doc, seed_index):
+    """Nothing one validation works out about a category list outlives it."""
+    rng = random.Random(4141)
+    extended = extended_seed_schema(seed_doc)
+    unrelated = random_schema(rng)
+    schemas = [
+        (seed_doc, seed_index),
+        (extended, build_closure(extended)),
+        (unrelated, build_closure(unrelated)),
+    ]
+    for trial in range(30):
+        kg = build_graph(*dirty_graph(rng, seed_doc))
+        for doc, index in (*schemas, schemas[0]):
+            assert validate_graph(kg, doc, index).to_jsonl() == naive_validate(kg, doc), trial
+
+
+def test_validate_graph_calls_the_module_global_validate_node_once_per_node(
+    seed_doc, seed_index, monkeypatch
+):
+    """A tracer that wraps ``validation.validate_node`` sees every node check."""
+    import kgschema.validation as validation
+
+    calls = []
+    original = validation.validate_node
+
+    def counting(node, *args, **kwargs):
+        calls.append(node.id)
+        return original(node, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "validate_node", counting)
+    kg = build_graph(*dirty_graph(random.Random(5), seed_doc, max_nodes=30))
+    report = validate_graph(kg, seed_doc, seed_index)
+    assert sorted(calls) == sorted(kg.nodes)
+    assert report.to_jsonl() == naive_validate(kg, seed_doc)
 
 
 # ---------------------------------------------------------------------------
