@@ -9,7 +9,10 @@ instantiable tree.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import filterfalse
 
 from .errors import (
     EmptyCategorySetError,
@@ -161,10 +164,9 @@ def minimal_categories(index: ClosureIndex, categories: set[str]) -> list[str]:
             raise UnknownClassError(category)
     minimal = []
     for candidate in categories:
-        below = index.class_descendants[candidate] | index.mixin_carriers.get(
-            candidate, frozenset()
-        )
-        if not any(other != candidate and other in below for other in categories):
+        descendants = index.class_descendants[candidate]
+        carriers = index.mixin_carriers.get(candidate, frozenset())
+        if not any(o in descendants or o in carriers for o in categories if o != candidate):
             minimal.append(candidate)
     return sorted(minimal)
 
@@ -183,3 +185,48 @@ def most_specific_category(index: ClosureIndex, categories: set[str]) -> str:
             stacklevel=2,
         )
     return minimal[0]
+
+
+class CategoryProfile:
+    """What one node category list means under one schema.
+
+    ``known`` and ``unknown`` split the list in order, repeats kept.
+    ``closure``, read by the query and ``close_categories``, is the list,
+    then each known name's ancestors nearest first, each added name once.
+    ``most_specific`` and ``typed_closure`` are worked out on first use.
+    """
+
+    def __init__(self, categories: tuple[str, ...], index: ClosureIndex):
+        ancestors = index.class_ancestors
+        self.known = tuple(filter(ancestors.__contains__, categories))
+        self.unknown = tuple(filterfalse(ancestors.__contains__, categories))
+        declared = set(categories)
+        added = dict.fromkeys(a for c in self.known for a in ancestors[c] if a not in declared)
+        self.closure = categories + tuple(added)
+        self._index = index
+
+    @cached_property
+    def most_specific(self) -> str | None:
+        """The first of :func:`minimal_categories` over the known names; None if none is known."""
+        return minimal_categories(self._index, set(self.known))[0] if self.known else None
+
+    @cached_property
+    def typed_closure(self) -> frozenset[str]:
+        """The ancestors and carried mixins of the known names; validation reads it."""
+        ancestors, mixins = self._index.class_ancestors, self._index.mixin_membership
+        return frozenset().union(*(mixins[c].union(ancestors[c]) for c in self.known))
+
+
+def category_profiles(index: ClosureIndex) -> Callable[[Sequence[str]], CategoryProfile]:
+    """``profile(categories)``: one :class:`CategoryProfile` per distinct list.
+
+    One per validate, match, stats or close call: never on the shared index,
+    nor on the graph, whose nodes may be replaced between calls.
+    """
+    memo: dict[tuple[str, ...], CategoryProfile] = {}
+
+    def profile(categories: Sequence[str]) -> CategoryProfile:
+        key = tuple(categories)
+        return memo.get(key) or memo.setdefault(key, CategoryProfile(key, index))
+
+    return profile

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from .errors import DanglingEdgeError, ParseError
-from .hierarchy import ClosureIndex, minimal_categories
+from .hierarchy import ClosureIndex, category_profiles
 from .identifiers import Curie, EquivalenceTable, MalformedCurieError, normalize_curie, parse_curie
 from .schema_model import SchemaDocument
 
@@ -481,14 +481,11 @@ def close_categories(kg: KnowledgeGraph, index: ClosureIndex) -> KnowledgeGraph:
     nearest-first order after the declared categories. Edges and property
     lists are shared with ``kg``.
     """
-    closed_nodes = {}
-    for node_id, node in kg.nodes.items():
-        categories = list(node.categories)
-        for category in node.categories:
-            for ancestor in index.class_ancestors.get(category, []):
-                if ancestor not in categories:
-                    categories.append(ancestor)
-        closed_nodes[node_id] = Node(node_id, categories, node.name, node.properties)
+    profile = category_profiles(index)
+    closed_nodes = {
+        node_id: Node(node_id, list(profile(node.categories).closure), node.name, node.properties)
+        for node_id, node in kg.nodes.items()
+    }
     return KnowledgeGraph(nodes=closed_nodes, edges=list(kg.edges))
 
 
@@ -552,20 +549,16 @@ def normalize_graph(
     return KnowledgeGraph(nodes=merged_nodes, edges=merged_edges), report
 
 
-def graph_stats(kg: KnowledgeGraph, index: ClosureIndex | None = None) -> StatsReport:
+def graph_stats(kg: KnowledgeGraph, index: ClosureIndex) -> StatsReport:
     """Node and edge counts, bucketed by most specific category and predicate.
 
-    Without a closure index the first declared category buckets the node;
-    nodes with no known category fall back the same way.
+    A node with no known category is bucketed by its first declared one.
     """
+    profile = category_profiles(index)
     by_category: Counter[str] = Counter()
     for node in kg.nodes.values():
-        bucket = node.categories[0]
-        if index is not None:
-            known = {c for c in node.categories if c in index.class_ancestors}
-            if known:
-                bucket = minimal_categories(index, known)[0]
-        by_category[bucket] += 1
+        most_specific = profile(node.categories).most_specific
+        by_category[node.categories[0] if most_specific is None else most_specific] += 1
     by_predicate: Counter[str] = Counter()
     for edge in kg.edges:
         by_predicate[edge.predicate] += 1

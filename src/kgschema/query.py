@@ -25,7 +25,7 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .hierarchy import ClosureIndex, expand_predicates
+from .hierarchy import ClosureIndex, category_profiles, expand_predicates
 from .identifiers import Curie, parse_curie
 from .kg_store import KnowledgeGraph
 from .schema_model import PREDICATE, SchemaDocument
@@ -240,29 +240,6 @@ def expand_query(qg: QueryGraph, index: ClosureIndex) -> QueryGraph:
 # Matching
 
 
-def _node_match_sets(kg: KnowledgeGraph, index: ClosureIndex):
-    """Ancestor-closed category set per graph node, computed lazily.
-
-    An unknown category is kept as it is.
-    """
-    closed: dict[Curie, frozenset[str]] = {}
-
-    def get(node_id: Curie) -> frozenset[str]:
-        cached = closed.get(node_id)
-        if cached is None:
-            gathered: set[str] = set()
-            for category in kg.nodes[node_id].categories:
-                if category in index.class_ancestors:
-                    gathered.update(index.class_ancestors[category])
-                else:
-                    gathered.add(category)
-            cached = frozenset(gathered)
-            closed[node_id] = cached
-        return cached
-
-    return get
-
-
 def match(
     qg: QueryGraph, kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex
 ) -> list[Binding]:
@@ -289,11 +266,12 @@ def match(
         name for name, slot in doc.slots.items() if slot.slot_kind == PREDICATE and slot.symmetric
     }
     nodes = kg.nodes
-    closed = _node_match_sets(kg, index)
+    profile = category_profiles(index)
 
     def satisfies(qnode: QNode, node_id: Curie) -> bool:
         return node_id in nodes and (
-            qnode.categories is None or not closed(node_id).isdisjoint(qnode.categories)
+            qnode.categories is None
+            or not qnode.categories.isdisjoint(profile(nodes[node_id].categories).closure)
         )
 
     assignment = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}

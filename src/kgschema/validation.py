@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .hierarchy import ClosureIndex, minimal_categories
+from .hierarchy import CategoryProfile, ClosureIndex, category_profiles
 from .identifiers import Curie, is_curie
 from .kg_store import Edge, KnowledgeGraph, Node
 from .schema_model import AssociationDefinition, SchemaDocument, serialize_schema
@@ -92,48 +93,49 @@ class ValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def validate_node(node: Node, doc: SchemaDocument, index: ClosureIndex) -> list[Violation]:
-    """Category existence, mixin-only check, and id-prefix conformance."""
-    out: list[Violation] = []
-    subject = node.id.text
-    known: list[str] = []
-    for category in node.categories:
-        if category in index.class_ancestors:
-            known.append(category)
-        else:
-            out.append(
-                Violation(
-                    UNKNOWN_CATEGORY,
-                    "error",
-                    subject,
-                    f"category {category!r} is not in the schema",
-                )
-            )
-    if not known:
+def _node_memo(doc: SchemaDocument, index: ClosureIndex, profile: Callable) -> Callable:
+    """``memo(categories)``: the list's profile and the id prefixes its most
+    specific class inherits, gathered once per class."""
+    inherited: dict[str | None, frozenset[str]] = {None: frozenset()}
+
+    def memo(categories: list[str]) -> tuple[CategoryProfile, frozenset[str]]:
+        found = profile(categories)
+        name = found.most_specific
+        if name not in inherited:
+            ancestors = index.class_ancestors[name]
+            inherited[name] = frozenset(p for a in ancestors for p in doc.classes[a].id_prefixes)
+        return found, inherited[name]
+
+    return memo
+
+
+def validate_node(
+    node: Node, doc: SchemaDocument, index: ClosureIndex, *, memo: Callable | None = None
+) -> list[Violation]:
+    """Category existence, mixin-only check, and id-prefix conformance.
+
+    ``memo`` shares what category lists mean across the nodes of one
+    :func:`validate_graph` run; the output never depends on it.
+    """
+    if memo is None:
+        memo = _node_memo(doc, index, category_profiles(index))
+    profile, allowed = memo(node.categories)
+    # The id text is built only for a violation: most nodes have none.
+    out = [
+        Violation(UNKNOWN_CATEGORY, "error", node.id.text, f"category {c!r} is not in the schema")
+        for c in profile.unknown
+    ]
+    if not profile.known:
         return out
-    if all(category in index.mixins for category in known):
-        out.append(
-            Violation(
-                ABSTRACT_MIXIN_INSTANTIATED,
-                "error",
-                subject,
-                f"only mixin categories: {sorted(known)}",
-            )
-        )
-    most_specific = minimal_categories(index, set(known))[0]
-    allowed: set[str] = set()
-    for ancestor in index.class_ancestors[most_specific]:
-        allowed.update(doc.classes[ancestor].id_prefixes)
+    if index.mixins.issuperset(profile.known):
+        detail = f"only mixin categories: {sorted(profile.known)}"
+        out.append(Violation(ABSTRACT_MIXIN_INSTANTIATED, "error", node.id.text, detail))
     if allowed and node.id.prefix not in allowed:
-        out.append(
-            Violation(
-                ID_PREFIX_NOT_ALLOWED,
-                "warning",
-                subject,
-                f"prefix {node.id.prefix!r} is not among {sorted(allowed)} "
-                f"inherited by {most_specific!r}",
-            )
+        detail = (
+            f"prefix {node.id.prefix!r} is not among {sorted(allowed)} "
+            f"inherited by {profile.most_specific!r}"
         )
+        out.append(Violation(ID_PREFIX_NOT_ALLOWED, "warning", node.id.text, detail))
     return out
 
 
@@ -196,12 +198,10 @@ def _signature_verdict(
     return faults, best
 
 
-def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
-    """``check(edge, ordinal)``: every edge-level check, each type signature decided once.
-
-    A node's closed categories are worked out on the first edge that reaches
-    it, and shared by nodes with the same category list.
-    """
+def _edge_checker(
+    kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex, profile: Callable
+):
+    """``check(edge, ordinal)``: every edge-level check, each type signature decided once."""
     nodes = kg.nodes
     predicates = set(doc.predicate_names())
     # Per predicate, the associations set on it or on one of its ancestors.
@@ -209,27 +209,17 @@ def _edge_checker(kg: KnowledgeGraph, doc: SchemaDocument, index: ClosureIndex):
     for assoc in doc.associations.values():
         for name in index.predicate_descendants.get(assoc.predicate, ()):
             governing.setdefault(name, []).append(assoc)
-    by_categories: dict[tuple[str, ...], frozenset[str]] = {}
     by_node: dict[Curie, frozenset[str]] = {}
     verdicts: dict[tuple, tuple] = {}
 
     def closed_categories(node_id: Curie) -> frozenset[str] | None:
-        """The node's ancestor- and mixin-closed categories; None when it is absent."""
+        """The typed closure of the node's category list; None when it is absent."""
         found = by_node.get(node_id)
         if found is None:
             node = nodes.get(node_id)
             if node is None:
                 return None
-            key = tuple(node.categories)
-            found = by_categories.get(key)
-            if found is None:
-                gathered: set[str] = set()
-                for category in key:
-                    if category in index.class_ancestors:
-                        gathered.update(index.class_ancestors[category])
-                        gathered.update(index.mixin_membership[category])
-                found = by_categories[key] = frozenset(gathered)
-            by_node[node_id] = found
+            found = by_node[node_id] = profile(node.categories).typed_closure
         return found
 
     def check(edge: Edge, ordinal: int | None) -> list[Violation]:
@@ -300,7 +290,7 @@ def validate_edge(
     ``ordinal`` labels the violation subject; without it the core triple
     text is used.
     """
-    return _edge_checker(kg, doc, index)(edge, ordinal)
+    return _edge_checker(kg, doc, index, category_profiles(index))(edge, ordinal)
 
 
 _NODE_CODES = frozenset((UNKNOWN_CATEGORY, ABSTRACT_MIXIN_INSTANTIATED, ID_PREFIX_NOT_ALLOWED))
@@ -393,12 +383,14 @@ def validate_graph(
     accepted for compatibility and ignored: the checks are pure Python,
     which threads cannot speed up.
     """
-    check = _edge_checker(kg, doc, index)
+    profile = category_profiles(index)
+    check = _edge_checker(kg, doc, index, profile)
+    memo = _node_memo(doc, index, profile)
     violations: list[Violation] = []
     # Node order does not matter: the sort below orders violations fully,
     # and violations with equal keys are equal.
     for node in kg.nodes.values():
-        violations.extend(validate_node(node, doc, index))
+        violations.extend(validate_node(node, doc, index, memo=memo))
 
     for ordinal, edge in enumerate(kg.edges):
         violations.extend(check(edge, ordinal))

@@ -610,8 +610,8 @@ def test_normalize_graph_preserves_reachability(seed_doc, seed_index):
                 assert mapping[b] in after[mapping[a]]
 
 
-def test_graph_stats_empty():
-    report = graph_stats(build_graph([], []))
+def test_graph_stats_empty(seed_index):
+    report = graph_stats(build_graph([], []), seed_index)
     assert report.num_nodes == 0 and report.num_edges == 0
     assert report.nodes_by_category == {} and report.edges_by_predicate == {}
 
