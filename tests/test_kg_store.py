@@ -53,6 +53,35 @@ def test_read_tsv_basics():
     assert edges[0].properties["publications"] == ["PMID:1", "PMID:2"]
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_rows_repeating_an_id_share_one_object(fmt):
+    # One object per distinct id within a call keeps a large edge list small.
+    def text(columns, rows):
+        if fmt == "jsonl":
+            objects = [{c: [v] if c == "category" else v for c, v in zip(columns, row)} for row in rows]
+            return "".join(json.dumps(obj) + "\n" for obj in objects)
+        return "".join("\t".join(row) + "\n" for row in [columns, *rows])
+
+    nodes = read_nodes(
+        text(
+            ("id", "category", "name"),
+            [("A:1", "Gene", "a"), ("B:2", "Gene", "b"), ("A:1", "Protein", "a")],
+        ),
+        fmt,
+    )
+    assert nodes[0].id is nodes[2].id
+    assert nodes[0].id is not nodes[1].id
+    edges = read_edges(
+        text(
+            ("subject", "predicate", "object"),
+            [("A:1", "related_to", "B:2"), ("B:2", "related_to", "A:1"), ("A:1", "treats", "B:2")],
+        ),
+        fmt,
+    )
+    assert edges[0].subject is edges[1].object is edges[2].subject
+    assert edges[0].object is edges[1].subject is edges[2].object
+
+
 def test_read_jsonl_and_sniffing():
     text = (
         '{"id": "NCBIGene:1", "category": ["Gene"], "name": "alpha", "symbol": ["A1"]}\n'
