@@ -49,6 +49,12 @@ CASES: list[tuple[str, list[str], str]] = [
     ("validate_dirty_jsonl", ["validate", *_DIRTY_JSONL], ""),
     ("validate_dirty_strict", ["validate", *_DIRTY_TSV, "--strict"], ""),
     ("stats_dirty_tsv", ["stats", *_DIRTY_TSV], ""),
+    ("convert_dirty_edges_tsv", ["convert", "--edges", "{data}/dirty_edges.jsonl", "--to", "tsv"], ""),
+    # Tool failures, exit 2: a tab TSV cannot hold, then unusable inputs.
+    ("convert_dirty_nodes_tsv", ["convert", "--nodes", "{data}/dirty_nodes.jsonl", "--to", "tsv"], ""),
+    ("validate_bad_graph_file", ["validate", *_DIRTY_TSV, "--nodes", "{data}/dirty_edges.tsv"], ""),
+    ("validate_bad_schema", ["validate", *_DEMO, "--schema", "{data}/equivalences.tsv"], ""),
+    ("query_bad_predicate", ["query", *_DEMO, "--query", "NCBIGene:23221 -[no_such]-> ?x"], ""),
 ]
 
 
