@@ -9,7 +9,7 @@ rejected with a position-carrying :class:`~kgschema.errors.ParseError`:
 * no directives or document markers (``%``, ``---``, ``...``)
 * no tab characters anywhere
 * no duplicate keys within one mapping
-* nesting deeper than ``max_depth`` blocks is rejected
+* nesting deeper than ``MAX_DEPTH`` blocks is rejected
 
 Comments start at a ``#`` that is at the start of content or preceded by a
 space. A sequence item may open a mapping on the dash line
@@ -20,12 +20,17 @@ any typed interpretation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .errors import DuplicateNameError, ParseError
 
 MAX_KEY_BYTES = 256
+MAX_DEPTH = 8  # the document root is depth 1
+
+# Where a mapping key ends: the first ':' followed by a space or the line end.
+_KEY_END_RE = re.compile(r":(?: |\Z)")
 
 # Characters that would select a YAML feature outside the subset when they
 # start a scalar.
@@ -105,27 +110,24 @@ def _check_scalar(value: str, line: int, column: int) -> Scalar:
 
 
 def _split_key(text: str, line: int, column: int) -> tuple[str, str]:
-    """Split a mapping-entry line at the first ':' followed by a space or EOL."""
-    for i, ch in enumerate(text):
-        if ch == ":" and (i + 1 == len(text) or text[i + 1] == " "):
-            key = text[:i]
-            if not key:
-                raise ParseError("empty mapping key", line, column)
-            if " " in key:
-                raise ParseError(f"mapping key {key!r} contains a space", line, column)
-            if len(key.encode("utf-8")) > MAX_KEY_BYTES:
-                raise ParseError(
-                    f"identifier longer than {MAX_KEY_BYTES} bytes", line, column
-                )
-            return key, text[i + 2 :].lstrip(" ") if i + 1 < len(text) else ""
-    raise ParseError(f"expected 'key: value' or 'key:', got {text!r}", line, column)
+    """Split a mapping-entry line where its key ends."""
+    end = _KEY_END_RE.search(text)
+    if end is None:
+        raise ParseError(f"expected 'key: value' or 'key:', got {text!r}", line, column)
+    key = text[: end.start()]
+    if not key:
+        raise ParseError("empty mapping key", line, column)
+    if " " in key:
+        raise ParseError(f"mapping key {key!r} contains a space", line, column)
+    if len(key.encode("utf-8")) > MAX_KEY_BYTES:
+        raise ParseError(f"identifier longer than {MAX_KEY_BYTES} bytes", line, column)
+    return key, text[end.end() :].lstrip(" ")
 
 
 class _Parser:
-    def __init__(self, lines: list[_Line], max_depth: int):
+    def __init__(self, lines: list[_Line]):
         self.lines = lines
         self.pos = 0
-        self.max_depth = max_depth
         self.path: list[str] = []  # key path to the block being parsed
 
     def _peek(self) -> _Line | None:
@@ -134,11 +136,9 @@ class _Parser:
         return None
 
     def parse_block(self, indent: int, depth: int) -> YamlNode:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             cur = self.lines[self.pos]
-            raise ParseError(
-                f"nesting depth exceeds {self.max_depth}", cur.number, cur.indent + 1
-            )
+            raise ParseError(f"nesting depth exceeds {MAX_DEPTH}", cur.number, cur.indent + 1)
         cur = self.lines[self.pos]
         if cur.text == "-" or cur.text.startswith("- "):
             return self.parse_sequence(indent, depth)
@@ -216,17 +216,15 @@ class _Parser:
 
 
 def _looks_like_entry(text: str) -> bool:
-    for i, ch in enumerate(text):
-        if ch == ":" and (i + 1 == len(text) or text[i + 1] == " "):
-            return " " not in text[:i] and i > 0
-    return False
+    end = _KEY_END_RE.search(text)
+    return end is not None and end.start() > 0 and " " not in text[: end.start()]
 
 
-def parse(source: str, *, max_depth: int = 8) -> MappingNode:
+def parse(source: str) -> MappingNode:
     """Parse ``source`` into a tree of mappings, sequences, and scalars.
 
     The document root must be a mapping. Raises :class:`ParseError` on any
-    construct outside the subset.
+    construct outside the subset, and on nesting deeper than ``MAX_DEPTH``.
     """
     lines = _prepare(source)
     if not lines:
@@ -234,7 +232,7 @@ def parse(source: str, *, max_depth: int = 8) -> MappingNode:
     first = lines[0]
     if first.indent != 0:
         raise ParseError("top-level content must start at column 1", first.number, first.indent + 1)
-    parser = _Parser(lines, max_depth)
+    parser = _Parser(lines)
     root = parser.parse_block(0, 1)
     if not isinstance(root, MappingNode):
         raise ParseError("document root must be a mapping", first.number, 1)

@@ -35,6 +35,19 @@ def test_compact_sequence_item_mapping():
     assert [i.entries["target"].value for i in items] == ["X:1", "Y:2"]
 
 
+def test_sequence_item_is_a_mapping_only_with_a_plain_key():
+    # A key ends at the first ':' followed by a space or the line end; an
+    # empty key or one holding a space leaves the item a scalar.
+    root = blockyaml.parse("a:\n  - : x\n  - :\n  - b c: d\n  - x:y\n  - e: f\n")
+    items = root.entries["a"].items
+    assert [item.value for item in items[:4]] == [": x", ":", "b c: d", "x:y"]
+    assert items[4].entries["e"].value == "f"
+    for value in ("k: v", "k:"):
+        with pytest.raises(ValueError):
+            blockyaml.check_emit_scalar(value, as_item=True)
+    assert blockyaml.check_emit_scalar(": v", as_item=True) == ": v"
+
+
 def test_comments_and_blank_lines_ignored():
     root = blockyaml.parse(
         "# leading comment\n"
@@ -109,13 +122,15 @@ def test_rejects_overlong_key():
 
 
 def test_depth_limit_default_eight():
-    source = ""
-    for level in range(9):
-        source += "  " * level + f"k{level}:\n"
-    source += "  " * 9 + "leaf: 1\n"
-    with pytest.raises(ParseError):
-        blockyaml.parse(source)
-    assert blockyaml.parse(source, max_depth=12)
+    def nested(blocks):
+        # ``blocks`` mappings, each the value of the one before.
+        lines = ["  " * level + f"k{level}:" for level in range(blocks - 1)]
+        return "\n".join([*lines, "  " * (blocks - 1) + "leaf: 1"]) + "\n"
+
+    assert blockyaml.parse(nested(8))
+    with pytest.raises(ParseError, match="nesting depth exceeds 8") as info:
+        blockyaml.parse(nested(9))
+    assert info.value.line == 9
 
 
 def test_rejects_mixed_sequence_and_mapping_block():
