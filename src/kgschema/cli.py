@@ -176,7 +176,7 @@ def normalize(schema_path, equivalences_path, lax) -> None:
             unknown += 1
         elif normalized != curie:
             changed += 1
-        sys.stdout.write(normalized.text + "\n")
+        sys.stdout.write(normalized + "\n")
     click.echo(
         f"total={total} changed={changed} unchanged={total - changed - malformed} "
         f"unknown={unknown} malformed={malformed}",

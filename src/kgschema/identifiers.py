@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import (
     EmptyCliqueError,
@@ -30,48 +29,41 @@ NO_PREFERENCE_MATCH = "NO_PREFERENCE_MATCH"
 _WHITESPACE_RE = re.compile(r"\s")
 
 
-class Curie(NamedTuple):
-    """A compact identifier: ``prefix:local_id``."""
-
-    prefix: str
-    local_id: str
-
-    @property
-    def text(self) -> str:
-        return f"{self.prefix}:{self.local_id}"
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def parse_curie(text: str) -> Curie:
-    """Split ``text`` at its first colon.
-
-    Both parts must be nonempty and the text must contain no whitespace;
-    leading or trailing whitespace is an error, not trimmed.
-    """
-    prefix, sep, local_id = text.partition(":")
-    if not sep or not prefix or not local_id:
-        raise MalformedCurieError(f"not a prefix:local_id pair: {text!r}")
-    if _WHITESPACE_RE.search(text):
-        raise MalformedCurieError(f"whitespace in identifier: {text!r}")
-    return Curie(prefix, local_id)
+# A compact identifier ``prefix:local_id``: the text parse_curie accepted.
+# The prefix ends at the first colon; the local id may hold more colons.
+Curie = str
 
 
 def is_curie(text: str) -> bool:
-    """True exactly when :func:`parse_curie` accepts ``text``; allocates nothing.
+    """The one CURIE shape rule; allocates nothing.
 
     The first colon has text on both sides, and no character is whitespace.
     """
     return 0 < text.find(":") < len(text) - 1 and _WHITESPACE_RE.search(text) is None
 
 
+def parse_curie(text: str) -> Curie:
+    """Return ``text`` itself when :func:`is_curie` accepts it.
+
+    Leading or trailing whitespace is an error, not trimmed. The error
+    names the missing ``prefix:local_id`` shape first, then whitespace.
+    """
+    if is_curie(text):
+        return text
+    # Whitespace made into another character keeps the shape: if that
+    # passes, whitespace alone failed.
+    if is_curie(_WHITESPACE_RE.sub("_", text)):
+        raise MalformedCurieError(f"whitespace in identifier: {text!r}")
+    raise MalformedCurieError(f"not a prefix:local_id pair: {text!r}")
+
+
 def expand_iri(curie: Curie, prefixes: dict[str, str]) -> str:
-    """Concatenate the declared base for ``curie.prefix`` with the local id."""
-    base = prefixes.get(curie.prefix)
+    """Concatenate the declared base for the prefix of ``curie`` with its local id."""
+    prefix, _, local_id = curie.partition(":")
+    base = prefixes.get(prefix)
     if base is None:
-        raise UndeclaredPrefixError(curie.prefix)
-    return base + curie.local_id
+        raise UndeclaredPrefixError(prefix)
+    return base + local_id
 
 
 def contract_iri(iri: str, prefixes: dict[str, str]) -> Curie:
@@ -83,7 +75,7 @@ def contract_iri(iri: str, prefixes: dict[str, str]) -> Curie:
     best_len = -1
     for prefix, base in prefixes.items():
         if iri.startswith(base) and len(base) > best_len and len(iri) > len(base):
-            best = Curie(prefix, iri[len(base):])
+            best = f"{prefix}:{iri[len(base):]}"
             best_len = len(base)
     if best is None:
         raise NoMatchingBaseError(f"no declared IRI base matches {iri!r}")
@@ -131,10 +123,10 @@ def load_equivalences(source_text: str) -> EquivalenceTable:
         categories = frozenset(c for c in parts[0].split("|") if c)
         if not categories:
             raise ParseError("clique has no categories", number, 1)
-        members = set()
+        members: dict[Curie, None] = {}  # in line order: an overlap names its first member
         for chunk in parts[1].split("|"):
             try:
-                members.add(parse_curie(chunk))
+                members[parse_curie(chunk)] = None
             except MalformedCurieError as exc:
                 raise ParseError(str(exc), number, 1) from exc
         if not members:
@@ -143,7 +135,7 @@ def load_equivalences(source_text: str) -> EquivalenceTable:
         for member in members:
             if member in table.member_index:
                 raise OverlappingCliquesError(
-                    f"identifier {member.text} already belongs to another clique", number, 1
+                    f"identifier {member} already belongs to another clique", number, 1
                 )
             table.member_index[member] = ordinal
         table.cliques.append(Clique(frozenset(members), categories))
@@ -173,12 +165,16 @@ def preferred_identifier(
         preference = doc.classes[owner].id_prefixes
         if preference:
             rank = {prefix: position for position, prefix in enumerate(preference)}
-            ranked = [m for m in clique_members if m.prefix in rank]
+            ranked = []
+            for member in clique_members:
+                prefix, _, local_id = member.partition(":")
+                if prefix in rank:
+                    ranked.append((rank[prefix], local_id, member))
             if ranked:
-                best = min(ranked, key=lambda m: (rank[m.prefix], m.local_id))
-                return best, f"PREFERENCE_MATCH:{owner}:{best.prefix}"
+                position, _, best = min(ranked)
+                return best, f"PREFERENCE_MATCH:{owner}:{preference[position]}"
             break
-    fallback = min(clique_members, key=lambda m: m.text)
+    fallback = min(clique_members)
     return fallback, NO_PREFERENCE_MATCH
 
 

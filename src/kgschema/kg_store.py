@@ -153,6 +153,7 @@ def _split_cell(cell: str) -> list[str]:
 
 
 def _curie_cache_get(cache: dict[str, Curie], text: str, line: int) -> Curie:
+    """``text`` checked as an id, one object per distinct text within one read."""
     curie = cache.get(text)
     if curie is None:
         try:
@@ -377,12 +378,12 @@ def _write(records: list, fmt: str, columns: tuple[str, ...], core) -> str:
 
 def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
     """Serialize nodes; extra property columns appear sorted by name."""
-    return _write(nodes, fmt, NODE_COLUMNS, lambda node: (node.id.text, node.categories, node.name))
+    return _write(nodes, fmt, NODE_COLUMNS, lambda node: (node.id, node.categories, node.name))
 
 
 def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
     """Serialize edges; extra property columns appear sorted by name."""
-    return _write(edges, fmt, EDGE_COLUMNS, lambda e: (e.subject.text, e.predicate, e.object.text))
+    return _write(edges, fmt, EDGE_COLUMNS, lambda e: (e.subject, e.predicate, e.object))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +470,7 @@ def build_graph(nodes: list[Node], edges: list[Edge], *, strict: bool = False) -
             first = kg.edges[dangling[0]]
             raise DanglingEdgeError(
                 f"{len(dangling)} edge(s) reference absent nodes, e.g. "
-                f"{first.subject.text} -{first.predicate}-> {first.object.text}"
+                f"{first.subject} -{first.predicate}-> {first.object}"
             )
     return kg
 

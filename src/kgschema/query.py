@@ -74,7 +74,7 @@ class Binding:
 
     def as_dict(self) -> dict:
         return {
-            "assignments": {var: curie.text for var, curie in self.assignments.items()},
+            "assignments": dict(self.assignments),
             "evidence": {
                 str(ordinal): {
                     "matched_predicate": ev.matched_predicate,
@@ -98,7 +98,7 @@ class _QueryBuilder:
         self.doc = doc
         self.qnodes: dict[str, QNode] = {}
         self.qedges: list[QEdge] = []
-        self.pinned_vars: dict[str, str] = {}  # curie text -> variable name
+        self.pinned_vars: dict[Curie, str] = {}  # pinned id -> variable name
 
     def node(self, token: str, line: int) -> str:
         if token.startswith("?"):
@@ -110,10 +110,10 @@ class _QueryBuilder:
             curie = parse_curie(token)
         except MalformedCurieError as exc:
             raise ParseError(f"bad node {token!r}: {exc}", line, 1) from exc
-        var = self.pinned_vars.get(curie.text)
+        var = self.pinned_vars.get(curie)
         if var is None:
             var = f"_{len(self.pinned_vars)}"
-            self.pinned_vars[curie.text] = var
+            self.pinned_vars[curie] = var
             self._add(QNode(var, id=curie), line)
         return var
 
@@ -368,6 +368,6 @@ def _finalize(qg: QueryGraph, bindings: list[Binding]) -> list[Binding]:
 
     def key(item: tuple[str, Binding]):
         text, binding = item
-        return tuple(binding.assignments[var].text for var in variables), text
+        return tuple(binding.assignments[var] for var in variables), text
 
     return [binding for _, binding in sorted(unique.items(), key=key)]

@@ -120,27 +120,27 @@ def validate_node(
     if memo is None:
         memo = _node_memo(doc, index, category_profiles(index))
     profile, allowed = memo(node.categories)
-    # The id text is built only for a violation: most nodes have none.
     out = [
-        Violation(UNKNOWN_CATEGORY, "error", node.id.text, f"category {c!r} is not in the schema")
+        Violation(UNKNOWN_CATEGORY, "error", node.id, f"category {c!r} is not in the schema")
         for c in profile.unknown
     ]
     if not profile.known:
         return out
     if index.mixins.issuperset(profile.known):
         detail = f"only mixin categories: {sorted(profile.known)}"
-        out.append(Violation(ABSTRACT_MIXIN_INSTANTIATED, "error", node.id.text, detail))
-    if allowed and node.id.prefix not in allowed:
+        out.append(Violation(ABSTRACT_MIXIN_INSTANTIATED, "error", node.id, detail))
+    prefix = node.id.partition(":")[0]
+    if allowed and prefix not in allowed:
         detail = (
-            f"prefix {node.id.prefix!r} is not among {sorted(allowed)} "
+            f"prefix {prefix!r} is not among {sorted(allowed)} "
             f"inherited by {profile.most_specific!r}"
         )
-        out.append(Violation(ID_PREFIX_NOT_ALLOWED, "warning", node.id.text, detail))
+        out.append(Violation(ID_PREFIX_NOT_ALLOWED, "warning", node.id, detail))
     return out
 
 
 def _triple(edge: Edge) -> str:
-    return f"{edge.subject.text} -{edge.predicate}-> {edge.object.text}"
+    return f"{edge.subject} -{edge.predicate}-> {edge.object}"
 
 
 def _signature_verdict(
@@ -228,7 +228,7 @@ def _edge_checker(
         subject_closed = closed_categories(edge.subject)
         object_closed = closed_categories(edge.object)
         if subject_closed is None or object_closed is None:
-            missing = [c.text for c in (edge.subject, edge.object) if c not in nodes]
+            missing = [c for c in (edge.subject, edge.object) if c not in nodes]
             faults.append((DANGLING_EDGE, "error", f"{_triple(edge)}: absent node(s) {missing}"))
             return _labelled(edge, ordinal, faults)
 
@@ -335,12 +335,12 @@ def _add_properties(fields: list[str], properties: dict[str, list[str]]) -> list
 
 def _node_line(node: Node) -> str:
     name = "-" if node.name is None else "+" + node.name
-    fields = [node.id.text, name, str(len(node.categories)), *sorted(node.categories)]
+    fields = [node.id, name, str(len(node.categories)), *sorted(node.categories)]
     return _canonical_line(_add_properties(fields, node.properties))
 
 
 def _edge_line(edge: Edge) -> str:
-    fields = [edge.subject.text, edge.predicate, edge.object.text]
+    fields = [edge.subject, edge.predicate, edge.object]
     return _canonical_line(_add_properties(fields, edge.properties))
 
 

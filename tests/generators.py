@@ -14,7 +14,6 @@ from hypothesis import settings
 from kgschema import (
     AssociationDefinition,
     ClassDefinition,
-    Curie,
     Edge,
     Node,
     SchemaDocument,
@@ -113,7 +112,7 @@ def random_graph(
     n_nodes = rng.randint(1, max_nodes)
     nodes = []
     for i in range(n_nodes):
-        curie = Curie(rng.choice(prefix_pool), str(i))
+        curie = f"{rng.choice(prefix_pool)}:{i}"
         categories = rng.sample(instantiable, rng.randint(1, min(2, len(instantiable))))
         nodes.append(Node(curie, categories, name=f"n{i}"))
     ids = [n.id for n in nodes]
@@ -129,7 +128,7 @@ def random_graph(
 
 
 QUERY_SHAPES = ("chain", "fork", "triangle", "self_loop", "symmetric_into", "unpinned")
-ABSENT = Curie("ABSENT", "0")
+ABSENT = "ABSENT:0"
 
 
 def random_query(
@@ -232,7 +231,7 @@ def dirty_graph(
     predicates = [n for n, s in doc.slots.items() if s.slot_kind == "predicate"]
     predicates += ["causes_xyzzy", "publications"]
     prefixes = ("NCBIGene", "UniProtKB", "MONDO", "HP", "CHEBI", "XX")
-    ids = [Curie(rng.choice(prefixes), str(i)) for i in range(rng.randint(1, max_nodes))]
+    ids = [f"{rng.choice(prefixes)}:{i}" for i in range(rng.randint(1, max_nodes))]
     nodes = [
         Node(curie, rng.sample(categories, rng.randint(1, 3)))
         for curie in ids

@@ -125,10 +125,12 @@ def scan_preferred(
             preference = doc.classes[ancestor].id_prefixes
             break
     for prefix in preference:
-        sharing = sorted((m for m in members if m.prefix == prefix), key=lambda m: m.local_id)
+        sharing = sorted(
+            (m for m in members if m.partition(":")[0] == prefix), key=lambda m: m.partition(":")[2]
+        )
         if sharing:
             return sharing[0], prefix
-    return min(members, key=lambda m: m.text), None
+    return min(members), None
 
 
 def _naive_closed_categories(doc: SchemaDocument, categories: list[str]) -> set[str]:
@@ -262,7 +264,7 @@ def naive_validate(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
         rows.append(((code, 1, ordinal, "", detail), code, severity, f"edge:{ordinal}", detail))
 
     for node in kg.nodes.values():
-        subject = node.id.text
+        subject = node.id
         for category in node.categories:
             if category not in doc.classes:
                 node_row(
@@ -281,18 +283,19 @@ def naive_validate(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
         allowed: set[str] = set()
         for ancestor in dfs_ancestors(class_parents, most_specific):
             allowed.update(doc.classes[ancestor].id_prefixes)
-        if allowed and node.id.prefix not in allowed:
+        prefix = node.id.partition(":")[0]
+        if allowed and prefix not in allowed:
             node_row(
                 "ID_PREFIX_NOT_ALLOWED",
                 "warning",
                 subject,
-                f"prefix {node.id.prefix!r} is not among {sorted(allowed)} "
+                f"prefix {prefix!r} is not among {sorted(allowed)} "
                 f"inherited by {most_specific!r}",
             )
 
     for ordinal, edge in enumerate(kg.edges):
-        triple = f"{edge.subject.text} -{edge.predicate}-> {edge.object.text}"
-        missing = [end.text for end in (edge.subject, edge.object) if end not in kg.nodes]
+        triple = f"{edge.subject} -{edge.predicate}-> {edge.object}"
+        missing = [end for end in (edge.subject, edge.object) if end not in kg.nodes]
         if missing:
             edge_row("DANGLING_EDGE", "error", ordinal, f"{triple}: absent node(s) {missing}")
             continue
@@ -398,7 +401,7 @@ def json_inputs_digest(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
     node_lines = sorted(
         json.dumps(
             {
-                "id": node.id.text,
+                "id": node.id,
                 "category": sorted(node.categories),
                 "name": node.name,
                 "properties": {k: sorted(v) for k, v in sorted(node.properties.items())},
@@ -411,9 +414,9 @@ def json_inputs_digest(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
     edge_lines = sorted(
         json.dumps(
             {
-                "subject": edge.subject.text,
+                "subject": edge.subject,
                 "predicate": edge.predicate,
-                "object": edge.object.text,
+                "object": edge.object,
                 "properties": {k: sorted(v) for k, v in sorted(edge.properties.items())},
             },
             sort_keys=True,

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgschema import (
-    Curie,
     EmptyCliqueError,
     MalformedCurieError,
     NoMatchingBaseError,
@@ -19,7 +18,9 @@ from kgschema import (
     load_equivalences,
     normalize_curie,
     parse_curie,
+    parse_schema,
     preferred_identifier,
+    validate_schema,
 )
 from kgschema.identifiers import NO_PREFERENCE_MATCH, is_curie
 from generators import random_cliques
@@ -30,10 +31,8 @@ _local = st.text(alphabet="ABCdef123.:_-", min_size=1, max_size=12)
 
 
 def test_parse_curie_examples():
-    assert parse_curie("NCBIGene:23221") == Curie("NCBIGene", "23221")
-    assert parse_curie("CHEMBL.COMPOUND:CHEMBL3989516") == Curie(
-        "CHEMBL.COMPOUND", "CHEMBL3989516"
-    )
+    assert parse_curie("NCBIGene:23221") == "NCBIGene:23221"
+    assert parse_curie("CHEMBL.COMPOUND:CHEMBL3989516") == "CHEMBL.COMPOUND:CHEMBL3989516"
 
 
 @pytest.mark.parametrize("text", [":x", "x:", "x", "", "a b:c", "a:b c", " a:b", "a:b ", "a:\tb"])
@@ -43,7 +42,19 @@ def test_parse_curie_rejects_degenerate_forms(text):
 
 
 def test_parse_curie_splits_on_first_colon():
-    assert parse_curie("a:b:c") == Curie("a", "b:c")
+    assert parse_curie("a:b:c") == "a:b:c"
+    assert expand_iri("a:b:c", {"a": "http://x/"}) == "http://x/b:c"
+
+
+def test_declared_prefix_with_a_colon_does_not_expand():
+    # A prefix is the text before an id's first colon, so a declared
+    # prefix holding a colon contracts but never expands back.
+    doc = parse_schema("name: s\nversion: 1.0.0\nprefixes:\n  a:b: http://x/\n")
+    assert doc.prefixes == {"a:b": "http://x/"}
+    assert validate_schema(doc) == []
+    assert contract_iri("http://x/1", doc.prefixes) == "a:b:1"
+    with pytest.raises(UndeclaredPrefixError):
+        expand_iri("a:b:1", doc.prefixes)
 
 
 # Colons, ASCII and Unicode whitespace (which ``\s`` matches), and text.
@@ -69,19 +80,20 @@ def test_is_curie_accepts_exactly_what_parse_curie_accepts(text):
         assert str(exc) == f"{reason}: {text!r}"
     else:
         accepted = True
-        assert curie == Curie(prefix, local_id)
+        assert curie is text
     assert is_curie(text) == accepted == (paired and not any(ch.isspace() for ch in text))
 
 
 @given(_prefix, _local)
 def test_curie_text_round_trip(prefix, local):
-    curie = Curie(prefix, local)
-    assert parse_curie(curie.text) == curie
+    curie = f"{prefix}:{local}"
+    assert parse_curie(curie) is curie
+    assert curie.partition(":") == (prefix, ":", local)
 
 
 def test_expand_and_contract_mondo():
     prefixes = {"MONDO": "http://purl.obolibrary.org/obo/MONDO_"}
-    curie = Curie("MONDO", "0005737")
+    curie = "MONDO:0005737"
     iri = expand_iri(curie, prefixes)
     assert iri == "http://purl.obolibrary.org/obo/MONDO_0005737"
     assert contract_iri(iri, prefixes) == curie
@@ -89,13 +101,13 @@ def test_expand_and_contract_mondo():
 
 def test_contract_longest_base_wins():
     prefixes = {"A": "http://x/", "AB": "http://x/y"}
-    assert contract_iri("http://x/yz", prefixes) == Curie("AB", "z")
-    assert contract_iri("http://x/q", prefixes) == Curie("A", "q")
+    assert contract_iri("http://x/yz", prefixes) == "AB:z"
+    assert contract_iri("http://x/q", prefixes) == "A:q"
 
 
 def test_expand_contract_errors():
     with pytest.raises(UndeclaredPrefixError):
-        expand_iri(Curie("NOPE", "1"), {})
+        expand_iri("NOPE:1", {})
     with pytest.raises(NoMatchingBaseError):
         contract_iri("http://elsewhere/1", {"A": "http://x/"})
 
@@ -105,7 +117,7 @@ def test_contract_inverts_expand_over_seed_prefixes(seed_doc, local):
     # No seed base is a prefix of another, so the round trip is exact for
     # arbitrary local ids.
     for prefix in seed_doc.prefixes:
-        curie = Curie(prefix, local)
+        curie = f"{prefix}:{local}"
         assert contract_iri(expand_iri(curie, seed_doc.prefixes), seed_doc.prefixes) == curie
 
 
@@ -122,55 +134,55 @@ def test_nested_bases_still_preserve_the_iri(local):
     # different prefix, but expanding the result reproduces the same IRI.
     prefixes = {"A": "http://x/a/", "LONG": "http://x/a/nested/"}
     for prefix in prefixes:
-        iri = expand_iri(Curie(prefix, local), prefixes)
+        iri = expand_iri(f"{prefix}:{local}", prefixes)
         assert expand_iri(contract_iri(iri, prefixes), prefixes) == iri
 
 
 def test_preferred_identifier_mondo_over_doid(seed_doc, seed_index):
-    members = {Curie("MONDO", "0005737"), Curie("DOID", "4325")}
+    members = {"MONDO:0005737", "DOID:4325"}
     chosen, note = preferred_identifier(members, "Disease", seed_doc, seed_index)
-    assert chosen == Curie("MONDO", "0005737")
+    assert chosen == "MONDO:0005737"
     assert note == "PREFERENCE_MATCH:Disease:MONDO"
 
 
 def test_preferred_identifier_singleton(seed_doc, seed_index):
-    only = Curie("HGNC", "18756")
+    only = "HGNC:18756"
     chosen, _ = preferred_identifier({only}, "Gene", seed_doc, seed_index)
     assert chosen == only
 
 
 def test_preferred_identifier_ncbigene_first(seed_doc, seed_index):
-    members = {Curie("HGNC", "668"), Curie("NCBIGene", "23221")}
+    members = {"HGNC:668", "NCBIGene:23221"}
     chosen, _ = preferred_identifier(members, "Gene", seed_doc, seed_index)
-    assert chosen == Curie("NCBIGene", "23221")
+    assert chosen == "NCBIGene:23221"
 
 
 def test_preferred_identifier_walks_ancestors(seed_doc, seed_index):
     # MolecularEntity has no id_prefixes; ChemicalEntity contributes CHEBI.
-    members = {Curie("PUBCHEM.COMPOUND", "5"), Curie("CHEBI", "10")}
+    members = {"PUBCHEM.COMPOUND:5", "CHEBI:10"}
     chosen, note = preferred_identifier(members, "MolecularEntity", seed_doc, seed_index)
-    assert chosen == Curie("CHEBI", "10")
+    assert chosen == "CHEBI:10"
     assert note == "PREFERENCE_MATCH:ChemicalEntity:CHEBI"
 
 
 def test_preferred_identifier_no_match_falls_back_lexicographic(seed_doc, seed_index):
-    members = {Curie("ZZZ", "9"), Curie("AAA", "1")}
+    members = {"ZZZ:9", "AAA:1"}
     chosen, note = preferred_identifier(members, "Gene", seed_doc, seed_index)
-    assert chosen == Curie("AAA", "1")
+    assert chosen == "AAA:1"
     assert note == NO_PREFERENCE_MATCH
 
 
 def test_preferred_identifier_local_id_tiebreak(seed_doc, seed_index):
-    members = {Curie("NCBIGene", "9"), Curie("NCBIGene", "10")}
+    members = {"NCBIGene:9", "NCBIGene:10"}
     chosen, _ = preferred_identifier(members, "Gene", seed_doc, seed_index)
-    assert chosen == Curie("NCBIGene", "10")  # bytewise: "10" < "9"
+    assert chosen == "NCBIGene:10"  # bytewise: "10" < "9"
 
 
 def test_preferred_identifier_errors(seed_doc, seed_index):
     with pytest.raises(EmptyCliqueError):
         preferred_identifier(set(), "Gene", seed_doc, seed_index)
     with pytest.raises(UnknownClassError):
-        preferred_identifier({Curie("A", "1")}, "Nope", seed_doc, seed_index)
+        preferred_identifier({"A:1"}, "Nope", seed_doc, seed_index)
 
 
 def test_preference_respected_against_scan_oracle(seed_doc, seed_index):
@@ -178,7 +190,7 @@ def test_preference_respected_against_scan_oracle(seed_doc, seed_index):
     categories = [n for n, c in seed_doc.classes.items() if not c.is_mixin]
     for _ in range(200):
         members = {
-            Curie(rng.choice(("NCBIGene", "HGNC", "MONDO", "DOID", "CHEBI", "ZZZ")), str(i))
+            f"{rng.choice(('NCBIGene', 'HGNC', 'MONDO', 'DOID', 'CHEBI', 'ZZZ'))}:{i}"
             for i in range(rng.randint(1, 5))
         }
         category = rng.choice(categories)
@@ -190,9 +202,9 @@ def test_preference_respected_against_scan_oracle(seed_doc, seed_index):
 
 def test_load_equivalences_parses_comments_and_cliques(demo_equivalences):
     assert len(demo_equivalences.cliques) == 4
-    clique = demo_equivalences.clique_of(Curie("HGNC", "18756"))
+    clique = demo_equivalences.clique_of("HGNC:18756")
     assert clique is not None
-    assert Curie("NCBIGene", "23221") in clique.members
+    assert "NCBIGene:23221" in clique.members
     assert clique.categories == {"Gene"}
 
 
@@ -208,6 +220,13 @@ def test_load_equivalences_rejects_overlap():
         load_equivalences(text)
 
 
+def test_overlap_names_the_first_shared_member_in_line_order():
+    members = [f"X:{i}" for i in range(8)]
+    text = f"Gene\t{'|'.join(members)}\nGene\tY:1|{'|'.join(reversed(members))}\n"
+    with pytest.raises(OverlappingCliquesError, match="identifier X:7 already belongs"):
+        load_equivalences(text)
+
+
 @pytest.mark.parametrize(
     "line",
     ["Gene A:1", "Gene\tA:1\textra", "\tA:1", "Gene\t", "Gene\tnot a curie"],
@@ -218,14 +237,14 @@ def test_load_equivalences_rejects_bad_lines(line):
 
 
 def test_normalize_identity_on_unknown(seed_doc, seed_index, demo_equivalences):
-    stranger = Curie("FOO", "1")
+    stranger = "FOO:1"
     assert normalize_curie(demo_equivalences, stranger, seed_doc, seed_index) == stranger
 
 
 def test_normalize_gene_clique(seed_doc, seed_index, demo_equivalences):
     assert normalize_curie(
-        demo_equivalences, Curie("HGNC", "18756"), seed_doc, seed_index
-    ) == Curie("NCBIGene", "23221")
+        demo_equivalences, "HGNC:18756", seed_doc, seed_index
+    ) == "NCBIGene:23221"
 
 
 @pytest.mark.filterwarnings("ignore::kgschema.errors.IncomparableCategoriesWarning")
@@ -245,4 +264,4 @@ def test_normalize_idempotent_and_clique_coherent(seed_doc, seed_index):
 
 def test_contract_duplicate_base_first_declared_wins():
     prefixes = {"FIRST": "http://same/", "SECOND": "http://same/"}
-    assert contract_iri("http://same/1", prefixes) == Curie("FIRST", "1")
+    assert contract_iri("http://same/1", prefixes) == "FIRST:1"

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgschema import (
-    Curie,
     DanglingEdgeError,
     Edge,
     Node,
@@ -47,7 +46,7 @@ def test_read_demo_fixture_counts(demo_graph):
 
 def test_read_tsv_basics():
     nodes = read_nodes(NODES_TSV)
-    assert [n.id.text for n in nodes] == ["NCBIGene:1", "MONDO:2"]
+    assert [n.id for n in nodes] == ["NCBIGene:1", "MONDO:2"]
     assert nodes[0].categories == ["Gene"]
     edges = read_edges(EDGES_TSV)
     assert edges[0].properties["publications"] == ["PMID:1", "PMID:2"]
@@ -262,11 +261,11 @@ def test_parse_error_carries_line_number():
 
 def test_node_merge_unions_categories():
     nodes = [
-        Node(Curie("NCBIGene", "1"), ["Gene"], "alpha"),
-        Node(Curie("NCBIGene", "1"), ["Protein"], "beta", {"symbol": ["A1"]}),
+        Node("NCBIGene:1", ["Gene"], "alpha"),
+        Node("NCBIGene:1", ["Protein"], "beta", {"symbol": ["A1"]}),
     ]
     kg = build_graph(nodes, [])
-    merged = kg.nodes[Curie("NCBIGene", "1")]
+    merged = kg.nodes["NCBIGene:1"]
     assert merged.categories == ["Gene", "Protein"]
     assert merged.name == "alpha"  # first seen wins
     assert merged.properties == {"symbol": ["A1"]}
@@ -274,10 +273,10 @@ def test_node_merge_unions_categories():
 
 def test_edge_merge_unions_publications():
     edge = lambda pubs: Edge(
-        Curie("A", "1"), "treats", Curie("B", "2"), {"publications": [pubs]}
+        "A:1", "treats", "B:2", {"publications": [pubs]}
     )
     kg = build_graph(
-        [Node(Curie("A", "1"), ["Gene"]), Node(Curie("B", "2"), ["Disease"])],
+        [Node("A:1", ["Gene"]), Node("B:2", ["Disease"])],
         [edge("PMID:1"), edge("PMID:2")],
     )
     assert len(kg.edges) == 1
@@ -288,18 +287,18 @@ def test_dedup_never_loses_provenance():
     rng = random.Random(77)
     pubs = [f"PMID:{rng.randint(1, 20)}" for _ in range(30)]
     edges = [
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"publications": [p]}) for p in pubs
+        Edge("A:1", "treats", "B:2", {"publications": [p]}) for p in pubs
     ]
-    kg = build_graph([Node(Curie("A", "1"), ["Gene"]), Node(Curie("B", "2"), ["Disease"])], edges)
+    kg = build_graph([Node("A:1", ["Gene"]), Node("B:2", ["Disease"])], edges)
     assert set(kg.edges[0].properties["publications"]) == set(pubs)
 
 
 def test_dangling_edges_collected_not_fatal():
-    edges = [Edge(Curie("A", "1"), "treats", Curie("GONE", "9"))]
-    kg = build_graph([Node(Curie("A", "1"), ["Gene"])], edges)
+    edges = [Edge("A:1", "treats", "GONE:9")]
+    kg = build_graph([Node("A:1", ["Gene"])], edges)
     assert kg.dangling_edge_ordinals() == [0]
     with pytest.raises(DanglingEdgeError):
-        build_graph([Node(Curie("A", "1"), ["Gene"])], edges, strict=True)
+        build_graph([Node("A:1", ["Gene"])], edges, strict=True)
 
 
 def test_tsv_jsonl_round_trips(demo_nodes_text, demo_edges_text):
@@ -311,20 +310,20 @@ def test_tsv_jsonl_round_trips(demo_nodes_text, demo_edges_text):
         edges_rt = read_edges(write_edges(edges, fmt))
         assert graph_equal(original, build_graph(nodes_rt, edges_rt))
         # Core column names of the other record kind are ordinary properties.
-        node = Node(Curie("A", "1"), ["Gene"], properties={"subject": ["S:1"]})
-        edge = Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"id": ["I:1"], "name": ["n"]})
+        node = Node("A:1", ["Gene"], properties={"subject": ["S:1"]})
+        edge = Edge("A:1", "treats", "B:2", {"id": ["I:1"], "name": ["n"]})
         assert read_nodes(write_nodes([node], fmt)) == [node]
         assert read_edges(write_edges([edge], fmt)) == [edge]
 
 
 def test_writers_emit_exact_text():
     nodes = [
-        Node(Curie("A", "1"), ["Gene", "Protein"], None, {"xref": ["X:1", "X:2"]}),
-        Node(Curie("B", "2"), ["Disease"], "beta"),
+        Node("A:1", ["Gene", "Protein"], None, {"xref": ["X:1", "X:2"]}),
+        Node("B:2", ["Disease"], "beta"),
     ]
     edges = [
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"publications": ["PMID:1", "PMID:2"]}),
-        Edge(Curie("B", "2"), "affects", Curie("A", "1")),
+        Edge("A:1", "treats", "B:2", {"publications": ["PMID:1", "PMID:2"]}),
+        Edge("B:2", "affects", "A:1"),
     ]
     assert write_nodes(nodes) == (
         "id\tcategory\tname\txref\nA:1\tGene|Protein\t\tX:1|X:2\nB:2\tDisease\tbeta\t\n"
@@ -346,29 +345,29 @@ def test_writers_emit_exact_text():
 
 def test_write_rejects_pipe_in_name():
     with pytest.raises(ValueError):
-        write_nodes([Node(Curie("A", "1"), ["Gene"], "bad|name")])
+        write_nodes([Node("A:1", ["Gene"], "bad|name")])
 
 
 @pytest.mark.parametrize(
     "item",
     [
-        Node(Curie("A", "1"), ["Gene"], "tab\tname"),
-        Node(Curie("A", "1"), ["Gene"], "line\nbreak"),
-        Node(Curie("A", "1"), ["Gene\r"]),
-        Node(Curie("A", "1"), ["Gene|Protein"]),
-        Node(Curie("A", "1"), ["Gene"], properties={"xref": ["x|y"]}),
-        Node(Curie("A", "1"), ["Gene"], properties={"xref": ["x", "y\tz"]}),
-        Node(Curie("A", "1"), ["Gene"], properties={"bad\tcolumn": ["x"]}),
-        Edge(Curie("A", "1"), "treats\t", Curie("B", "2")),
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"publications": ["PMID:1|PMID:2"]}),
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"note": ["two\nlines"]}),
+        Node("A:1", ["Gene"], "tab\tname"),
+        Node("A:1", ["Gene"], "line\nbreak"),
+        Node("A:1", ["Gene\r"]),
+        Node("A:1", ["Gene|Protein"]),
+        Node("A:1", ["Gene"], properties={"xref": ["x|y"]}),
+        Node("A:1", ["Gene"], properties={"xref": ["x", "y\tz"]}),
+        Node("A:1", ["Gene"], properties={"bad\tcolumn": ["x"]}),
+        Edge("A:1", "treats\t", "B:2"),
+        Edge("A:1", "treats", "B:2", {"publications": ["PMID:1|PMID:2"]}),
+        Edge("A:1", "treats", "B:2", {"note": ["two\nlines"]}),
         # A property named like a core column cannot be written in either format.
-        Node(Curie("A", "1"), ["Gene"], "x", {"id": ["B:2"]}),
-        Node(Curie("A", "1"), ["Gene"], properties={"category": ["Disease"]}),
-        Node(Curie("A", "1"), ["Gene"], properties={"name": ["y"], "xref": ["X:1"]}),
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"subject": ["C:3"]}),
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"predicate": ["affects"]}),
-        Edge(Curie("A", "1"), "treats", Curie("B", "2"), {"object": []}),
+        Node("A:1", ["Gene"], "x", {"id": ["B:2"]}),
+        Node("A:1", ["Gene"], properties={"category": ["Disease"]}),
+        Node("A:1", ["Gene"], properties={"name": ["y"], "xref": ["X:1"]}),
+        Edge("A:1", "treats", "B:2", {"subject": ["C:3"]}),
+        Edge("A:1", "treats", "B:2", {"predicate": ["affects"]}),
+        Edge("A:1", "treats", "B:2", {"object": []}),
     ],
 )
 def test_write_tsv_rejects_what_cannot_read_back(item):
@@ -519,23 +518,23 @@ def test_normalize_graph_fixed_point(seed_doc, seed_index, demo_graph, demo_equi
 
 def test_normalize_graph_merges_clique_members(seed_doc, seed_index):
     table = load_equivalences("Gene\tNCBIGene:23221|HGNC:18756\n")
-    disease = Node(Curie("MONDO", "1"), ["Disease"])
+    disease = Node("MONDO:1", ["Disease"])
     nodes = [
-        Node(Curie("HGNC", "18756"), ["Gene"], "by hgnc"),
-        Node(Curie("NCBIGene", "23221"), ["Gene"], "by ncbi"),
+        Node("HGNC:18756", ["Gene"], "by hgnc"),
+        Node("NCBIGene:23221", ["Gene"], "by ncbi"),
         disease,
     ]
     edges = [
-        Edge(Curie("HGNC", "18756"), "gene_associated_with_condition", Curie("MONDO", "1"),
+        Edge("HGNC:18756", "gene_associated_with_condition", "MONDO:1",
              {"publications": ["PMID:1"]}),
-        Edge(Curie("NCBIGene", "23221"), "gene_associated_with_condition", Curie("MONDO", "1"),
+        Edge("NCBIGene:23221", "gene_associated_with_condition", "MONDO:1",
              {"publications": ["PMID:2"]}),
     ]
     kg = build_graph(nodes, edges)
     normalized, report = normalize_graph(kg, table, seed_doc, seed_index)
     gene_nodes = [n for n in normalized.nodes.values() if "Gene" in n.categories]
     assert len(gene_nodes) == 1
-    assert gene_nodes[0].id == Curie("NCBIGene", "23221")
+    assert gene_nodes[0].id == "NCBIGene:23221"
     assert len(normalized.edges) == 1
     assert set(normalized.edges[0].properties["publications"]) == {"PMID:1", "PMID:2"}
     assert report.nodes_merged == 1
@@ -545,7 +544,7 @@ def test_normalize_graph_merges_clique_members(seed_doc, seed_index):
 
 
 def _random_table(rng, kg, seed_doc):
-    ids = sorted(kg.nodes, key=lambda c: c.text)
+    ids = sorted(kg.nodes)
     lines = []
     used = set()
     for _ in range(rng.randint(0, 4)):
@@ -554,7 +553,7 @@ def _random_table(rng, kg, seed_doc):
             break
         members = rng.sample(pool, 2)
         used.update(members)
-        lines.append("Gene\t" + "|".join(m.text for m in members))
+        lines.append("Gene\t" + "|".join(members))
     return load_equivalences("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -689,7 +688,7 @@ def test_graph_stats_invariant_under_row_permutation(
 
 def test_close_categories_adds_ancestors(demo_graph, seed_index):
     closed = close_categories(demo_graph, seed_index)
-    gene = closed.nodes[Curie("NCBIGene", "23221")]
+    gene = closed.nodes["NCBIGene:23221"]
     assert gene.categories[0] == "Gene"
     assert {"Gene", "GenomicEntity", "BiologicalEntity", "NamedThing"} <= set(gene.categories)
     # idempotent

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from kgschema import (
-    Curie,
     DisconnectedQueryError,
     ParseError,
     UnknownClassError,
@@ -34,7 +33,7 @@ def test_parse_two_hop_chain(seed_doc):
     assert len(qg.qnodes) == 3
     assert len(qg.qedges) == 2
     pinned = qg.qnodes["_0"]
-    assert pinned.id == Curie("NCBIGene", "23221")
+    assert pinned.id == "NCBIGene:23221"
     assert qg.qnodes["g"].categories == {"Gene", "Protein"}
     assert qg.qedges[0].predicates == {
         "entity_regulates_entity",
@@ -153,7 +152,7 @@ def _expanded_two_hop(seed_doc, seed_index):
 
 def test_two_hop_query_finds_both_chemicals(seed_doc, seed_index, demo_graph):
     bindings = match(_expanded_two_hop(seed_doc, seed_index), demo_graph, seed_doc, seed_index)
-    chemicals = {b.assignments["c"].text for b in bindings}
+    chemicals = {b.assignments["c"] for b in bindings}
     assert chemicals == {
         "CHEMBL.COMPOUND:CHEMBL3989516",
         "CHEMBL.COMPOUND:CHEMBL1789941",
@@ -172,30 +171,30 @@ def test_zero_edge_query_matches_single_node(seed_doc, seed_index, demo_graph):
     qg = expand_query(parse_query("MONDO:0005027", seed_doc), seed_index)
     bindings = match(qg, demo_graph, seed_doc, seed_index)
     assert len(bindings) == 1
-    assert bindings[0].assignments["_0"] == Curie("MONDO", "0005027")
+    assert bindings[0].assignments["_0"] == "MONDO:0005027"
     qg_absent = expand_query(parse_query("MONDO:9999999", seed_doc), seed_index)
     assert match(qg_absent, demo_graph, seed_doc, seed_index) == []
 
 
 def test_symmetric_predicate_matches_reversed_edge(seed_doc, seed_index):
-    nodes = [Node(Curie("A", "1"), ["Gene"]), Node(Curie("B", "2"), ["Gene"])]
-    edges = [Edge(Curie("A", "1"), "genetically_interacts_with", Curie("B", "2"))]
+    nodes = [Node("A:1", ["Gene"]), Node("B:2", ["Gene"])]
+    edges = [Edge("A:1", "genetically_interacts_with", "B:2")]
     kg = build_graph(nodes, edges)
     qg = expand_query(parse_query("B:2 -[genetically_interacts_with]-> ?x", seed_doc), seed_index)
     bindings = match(qg, kg, seed_doc, seed_index)
-    assert [b.assignments["x"].text for b in bindings] == ["A:1"]
+    assert [b.assignments["x"] for b in bindings] == ["A:1"]
     # Non-symmetric predicates stay directional.
-    edges2 = [Edge(Curie("A", "1"), "entity_regulates_entity", Curie("B", "2"))]
+    edges2 = [Edge("A:1", "entity_regulates_entity", "B:2")]
     kg2 = build_graph(nodes, edges2)
     qg2 = expand_query(parse_query("B:2 -[entity_regulates_entity]-> ?x", seed_doc), seed_index)
     assert match(qg2, kg2, seed_doc, seed_index) == []
 
 
 def test_homomorphism_allows_two_variables_on_one_node(seed_doc, seed_index):
-    nodes = [Node(Curie("A", "1"), ["Gene"]), Node(Curie("B", "2"), ["Gene"])]
+    nodes = [Node("A:1", ["Gene"]), Node("B:2", ["Gene"])]
     edges = [
-        Edge(Curie("A", "1"), "interacts_with", Curie("B", "2")),
-        Edge(Curie("B", "2"), "interacts_with", Curie("B", "2")),
+        Edge("A:1", "interacts_with", "B:2"),
+        Edge("B:2", "interacts_with", "B:2"),
     ]
     kg = build_graph(nodes, edges)
     qg = expand_query(
@@ -203,20 +202,20 @@ def test_homomorphism_allows_two_variables_on_one_node(seed_doc, seed_index):
         seed_index,
     )
     bindings = match(qg, kg, seed_doc, seed_index)
-    assert {(b.assignments["x"].text, b.assignments["y"].text) for b in bindings} == {
+    assert {(b.assignments["x"], b.assignments["y"]) for b in bindings} == {
         ("A:1", "B:2"),
         ("B:2", "B:2"),
     }
 
 
 def test_match_sees_edges_and_nodes_changed_after_a_match(seed_doc, seed_index):
-    a, b, c, d, e = (Curie(prefix, str(i)) for i, prefix in enumerate("ABCDE"))
+    a, b, c, d, e = (f"{prefix}:{i}" for i, prefix in enumerate("ABCDE"))
     genes = {x: Node(x, ["Gene"]) for x in (a, b, c, d, e)}
     kg = build_graph([genes[a], genes[b], genes[c]], [Edge(a, "interacts_with", b)])
     qg = expand_query(parse_query("A:0 -[related_to]-> ?x", seed_doc), seed_index)
 
     def found() -> list[str]:
-        return [binding.assignments["x"].text for binding in match(qg, kg, seed_doc, seed_index)]
+        return [binding.assignments["x"] for binding in match(qg, kg, seed_doc, seed_index)]
 
     assert found() == ["B:1"]
     kg.edges.append(Edge(a, "interacts_with", c))
@@ -233,7 +232,7 @@ def test_match_sees_edges_and_nodes_changed_after_a_match(seed_doc, seed_index):
 
 
 def test_match_sees_a_node_swapped_in_the_same_map(seed_doc, seed_index):
-    a, b, c, d = (Curie(prefix, str(i)) for i, prefix in enumerate("ABCD"))
+    a, b, c, d = (f"{prefix}:{i}" for i, prefix in enumerate("ABCD"))
     genes = {x: Node(x, ["Gene"]) for x in (a, b, c, d)}
     kg = build_graph(
         [genes[a], genes[b], genes[c]],
@@ -242,7 +241,7 @@ def test_match_sees_a_node_swapped_in_the_same_map(seed_doc, seed_index):
     qg = expand_query(parse_query("A:0 -[related_to]-> ?x", seed_doc), seed_index)
 
     def found() -> list[str]:
-        return [binding.assignments["x"].text for binding in match(qg, kg, seed_doc, seed_index)]
+        return [binding.assignments["x"] for binding in match(qg, kg, seed_doc, seed_index)]
 
     assert found() == ["B:1"]
     # Same dict, same node count: only the edge to D:3 stops dangling.
@@ -252,13 +251,13 @@ def test_match_sees_a_node_swapped_in_the_same_map(seed_doc, seed_index):
 
 
 def test_match_sees_a_node_swapped_for_one_with_other_categories(seed_doc, seed_index):
-    a, b = Curie("A", "0"), Curie("B", "1")
+    a, b = "A:0", "B:1"
     kg = build_graph([Node(a, ["Gene"]), Node(b, ["Gene"])], [Edge(a, "interacts_with", b)])
     diseases = expand_query(parse_query("A:0 -[related_to]-> ?x:Disease", seed_doc), seed_index)
     genes = expand_query(parse_query("A:0 -[related_to]-> ?x:GeneOrGeneProduct", seed_doc), seed_index)
 
     def found(qg) -> list[str]:
-        return [binding.assignments["x"].text for binding in match(qg, kg, seed_doc, seed_index)]
+        return [binding.assignments["x"] for binding in match(qg, kg, seed_doc, seed_index)]
 
     assert (found(diseases), found(genes)) == ([], ["B:1"])
     # Same dict, same node id: only the category list of B:1 changes.
@@ -380,5 +379,5 @@ def test_evidence_matches_edge_properties_exactly(seed_doc, seed_index, demo_gra
 def test_results_sorted_by_bound_id_tuples(seed_doc, seed_index, demo_graph):
     qg = expand_query(parse_query("?a -[related_to]-> ?b", seed_doc), seed_index)
     bindings = match(qg, demo_graph, seed_doc, seed_index)
-    keys = [tuple(b.assignments[v].text for v in ("a", "b")) for b in bindings]
+    keys = [tuple(b.assignments[v] for v in ("a", "b")) for b in bindings]
     assert keys == sorted(keys)

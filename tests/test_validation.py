@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgschema import (
-    Curie,
     Edge,
     KnowledgeGraph,
     Node,
@@ -30,13 +29,13 @@ from oracles import json_inputs_digest, naive_validate
 
 def _node(id_text, categories, **properties):
     prefix, local = id_text.split(":", 1)
-    return Node(Curie(prefix, local), list(categories), properties.pop("name", None), properties)
+    return Node(f"{prefix}:{local}", list(categories), properties.pop("name", None), properties)
 
 
 def _edge(subject, predicate, obj, **properties):
     sp, sl = subject.split(":", 1)
     op, ol = obj.split(":", 1)
-    return Edge(Curie(sp, sl), predicate, Curie(op, ol), {k: list(v) for k, v in properties.items()})
+    return Edge(f"{sp}:{sl}", predicate, f"{op}:{ol}", {k: list(v) for k, v in properties.items()})
 
 
 def _codes(violations):
@@ -421,7 +420,7 @@ def test_validate_graph_equals_naive_oracle(seed_doc, seed_index):
     )
     prefixes = ("NCBIGene", "MONDO", "HP", "XX", "UniProtKB")
     nodes = [
-        Node(Curie(prefix, str(serial)), list(categories))
+        Node(f"{prefix}:{serial}", list(categories))
         for serial, (categories, prefix) in enumerate(
             itertools.product(faulty * 2, prefixes)
         )
@@ -482,7 +481,7 @@ _text = st.sampled_from(
 ) | st.text(alphabet="a01\t\\\n\x00|\"-+", max_size=3)
 _properties = st.dictionaries(_text, st.lists(_text, max_size=3), max_size=2)
 _names = st.none() | st.sampled_from(["", "-", "+"]) | _text
-_curies = st.builds(Curie, _text, _text)
+_curies = st.builds("{}:{}".format, _text, _text)
 _nodes = st.builds(Node, _curies, st.lists(_text, max_size=3), _names, _properties)
 _edges = st.builds(Edge, _curies, _text, _curies, _properties)
 
@@ -512,12 +511,12 @@ def _put(record, slot: str, text: str):
         return replace(record, properties={**record.properties, text: ["v"]})
     if isinstance(record, Node):
         if slot == "id":
-            return replace(record, id=Curie(text, "1"))
+            return replace(record, id=f"{text}:1")
         if slot == "name":
             return replace(record, name=text)
         return replace(record, categories=[text])
     if slot == "id":
-        return replace(record, subject=Curie(text, "1"))
+        return replace(record, subject=f"{text}:1")
     return replace(record, predicate=text)
 
 
@@ -585,7 +584,7 @@ def _graph_pairs(draw):
 
 def _node_pair(left: dict, right: dict):
     """Two one-node graphs: one node with the ``left`` and with the ``right`` field values."""
-    base = Node(Curie("A", "1"), ["Gene"])
+    base = Node("A:1", ["Gene"])
     return _graph([replace(base, **left)], []), _graph([replace(base, **right)], [])
 
 
@@ -595,7 +594,7 @@ _NEAR_MISS_EXAMPLES = [
     _node_pair({"properties": {"k": ["a\tb", "c"]}}, {"properties": {"k": ["a", "b\tc"]}}),
     _node_pair({"properties": {"k": ["x\\t"]}}, {"properties": {"k": ["x\t"]}}),
     _node_pair({"name": "x\\n"}, {"name": "x\n"}),
-    _node_pair({"id": Curie("A", "x\\0")}, {"id": Curie("A", "x\x00")}),
+    _node_pair({"id": "A:x\\0"}, {"id": "A:x\x00"}),
     _node_pair({"properties": {"k\\": ["v"]}}, {"properties": {"k\t": ["v"]}}),
     _node_pair({"name": None}, {"name": ""}),
     _node_pair({"name": None}, {"name": "-"}),
