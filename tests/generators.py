@@ -99,6 +99,98 @@ def deep_chain_schema(class_depth: int, predicate_depth: int) -> SchemaDocument:
     return doc
 
 
+def tangled_schema(rng: random.Random) -> SchemaDocument:
+    """A random schema, often invalid: is_a cycles and unknown parents among classes,
+    slots and associations, loops in mixin declarations, and associations with a
+    mixin or a class at either end."""
+    doc = SchemaDocument(name="tangled", version="0")
+
+    def parent(names: list[str], i: int) -> str | None:
+        roll = rng.random()
+        if roll < 0.5 and i:
+            return rng.choice(names[:i])
+        if roll < 0.65:
+            return rng.choice(names)  # may close a cycle
+        return "Ghost" if roll < 0.75 else None
+
+    classes = [f"C{i}" for i in range(rng.randint(1, 10))]
+    for i, name in enumerate(classes):
+        doc.classes[name] = ClassDefinition(
+            name=name, is_a=parent(classes, i), is_mixin=rng.random() < 0.4
+        )
+    mixins = [name for name in classes if doc.classes[name].is_mixin]
+    for cls in doc.classes.values():
+        pool = mixins + ["Ghost"] if rng.random() < 0.8 else classes
+        cls.mixins = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+
+    slots = ["related_to"] + [f"p{i}" for i in range(rng.randint(0, 6))]
+    for i, name in enumerate(slots):
+        kind = "node_property" if rng.random() < 0.1 else "predicate"
+        is_a = parent(slots, i) if name != "related_to" or rng.random() < 0.1 else None
+        doc.slots[name] = SlotDefinition(name=name, slot_kind=kind, is_a=is_a)
+
+    associations = [f"A{i}Association" for i in range(rng.randint(0, 8))]
+    for i, name in enumerate(associations):
+        doc.associations[name] = AssociationDefinition(
+            name=name,
+            is_a=parent(associations, i),
+            subject=rng.choice(classes),
+            predicate=rng.choice(slots),
+            object=rng.choice(classes),
+        )
+    return doc
+
+
+def mixin_association_schema(
+    classes: int, mixins: int, predicates: int, associations: int, seed: int = 0
+) -> SchemaDocument:
+    """A valid schema whose child associations take a mixin subject.
+
+    One class tree under C0, each class declaring 0-3 mixins; a mixin tree
+    whose members may declare earlier mixins; a predicate tree under
+    related_to. Each child association ``is_a`` a root association whose
+    subject and object are C0.
+    """
+    rng = random.Random(seed)
+    doc = SchemaDocument(name="mixin-associations", version="0")
+    mixin_names = [f"M{i}" for i in range(mixins)]
+    for i, name in enumerate(mixin_names):
+        doc.classes[name] = ClassDefinition(
+            name=name,
+            is_mixin=True,
+            is_a=rng.choice(mixin_names[:i]) if i and rng.random() < 0.5 else None,
+            mixins=rng.sample(mixin_names[:i], min(i, rng.randint(0, 1))),
+        )
+    class_names = [f"C{i}" for i in range(classes)]
+    for i, name in enumerate(class_names):
+        doc.classes[name] = ClassDefinition(
+            name=name,
+            is_a=rng.choice(class_names[:i]) if i else None,
+            mixins=rng.sample(mixin_names, min(mixins, rng.randint(0, 3))),
+        )
+    doc.slots["related_to"] = SlotDefinition(name="related_to", slot_kind="predicate")
+    predicate_names = ["related_to"]
+    for i in range(predicates):
+        name = f"pred_{i}"
+        doc.slots[name] = SlotDefinition(name=name, slot_kind="predicate", is_a=rng.choice(predicate_names))
+        predicate_names.append(name)
+    roots = ["RootAssociation", "OtherRootAssociation"]
+    for name in roots:
+        doc.associations[name] = AssociationDefinition(
+            name=name, subject="C0", predicate="related_to", object="C0"
+        )
+    for i in range(associations):
+        name = f"Child{i}Association"
+        doc.associations[name] = AssociationDefinition(
+            name=name,
+            is_a=rng.choice(roots),
+            subject=rng.choice(mixin_names),
+            predicate=rng.choice(predicate_names),
+            object=rng.choice(class_names),
+        )
+    return doc
+
+
 def random_graph(
     rng: random.Random,
     doc: SchemaDocument,

@@ -2,7 +2,8 @@
 
 A case is a name, the verb and its arguments, and its stdin. Arguments
 name files through ``{schema}`` (the bundled seed schema) and ``{data}``
-(``tests/data``), so the expected files hold no machine-specific path.
+(``tests/data``), and ``tests/data`` reads as ``{data}`` in the outputs
+too, so the expected files hold no machine-specific path.
 The expected output of case ``name`` lives in ``tests/golden/name.stdout``,
 ``name.stderr`` and ``name.exit``.
 
@@ -55,6 +56,16 @@ CASES: list[tuple[str, list[str], str]] = [
     ("validate_bad_graph_file", ["validate", *_DIRTY_TSV, "--nodes", "{data}/dirty_edges.tsv"], ""),
     ("validate_bad_schema", ["validate", *_DEMO, "--schema", "{data}/equivalences.tsv"], ""),
     ("query_bad_predicate", ["query", *_DEMO, "--query", "NCBIGene:23221 -[no_such]-> ?x"], ""),
+    ("query_demo_bom", ["query", *_DEMO, "--query", "{data}/rhobtb2_query_bom.txt"], ""),
+    ("expand_demo", ["expand", "--schema", "{schema}", "--predicate", "entity_regulates_entity"], ""),
+    (
+        "expand_lax",
+        ["expand", "--schema", "{data}/lax_schema.kgs.yaml", "--predicate", "related_to", "--lax"],
+        "",
+    ),
+    # A class is_a cycle, an unknown parent and widening mixin ends: the
+    # schema's own errors, then exit 2.
+    ("expand_bad_schema", ["expand", "--schema", "{data}/bad_hierarchy.kgs.yaml", "--predicate", "related_to"], ""),
 ]
 
 
@@ -66,7 +77,8 @@ def arguments(args: list[str]) -> list[str]:
 def run(args: list[str], stdin: str) -> tuple[str, str, int]:
     """Run one case in process; returns (stdout, stderr, exit code)."""
     result = CliRunner().invoke(main, arguments(args), input=stdin, catch_exceptions=False)
-    return result.stdout, result.stderr, result.exit_code
+    stdout, stderr = (text.replace(str(DATA), "{data}") for text in (result.stdout, result.stderr))
+    return stdout, stderr, result.exit_code
 
 
 def expected(name: str) -> tuple[str, str, int]:

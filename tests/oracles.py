@@ -69,6 +69,83 @@ def mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
     return reach
 
 
+def naive_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
+    """Each is_a cycle once, as its sorted members: the names whose chain leads back to them."""
+    cycles = set()
+    for name in parents:
+        chain = dfs_ancestors(parents, name)
+        if parents[chain[-1]] == name:
+            cycles.add(tuple(sorted(chain)))
+    return sorted(cycles)
+
+
+def naive_narrows(doc: SchemaDocument, child: str, parent: str) -> bool:
+    """Whether association end ``child`` narrows ``parent``: the same class; for a
+    mixin parent, a child that reaches it; for a class parent, a child class under
+    it, or a mixin child whose instantiable carriers are all under it."""
+    if child == parent:
+        return True
+    if doc.classes[parent].is_mixin:
+        return parent in mixin_reach(doc, child)
+    carriers = [child]
+    if doc.classes[child].is_mixin:
+        carriers = [
+            name
+            for name, cls in doc.classes.items()
+            if not cls.is_mixin and child in mixin_reach(doc, name)
+        ]
+    parents = {name: cls.is_a for name, cls in doc.classes.items()}
+    return all(parent in dfs_ancestors(parents, carrier) for carrier in carriers)
+
+
+def naive_hierarchy_violations(doc: SchemaDocument) -> list[tuple[str, str, str]]:
+    """The is_a cycle, root predicate and association narrowing violations of
+    ``doc`` as sorted (code, element, detail) triples."""
+    out = []
+    slot_parents = {name: slot.is_a for name, slot in doc.slots.items()}
+    for kind, parents in (
+        ("class", {name: cls.is_a for name, cls in doc.classes.items()}),
+        ("slot", slot_parents),
+        ("association", {name: assoc.is_a for name, assoc in doc.associations.items()}),
+    ):
+        for members in naive_cycles(parents):
+            out.append(("CYCLE_IN_IS_A", members[0], f"{kind} is_a cycle: " + " -> ".join(members)))
+    on_cycle = {name for members in naive_cycles(slot_parents) for name in members}
+    for name, slot in doc.slots.items():
+        if slot.slot_kind != "predicate" or name in on_cycle:
+            continue
+        if name == "related_to":
+            if slot.is_a is not None:
+                out.append(
+                    ("PREDICATE_NOT_UNDER_RELATED_TO", name, "the root predicate must have no parent")
+                )
+            continue
+        top = dfs_ancestors(slot_parents, name)[-1]
+        if top != "related_to" or doc.slots[top].slot_kind != "predicate":
+            out.append(
+                ("PREDICATE_NOT_UNDER_RELATED_TO", name, "predicate does not reach 'related_to' via is_a")
+            )
+    for name, assoc in doc.associations.items():
+        parent = doc.associations.get(assoc.is_a)
+        if parent is None:
+            continue
+        if any(ref not in doc.classes for ref in (assoc.subject, assoc.object, parent.subject, parent.object)):
+            continue
+        if assoc.predicate not in doc.slots or parent.predicate not in doc.slots:
+            continue
+        for side, child_end, parent_end in (
+            ("subject", assoc.subject, parent.subject),
+            ("object", assoc.object, parent.object),
+        ):
+            if not naive_narrows(doc, child_end, parent_end):
+                detail = f"{side} {child_end!r} is not a specialization of {parent_end!r}"
+                out.append(("ASSOCIATION_WIDENS_PARENT", name, detail))
+        if parent.predicate not in dfs_ancestors(slot_parents, assoc.predicate):
+            detail = f"predicate {assoc.predicate!r} is not a descendant of {parent.predicate!r}"
+            out.append(("ASSOCIATION_WIDENS_PARENT", name, detail))
+    return sorted(out)
+
+
 def naive_minimal(doc: SchemaDocument, known: set[str]) -> list[str]:
     """Members of ``known`` with no other member below them, sorted.
 

@@ -11,11 +11,12 @@ from kgschema import (
     UnknownClassError,
     UnknownPredicateError,
     build_closure,
+    validate_schema,
     expand_predicates,
     is_subclass_of,
     most_specific_category,
 )
-from generators import deep_chain_schema, random_schema
+from generators import deep_chain_schema, mixin_association_schema, random_schema
 from oracles import dfs_ancestors, dfs_descendants, mixin_reach
 
 
@@ -62,6 +63,19 @@ def test_closure_of_deep_child_first_class_chain():
     index = build_closure(deep_chain_schema(depth, 0))
     assert index.class_ancestors[f"C{depth}"] == [f"C{i}" for i in range(depth, -1, -1)]
     assert index.class_descendants["C0"] == {f"C{i}" for i in range(depth + 1)}
+
+
+def test_mixin_reach_of_a_schema_with_many_mixin_subject_associations():
+    doc = mixin_association_schema(classes=300, mixins=40, predicates=200, associations=150)
+    assert validate_schema(doc) == []
+    index = build_closure(doc)
+    reach = {name: mixin_reach(doc, name) for name in doc.classes}
+    assert index.mixin_membership == reach
+    assert index.mixin_carriers == {
+        mixin: {name for name, cls in doc.classes.items() if not cls.is_mixin and mixin in reach[name]}
+        for mixin, cls in doc.classes.items()
+        if cls.is_mixin
+    }
 
 
 def test_closure_invariants_on_seed(seed_doc, seed_index):

@@ -19,8 +19,8 @@ from kgschema import (
 )
 from kgschema.schema_model import AssociationDefinition, Mapping, TypeDefinition
 
-from generators import deep_chain_schema, random_schema
-from oracles import recursive_slot_union
+from generators import deep_chain_schema, random_schema, tangled_schema
+from oracles import dfs_ancestors, naive_hierarchy_violations, recursive_slot_union
 
 MINIMAL = "name: minimal\nversion: 0.0.1\n"
 
@@ -498,12 +498,22 @@ def test_ancestor_lists_equal_chain_walks_with_cycles_and_unknown_parents():
         parents = {
             name: rng.choice(names + ["ghost", None, None]) for name in names
         }
-        slots = {n: SlotDefinition(name=n, slot_kind="predicate", is_a=p) for n, p in parents.items()}
-        assert sm._ancestor_lists(parents) == {n: sm._chain(slots, n) for n in names}, parents
+        assert sm._ancestor_lists(parents) == {n: dfs_ancestors(parents, n) for n in names}, parents
 
 
 def test_validate_schema_on_deep_predicate_chain_is_clean():
     assert validate_schema(deep_chain_schema(0, 6000)) == []
+
+
+def test_hierarchy_checks_equal_naive_oracle_on_tangled_schemas():
+    # is_a cycles, unknown parents, mixin declaration loops, and associations
+    # with a mixin at either end, often under a mixin or class parent end.
+    checked = {sm.CYCLE_IN_IS_A, sm.PREDICATE_NOT_UNDER_RELATED_TO, sm.ASSOCIATION_WIDENS_PARENT}
+    rng = random.Random(1313)
+    for _ in range(2000):
+        doc = tangled_schema(rng)
+        found = [(v.code, v.element, v.detail) for v in validate_schema(doc) if v.code in checked]
+        assert found == naive_hierarchy_violations(doc), serialize_schema(doc)
 
 
 # ---------------------------------------------------------------------------
