@@ -60,12 +60,26 @@ class NoMatchingBaseError(KgschemaError):
     """No declared IRI base is a prefix of the given IRI."""
 
 
-class UnknownClassError(KgschemaError):
+class _UnknownNameError(KgschemaError):
+    """A name is not declared in the schema; ``name`` holds it."""
+
+    kind = ""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"unknown {self.kind} {name!r}")
+
+
+class UnknownClassError(_UnknownNameError):
     """A class name is not declared in the schema."""
 
+    kind = "class"
 
-class UnknownPredicateError(KgschemaError):
+
+class UnknownPredicateError(_UnknownNameError):
     """A predicate name is not declared in the schema."""
+
+    kind = "predicate"
 
 
 class EmptyCliqueError(KgschemaError):

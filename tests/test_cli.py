@@ -160,6 +160,7 @@ def test_lax_prints_an_ignored_key_as_a_warning(runner, seed_path, seed_text, tm
 def test_expand_unknown_predicate_is_tool_error(runner, seed_path):
     result = _invoke(runner, "expand", "--schema", str(seed_path), "--predicate", "nope")
     assert result.exit_code == 2
+    assert result.stderr == "kgschema: unknown predicate 'nope'\n"
 
 
 def test_schema_from_environment_variable(runner, seed_path, seed_doc):
