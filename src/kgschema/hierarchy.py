@@ -21,14 +21,7 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .schema_model import (
-    PREDICATE,
-    SchemaDocument,
-    _ancestor_lists,
-    _fill_down,
-    mixin_reach,
-    validate_schema,
-)
+from .schema_model import PREDICATE, SchemaDocument, _Walk, validate_schema
 
 
 @dataclass
@@ -56,27 +49,6 @@ class ClosureIndex:
         return len(self.predicate_ancestors[predicate]) - 1
 
 
-def _mixin_membership(doc: SchemaDocument, parents: dict[str, str | None]) -> dict[str, frozenset[str]]:
-    """Per class, the mixins reachable through is_a and mixin declarations.
-
-    A class adds itself, when it is a mixin, and the reach of each mixin it
-    declares to its parent's set; it shares the parent's set when they add
-    nothing. Each declared mixin is walked once.
-    """
-    declared: dict[str, frozenset[str]] = {}
-
-    def extend(name: str, above: frozenset[str]) -> frozenset[str]:
-        cls = doc.classes[name]
-        own = {name} if cls.is_mixin else set()
-        for mixin in cls.mixins:
-            if mixin not in declared:
-                declared[mixin] = frozenset(mixin_reach(doc, mixin))
-            own |= declared[mixin]
-        return above if own <= above else above | own
-
-    return _fill_down(parents, frozenset(), extend)
-
-
 def _invert(ancestors: dict[str, list[str]]) -> dict[str, frozenset[str]]:
     """Descendant sets from ancestor lists that follow one parent per name.
 
@@ -101,28 +73,20 @@ def build_closure(doc: SchemaDocument) -> ClosureIndex:
     if errors:
         summary = ", ".join(sorted({v.code for v in errors}))
         raise SchemaNotValidError(f"schema has {len(errors)} error(s): {summary}", errors)
-    index = ClosureIndex()
-    class_parents = {n: c.is_a for n, c in doc.classes.items()}
-    index.class_ancestors = _ancestor_lists(class_parents)
-    index.class_descendants = _invert(index.class_ancestors)
-
-    predicate_parents = {
-        name: slot.is_a for name, slot in doc.slots.items() if slot.slot_kind == PREDICATE
+    walk = _Walk(doc)
+    # In a valid schema a predicate's slot chain holds only predicates.
+    predicate_ancestors = {
+        name: chain for name, chain in walk.slot_chains.items() if doc.slots[name].slot_kind == PREDICATE
     }
-    index.predicate_ancestors = _ancestor_lists(predicate_parents)
-    index.predicate_descendants = _invert(index.predicate_ancestors)
-
-    index.mixins = frozenset(n for n, c in doc.classes.items() if c.is_mixin)
-    index.mixin_membership = _mixin_membership(doc, class_parents)
-
-    carriers: dict[str, set[str]] = {m: set() for m in index.mixins}
-    for name, reach in index.mixin_membership.items():
-        if name in index.mixins:
-            continue
-        for mixin in reach:
-            carriers[mixin].add(name)
-    index.mixin_carriers = {m: frozenset(c) for m, c in carriers.items()}
-    return index
+    return ClosureIndex(
+        class_ancestors=walk.class_chains,
+        class_descendants=_invert(walk.class_chains),
+        predicate_ancestors=predicate_ancestors,
+        predicate_descendants=_invert(predicate_ancestors),
+        mixin_membership=walk.reach,
+        mixins=frozenset(walk.carriers),
+        mixin_carriers=walk.carriers,
+    )
 
 
 def is_subclass_of(index: ClosureIndex, a: str, b: str, use_mixins: bool = False) -> bool:

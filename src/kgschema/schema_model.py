@@ -15,6 +15,7 @@ import re
 import warnings
 from collections.abc import Callable, Container
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import blockyaml
 from .blockyaml import MappingNode, Scalar, Sequence, YamlNode
@@ -392,21 +393,6 @@ def _emit_mappings(out: list[str], mappings: list[Mapping]) -> None:
 # Validation
 
 
-def _chain(names: dict, start: str) -> list[str]:
-    """is_a chain from ``start`` upward, cycle-guarded, unknown-guarded."""
-    chain = [start]
-    seen = {start}
-    current = names.get(start)
-    while current is not None and current.is_a is not None:
-        parent = current.is_a
-        if parent in seen or parent not in names:
-            break
-        chain.append(parent)
-        seen.add(parent)
-        current = names[parent]
-    return chain
-
-
 def _find_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
     """Distinct is_a cycles, each as a canonical sorted member tuple."""
     cycles: set[tuple[str, ...]] = set()
@@ -428,21 +414,19 @@ def _find_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
     return sorted(cycles)
 
 
-def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict | None = None) -> dict:
-    """``extend(name, value of its parent)`` for every name, parents first.
+def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict, names=None) -> dict:
+    """``extend(name, value of its parent)`` for ``names`` (default: all) and
+    every name above them, parents first.
 
     Each name climbs to the first name whose value is known, in ``cache``
     or computed, or past a root, and the values are filled back down the
-    path, so a chain costs one pass. ``on_path`` ends a cycle.
+    path, so a chain costs one pass. ``cache`` must hold every cycle member.
     """
-    cache = {} if cache is None else cache
-    for name in parents:
+    for name in parents if names is None else names:
         path: list[str] = []
-        on_path: set[str] = set()
         current = name
-        while current in parents and current not in cache and current not in on_path:
+        while current in parents and current not in cache:
             path.append(current)
-            on_path.add(current)
             current = parents[current]
         above = cache.get(current, empty)
         for member in reversed(path):
@@ -451,21 +435,21 @@ def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict | None
     return cache
 
 
-def _ancestor_lists(parents: dict[str, str | None]) -> dict[str, list[str]]:
-    """:func:`_chain` of every name, in one pass.
+def _ancestor_lists(parents: dict, cycles: list, names=None) -> dict[str, list[str]]:
+    """The is_a chain, self first, of ``names`` (default: all), in one pass.
 
-    A chain stops at a root, before an unknown parent, or once round the
-    cycle it runs into, so each cycle member starts from its own rotation
-    of the cycle.
+    ``cycles`` are those of ``parents``. A chain stops at a root, before an
+    unknown parent, or once round the cycle it runs into, so each cycle
+    member starts from its own rotation of the cycle.
     """
     rotations: dict[str, list[str]] = {}
-    for members in _find_cycles(parents):
+    for members in cycles:
         ring = [members[0]]
         while parents[ring[-1]] != members[0]:
             ring.append(parents[ring[-1]])
         for i, name in enumerate(ring):
             rotations[name] = ring[i:] + ring[:i]
-    return _fill_down(parents, [], lambda member, above: [member] + above, rotations)
+    return _fill_down(parents, [], lambda member, above: [member] + above, rotations, names)
 
 
 def _reachable(doc: SchemaDocument, start: str) -> list[str]:
@@ -496,6 +480,68 @@ def _mixin_contribution(doc: SchemaDocument, mixin: str) -> list[str]:
     return [slot for name in _reachable(doc, mixin) for slot in doc.classes[name].slots]
 
 
+class _Walk:
+    """Each hierarchy of ``doc`` walked once, for validation and the closure.
+
+    Cycles are found up front; chains, mixin reach and carriers on first use.
+    """
+
+    def __init__(self, doc: SchemaDocument):
+        self.doc = doc
+        self.class_parents = {n: c.is_a for n, c in doc.classes.items()}
+        self.slot_parents = {n: s.is_a for n, s in doc.slots.items()}
+        self.class_cycles = _find_cycles(self.class_parents)
+        self.slot_cycles = _find_cycles(self.slot_parents)
+
+    @cached_property
+    def class_chains(self) -> dict[str, list[str]]:
+        return _ancestor_lists(self.class_parents, self.class_cycles)
+
+    @cached_property
+    def slot_chains(self) -> dict[str, list[str]]:
+        return _ancestor_lists(self.slot_parents, self.slot_cycles)
+
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]]:
+        """Per class, the mixins reachable through is_a and mixin declarations.
+
+        A class adds itself, when a mixin, and each declared mixin's reach,
+        walked once per mixin, to its parent's set, and shares that set when
+        it adds nothing. A cycle's members all reach what the cycle adds.
+        """
+        classes = self.doc.classes
+        declared: dict[str, set[str]] = {}
+
+        def own(name: str) -> set[str]:
+            cls = classes[name]
+            added = {name} if cls.is_mixin else set()
+            for mixin in cls.mixins:
+                if mixin not in declared:
+                    declared[mixin] = {n for n in _reachable(self.doc, mixin) if classes[n].is_mixin}
+                added |= declared[mixin]
+            return added
+
+        def extend(name: str, above: frozenset[str]) -> frozenset[str]:
+            added = own(name)
+            return above if added <= above else above | added
+
+        cache: dict[str, frozenset[str]] = {}
+        for members in self.class_cycles:
+            cache.update(dict.fromkeys(members, frozenset().union(*map(own, members))))
+        return _fill_down(self.class_parents, frozenset(), extend, cache)
+
+    @cached_property
+    def carriers(self) -> dict[str, frozenset[str]]:
+        """Per mixin, the instantiable classes that reach it."""
+        classes = self.doc.classes
+        carriers: dict[str, set[str]] = {n: set() for n, c in classes.items() if c.is_mixin}
+        for name, reach in self.reach.items():
+            if not classes[name].is_mixin:
+                for mixin in reach:
+                    carriers[mixin].add(name)
+        return {m: frozenset(c) for m, c in carriers.items()}
+
+
 def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
     """All slots applicable to instances of ``class_name``.
 
@@ -516,7 +562,8 @@ def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
                 seen.add(slot)
                 ordered.append(slot)
 
-    chain = _chain(doc.classes, class_name)
+    walk = _Walk(doc)
+    chain = _ancestor_lists(walk.class_parents, walk.class_cycles, [class_name])[class_name]
     for name in chain:
         add(doc.classes[name].slots)
     for name in chain:
@@ -532,6 +579,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
     order that does not depend on declaration order.
     """
     out: list[SchemaViolation] = []
+    walk = _Walk(doc)
 
     def err(code: str, element: str, detail: str) -> None:
         out.append(SchemaViolation(code, "error", element, detail))
@@ -573,7 +621,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
                 err(UNKNOWN_SLOT_REF, name, f"slot {slot!r} is not declared")
         _check_mappings(cls.mappings, name, err)
 
-    for members in _find_cycles({n: c.is_a for n, c in doc.classes.items()}):
+    for members in walk.class_cycles:
         err(CYCLE_IN_IS_A, members[0], "class is_a cycle: " + " -> ".join(members))
 
     # Slots.
@@ -600,12 +648,9 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             err(UNKNOWN_CLASS_REF, name, f"range {slot.range!r} is not a class or type")
         _check_mappings(slot.mappings, name, err)
 
-    slot_parents = {n: s.is_a for n, s in doc.slots.items()}
-    slot_chains = _ancestor_lists(slot_parents)
-    slot_cycles = _find_cycles(slot_parents)
-    for members in slot_cycles:
+    for members in walk.slot_cycles:
         err(CYCLE_IN_IS_A, members[0], "slot is_a cycle: " + " -> ".join(members))
-    on_cycle = {name for members in slot_cycles for name in members}
+    on_cycle = {name for members in walk.slot_cycles for name in members}
 
     # Every predicate must sit under the root predicate.
     for name, slot in doc.slots.items():
@@ -615,7 +660,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             if slot.is_a is not None:
                 err(PREDICATE_NOT_UNDER_RELATED_TO, name, "the root predicate must have no parent")
             continue
-        top = slot_chains[name][-1]
+        top = walk.slot_chains[name][-1]
         if top != ROOT_PREDICATE or doc.slots[top].slot_kind != PREDICATE:
             err(
                 PREDICATE_NOT_UNDER_RELATED_TO,
@@ -648,8 +693,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             elif target_slot.slot_kind != EDGE_PROPERTY:
                 err(SLOT_NOT_EDGE_PROPERTY, name, f"{prop!r} is a {target_slot.slot_kind}")
 
-    assoc_cycles = _find_cycles({n: a.is_a for n, a in doc.associations.items()})
-    for members in assoc_cycles:
+    for members in _find_cycles({n: a.is_a for n, a in doc.associations.items()}):
         err(CYCLE_IN_IS_A, members[0], "association is_a cycle: " + " -> ".join(members))
 
     # Child associations may only narrow their parent's constraints. The
@@ -667,13 +711,13 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             ("subject", assoc.subject, parent.subject),
             ("object", assoc.object, parent.object),
         ):
-            if not _narrows(doc, child_t, parent_t):
+            if not _narrows(walk, child_t, parent_t):
                 err(
                     ASSOCIATION_WIDENS_PARENT,
                     name,
                     f"{side} {child_t!r} is not a specialization of {parent_t!r}",
                 )
-        if parent.predicate not in slot_chains[assoc.predicate]:
+        if parent.predicate not in walk.slot_chains[assoc.predicate]:
             err(
                 ASSOCIATION_WIDENS_PARENT,
                 name,
@@ -716,30 +760,15 @@ def _check_mappings(mappings: list[Mapping], element: str, err) -> None:
             err(MALFORMED_MAPPING_TARGET, element, f"mapping target {m.target!r} is not a CURIE")
 
 
-def _narrows(doc: SchemaDocument, child: str, parent: str) -> bool:
-    """True when ``child`` denotes a subset of ``parent`` for association checks.
+def _narrows(walk: _Walk, child: str, parent: str) -> bool:
+    """True when class ``child`` denotes a subset of class ``parent`` for association checks.
 
-    A mixin child narrows a class parent when every instantiable carrier of
-    the mixin descends from the parent.
+    A mixin parent is narrowed by what reaches it, a class parent by its
+    descendants, and by a mixin whose instantiable carriers all descend
+    from it. Each class reaches itself or is its own first ancestor.
     """
-    if child == parent:
-        return True
-    child_cls = doc.classes.get(child)
-    parent_cls = doc.classes.get(parent)
-    if child_cls is None or parent_cls is None:
-        return False
-    if parent_cls.is_mixin:
-        return parent in mixin_reach(doc, child)
-    if not child_cls.is_mixin:
-        return parent in _chain(doc.classes, child)
-    carriers = [
-        name
-        for name, cls in doc.classes.items()
-        if not cls.is_mixin and child in mixin_reach(doc, name)
-    ]
-    return all(parent in _chain(doc.classes, c) for c in carriers)
-
-
-def mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
-    """Mixins reachable from ``start`` through is_a and mixin declarations."""
-    return {name for name in _reachable(doc, start) if doc.classes[name].is_mixin}
+    classes = walk.doc.classes
+    if classes[parent].is_mixin:
+        return parent in walk.reach[child]
+    carriers = walk.carriers[child] if classes[child].is_mixin else (child,)
+    return all(parent in walk.class_chains[c] for c in carriers)

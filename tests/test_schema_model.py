@@ -20,7 +20,7 @@ from kgschema import (
 from kgschema.schema_model import AssociationDefinition, Mapping, TypeDefinition
 
 from generators import deep_chain_schema, random_schema, tangled_schema
-from oracles import dfs_ancestors, naive_hierarchy_violations, recursive_slot_union
+from oracles import dfs_ancestors, mixin_reach, naive_hierarchy_violations, recursive_slot_union
 
 MINIMAL = "name: minimal\nversion: 0.0.1\n"
 
@@ -498,11 +498,26 @@ def test_ancestor_lists_equal_chain_walks_with_cycles_and_unknown_parents():
         parents = {
             name: rng.choice(names + ["ghost", None, None]) for name in names
         }
-        assert sm._ancestor_lists(parents) == {n: dfs_ancestors(parents, n) for n in names}, parents
+        chains = sm._ancestor_lists(parents, sm._find_cycles(parents))
+        assert chains == {n: dfs_ancestors(parents, n) for n in names}, parents
 
 
 def test_validate_schema_on_deep_predicate_chain_is_clean():
     assert validate_schema(deep_chain_schema(0, 6000)) == []
+
+
+def test_walk_reach_and_carriers_equal_oracle_on_tangled_schemas():
+    rng = random.Random(1314)
+    for _ in range(500):
+        doc = tangled_schema(rng)
+        walk = sm._Walk(doc)
+        reach = {name: mixin_reach(doc, name) for name in doc.classes}
+        assert walk.reach == reach, serialize_schema(doc)
+        assert walk.carriers == {
+            mixin: {name for name, cls in doc.classes.items() if not cls.is_mixin and mixin in reach[name]}
+            for mixin, cls in doc.classes.items()
+            if cls.is_mixin
+        }
 
 
 def test_hierarchy_checks_equal_naive_oracle_on_tangled_schemas():
