@@ -69,6 +69,9 @@ class _UnknownNameError(KgschemaError):
         self.name = name
         super().__init__(f"unknown {self.kind} {name!r}")
 
+    def __reduce__(self):
+        return type(self), (self.name,)
+
 
 class UnknownClassError(_UnknownNameError):
     """A class name is not declared in the schema."""

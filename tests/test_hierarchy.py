@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -133,8 +134,16 @@ def test_expand_predicates_seed_cases(seed_doc, seed_index):
         "positively_regulates",
         "negatively_regulates",
     }
-    with pytest.raises(UnknownPredicateError):
+    with pytest.raises(UnknownPredicateError) as caught:
         expand_predicates(seed_index, {"does_a_thing"})
+    assert caught.value.name == "does_a_thing"
+    assert str(caught.value) == "unknown predicate 'does_a_thing'"
+
+
+@pytest.mark.parametrize("error", [UnknownClassError("Nope"), UnknownPredicateError("no_such")])
+def test_unknown_name_error_survives_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), copy.name, str(copy)) == (type(error), error.name, str(error))
 
 
 def test_expansion_monotone_and_idempotent(seed_doc, seed_index):
