@@ -65,7 +65,11 @@ CASES: list[tuple[str, list[str], str]] = [
     ),
     # A class is_a cycle, an unknown parent and widening mixin ends: the
     # schema's own errors, then exit 2.
-    ("expand_bad_schema", ["expand", "--schema", "{data}/bad_hierarchy.kgs.yaml", "--predicate", "related_to"], ""),
+    (
+        "expand_bad_schema",
+        ["expand", "--schema", "{data}/bad_hierarchy.kgs.yaml", "--predicate", "related_to"],
+        "",
+    ),
 ]
 
 

@@ -69,6 +69,15 @@ def mixin_reach(doc: SchemaDocument, start: str) -> set[str]:
     return reach
 
 
+def naive_carriers(doc: SchemaDocument, reach: dict[str, set[str]]) -> dict[str, set[str]]:
+    """Per mixin, the instantiable classes whose ``reach`` (class to mixin reach) holds it."""
+    return {
+        mixin: {name for name, cls in doc.classes.items() if not cls.is_mixin and mixin in reach[name]}
+        for mixin, cls in doc.classes.items()
+        if cls.is_mixin
+    }
+
+
 def naive_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
     """Each is_a cycle once, as its sorted members: the names whose chain leads back to them."""
     cycles = set()
@@ -129,7 +138,8 @@ def naive_hierarchy_violations(doc: SchemaDocument) -> list[tuple[str, str, str]
         parent = doc.associations.get(assoc.is_a)
         if parent is None:
             continue
-        if any(ref not in doc.classes for ref in (assoc.subject, assoc.object, parent.subject, parent.object)):
+        ends = (assoc.subject, assoc.object, parent.subject, parent.object)
+        if any(end not in doc.classes for end in ends):
             continue
         if assoc.predicate not in doc.slots or parent.predicate not in doc.slots:
             continue

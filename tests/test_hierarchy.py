@@ -18,7 +18,7 @@ from kgschema import (
     most_specific_category,
 )
 from generators import deep_chain_schema, mixin_association_schema, random_schema
-from oracles import dfs_ancestors, dfs_descendants, mixin_reach
+from oracles import dfs_ancestors, dfs_descendants, mixin_reach, naive_carriers
 
 
 def test_regulation_predicates_descend_from_root(seed_index):
@@ -72,11 +72,7 @@ def test_mixin_reach_of_a_schema_with_many_mixin_subject_associations():
     index = build_closure(doc)
     reach = {name: mixin_reach(doc, name) for name in doc.classes}
     assert index.mixin_membership == reach
-    assert index.mixin_carriers == {
-        mixin: {name for name, cls in doc.classes.items() if not cls.is_mixin and mixin in reach[name]}
-        for mixin, cls in doc.classes.items()
-        if cls.is_mixin
-    }
+    assert index.mixin_carriers == naive_carriers(doc, reach)
 
 
 def test_closure_invariants_on_seed(seed_doc, seed_index):

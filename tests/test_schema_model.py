@@ -20,7 +20,13 @@ from kgschema import (
 from kgschema.schema_model import AssociationDefinition, Mapping, TypeDefinition
 
 from generators import deep_chain_schema, random_schema, tangled_schema
-from oracles import dfs_ancestors, mixin_reach, naive_hierarchy_violations, recursive_slot_union
+from oracles import (
+    dfs_ancestors,
+    mixin_reach,
+    naive_carriers,
+    naive_hierarchy_violations,
+    recursive_slot_union,
+)
 
 MINIMAL = "name: minimal\nversion: 0.0.1\n"
 
@@ -513,11 +519,7 @@ def test_walk_reach_and_carriers_equal_oracle_on_tangled_schemas():
         walk = sm._Walk(doc)
         reach = {name: mixin_reach(doc, name) for name in doc.classes}
         assert walk.reach == reach, serialize_schema(doc)
-        assert walk.carriers == {
-            mixin: {name for name, cls in doc.classes.items() if not cls.is_mixin and mixin in reach[name]}
-            for mixin, cls in doc.classes.items()
-            if cls.is_mixin
-        }
+        assert walk.carriers == naive_carriers(doc, reach)
 
 
 def test_hierarchy_checks_equal_naive_oracle_on_tangled_schemas():
