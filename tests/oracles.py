@@ -11,7 +11,16 @@ import hashlib
 import itertools
 import json
 
-from kgschema import Curie, KnowledgeGraph, MalformedCurieError, SchemaDocument, parse_curie
+from kgschema import (
+    Curie,
+    Edge,
+    KnowledgeGraph,
+    MalformedCurieError,
+    Node,
+    ParseError,
+    SchemaDocument,
+    parse_curie,
+)
 from kgschema.query import Binding, EdgeEvidence, QueryGraph
 from kgschema.schema_model import serialize_schema
 from kgschema.validation import inputs_digest
@@ -519,3 +528,79 @@ def json_inputs_digest(kg: KnowledgeGraph, doc: SchemaDocument) -> str:
         digest.update(line.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def naive_jsonl_read(text: str, kind: str) -> list[Node] | list[Edge]:
+    """The records of JSONL ``text``, read one split line at a time in the README's rule order.
+
+    ``kind`` is ``"node"`` or ``"edge"``. The reference for ``read_nodes``
+    and ``read_edges`` on JSONL: one leading byte order mark is dropped,
+    the text is split on ``\\n``, each line is stripped, blank lines are
+    skipped and ``json.loads`` reads the rest. Per line come the syntax
+    (the JSON, an object, unpaired surrogate escapes on lines with a
+    ``\\u``, the core types), then the field rules, then the properties.
+    The first fault raises the ``ParseError`` the reader must raise.
+    """
+    core = ("id", "category", "name") if kind == "node" else ("subject", "predicate", "object")
+    records = []
+    for number, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+
+        def fault(message: str, column: int = 1) -> ParseError:
+            return ParseError(message, number, column)
+
+        def strings(key: str, value) -> list[str]:
+            if not isinstance(value, list) or any(not isinstance(item, str) for item in value):
+                raise fault(f"{key!r} must be an array of strings")
+            return [item for i, item in enumerate(value) if item and item not in value[:i]]
+
+        def curie(value: str) -> Curie:
+            try:
+                return parse_curie(value)
+            except MalformedCurieError as exc:
+                raise fault(str(exc)) from None
+
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise fault(f"invalid JSON: {exc.msg}", exc.colno) from None
+        except RecursionError:
+            raise fault("invalid JSON: nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise fault(f"each {kind} line must be a JSON object")
+        if "\\u" in line:
+            for key, value in obj.items():
+                for item in [key, *value] if isinstance(value, list) else [key, value]:
+                    if isinstance(item, str) and any(0xD800 <= ord(c) <= 0xDFFF for c in item):
+                        raise fault(f"{key!r} holds an unpaired surrogate escape")
+        fields = {}
+        for name in core:
+            value = obj.get(name)
+            if name == "category":
+                value = [] if value is None else strings(name, value)
+            elif value is None:
+                value = ""
+            elif not isinstance(value, str):
+                raise fault(f"{name!r} must be a string")
+            fields[name] = value
+        if kind == "node":
+            node_id = curie(fields["id"])
+            if not fields["category"]:
+                raise fault("node has no categories")
+        else:
+            if not fields["predicate"]:
+                raise fault("empty predicate")
+            subject, object_id = curie(fields["subject"]), curie(fields["object"])
+        properties = {}
+        for key in sorted(obj):
+            if key not in core:
+                values = strings(key, obj[key])
+                if values:
+                    properties[key] = values
+        if kind == "node":
+            records.append(Node(node_id, fields["category"], fields["name"] or None, properties))
+        else:
+            records.append(Edge(subject, fields["predicate"], object_id, properties))
+    return records

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgschema import (
@@ -24,8 +24,8 @@ from kgschema import (
 )
 from kgschema import build_closure, kg_store
 from kgschema.identifiers import MalformedCurieError, parse_curie
-from generators import dirty_graph, extended_seed_schema, random_graph, random_schema
-from oracles import naive_closed_list, naive_stats_bucket
+from generators import dirty_graph, extended_seed_schema, max_examples, random_graph, random_schema
+from oracles import naive_closed_list, naive_jsonl_read, naive_stats_bucket
 
 NODES_TSV = (
     "id\tcategory\tname\n"
@@ -434,6 +434,93 @@ def test_jsonl_to_tsv_is_lossless_or_rejected(texts):
         return
     round_trip = build_graph(read_nodes(nodes_tsv, "tsv"), read_edges(edges_tsv, "tsv"))
     assert graph_equal(build_graph(nodes, edges), round_trip)
+
+
+# Pieces of hostile JSONL: whitespace that str.strip drops but JSON does
+# not, and whole lines that break a rule or stretch the reader's line ends.
+_STRIPPED = ["", " ", "\t", "\r", "\x0b", "\x1c", "\xa0", "\u2028"]
+_ODD_LINES = [
+    "", " ", "\t\r", "\xa0", "\u2028", "[1]", '"x"', "1", "null", "true", "{}",
+    '{"x": ' + DEEP_ARRAY + "}",
+    '{"id": "A:1", "id": "B:2", "category": ["Gene"], "category": ["Protein"]}',
+    '{"subject": "A:1", "subject": "B:2", "predicate": "p", "object": "A:1"}',
+    '{"id": "A:1", "category": ["Gene"], "score": NaN}',
+    '{"subject": "A:1", "predicate": "p", "object": "B:2", "x": [NaN, Infinity]}',
+    r'{"id": "A:1", "category": ["Gene"], "name": "\ud800"}',
+    r'{"id": "A:1", "category": ["Gene"], "name": "\ud83d\ude00"}',
+    r'{"subject": "A:1", "predicate": "p\udc00", "object": "B:2"}',
+    r'{"subject": "A:1", "predicate": "p", "object": "B:2", "\ud83d\ude00": ["\u00e9"]}',
+    r'{"id": "A:1", "category": ["Gene"], "\udfff": ["x"]}',
+    r'{"id": "A:1", "category": ["Gene"], "xref": ["\\ud800"]}',
+]
+
+
+@st.composite
+def _hostile_jsonl(draw, kind):
+    """JSONL text of ``kind`` records: mostly valid rows, some faulty, some hostile lines."""
+    core = ("id", "category", "name") if kind == "node" else ("subject", "predicate", "object")
+    good = {
+        "id": st.sampled_from(["A:1", "B:2", "C:3"]),
+        "category": st.sampled_from([["Gene"], ["Gene", "Protein"], ["Gene", "Gene", ""]]),
+        "name": st.sampled_from(["a", "", "a|b", "\u00e9"]) | st.none(),
+        "subject": st.sampled_from(["A:1", "B:2"]),
+        "predicate": st.sampled_from(["p", "related_to"]),
+        "object": st.sampled_from(["A:1", "C:3"]),
+    }
+    bad = st.sampled_from(["", "x", "A: 1", 5, None, [], [""], ["Gene", 1], "Gene"]) | st.text(max_size=3)
+    values = st.lists(st.sampled_from(["PMID:1", "PMID:2", "", "\u00e9"]), max_size=3)
+    bad_values = st.sampled_from(["PMID:1", [1], None, [["x"]], {"a": ["b"]}])
+
+    def row() -> str:
+        obj = {}
+        for name in core:
+            fault = draw(st.integers(0, 3 * len(core) * 3)) == 0
+            if fault and draw(st.booleans()):
+                continue  # absent
+            obj[name] = draw(bad if fault else good[name])
+        for key in draw(st.lists(st.sampled_from(["publications", "xref", "a", "\u00e9"]), max_size=3)):
+            obj[key] = draw(bad_values if draw(st.integers(0, 9)) == 0 else values)
+        order = draw(st.permutations(list(obj)))
+        return json.dumps({key: obj[key] for key in order}, ensure_ascii=draw(st.booleans()))
+
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.integers(0, 19))
+        if shape < 12:
+            lines.append(row())
+        elif shape < 15:
+            lines.append(draw(st.sampled_from(_STRIPPED)) + row() + draw(st.sampled_from(_STRIPPED)))
+        elif shape == 15:
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+        elif shape == 16:
+            # An object that continues onto the next line.
+            text = row()
+            at = draw(st.integers(1, len(text) - 1))
+            lines.append(text[:at] + draw(st.sampled_from(["\n", "\r\n", "\n\n"])) + text[at:])
+        elif shape == 17:
+            # Unterminated, then a line the decoder cannot nest into.
+            lines.append(row()[:-1] + ', "x": ')
+            lines.append(draw(st.sampled_from(["[" * 50_000, DEEP_ARRAY, "1}", "]"])))
+        elif shape == 18:
+            lines.append(row() + draw(st.sampled_from([" x", "}", ",", " {}", "\x00"])))
+        else:
+            lines.append("\ufeff" + row())
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=max_examples(150), deadline=None)
+@given(st.sampled_from(["node", "edge"]).flatmap(lambda kind: st.tuples(st.just(kind), _hostile_jsonl(kind))))
+def test_jsonl_reader_equals_the_naive_line_reader(case):
+    kind, text = case
+    read = read_nodes if kind == "node" else read_edges
+    try:
+        expected = naive_jsonl_read(text, kind)
+    except ParseError as fault:
+        with pytest.raises(ParseError) as info:
+            read(text, "jsonl")
+        assert str(info.value) == str(fault)
+    else:
+        assert read(text, "jsonl") == expected
 
 
 # Values TSV can hold, so that one record set renders in both formats.
