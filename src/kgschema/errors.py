@@ -43,6 +43,9 @@ class DuplicateNameError(ParseError):
         self.name = name
         super().__init__(f"duplicate {kind} name {name!r}", line, column)
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.name, self.line, self.column), self.__dict__
+
 
 class OverlappingCliquesError(ParseError):
     """An identifier appears in more than one equivalence clique."""

@@ -16,7 +16,6 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 
 from .errors import DanglingEdgeError, ParseError
@@ -223,46 +222,72 @@ def _tsv_rows(source_text: str, core: tuple[str, ...], what: str):
         yield number, cells, properties
 
 
+# Decodes one JSON value at an index of a text, with ``json.loads``' rules.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
     """Check each nonblank line's JSON, that it is an object, and its core types.
 
-    An unpaired surrogate escape is checked before the types, and only on
-    lines with a ``\\u``. ``category`` must be an array of strings and every
-    other core value a string; an absent or null core value reads as an
-    empty cell would. Properties hold the object's other keys in sorted
-    order. They are read when the caller asks for the next line, after its
-    field rules, so a field fault is the one reported.
+    A line that starts with ``{`` is decoded in place when its object ends
+    on that line with only whitespace after it; any other line, and any
+    such line that fails, goes stripped to ``json.loads``, whose verdict
+    stands. An unpaired surrogate escape is checked before the types, and
+    only on lines with a ``\\u``. ``category`` must be an array of strings
+    and every other core value a string; an absent or null core value reads
+    as an empty cell would. Properties hold the object's other keys in
+    sorted order, each key text one object per call. They are read when
+    the caller asks for the next line, after its field rules, so a field
+    fault is the one reported.
     """
     multi = core.index("category") if "category" in core else -1
-    for number, raw in enumerate(source_text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", number, exc.colno) from exc
-        except RecursionError as exc:
-            raise ParseError("invalid JSON: nested too deeply", number, 1) from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"each {what} line must be a JSON object", number, 1)
-        if "\\u" in line:
+    absent = (None,) * len(core)
+    keys: dict[str, str] = {}
+    size = len(source_text)
+    number = start = 0
+    while start <= size:
+        newline = source_text.find("\n", start)
+        if newline < 0:
+            newline = size
+        number += 1
+        begin, start = start, newline + 1
+        obj = None
+        if source_text.startswith("{", begin):
+            try:
+                obj, end = _scan_once(source_text, begin)
+            except (ValueError, StopIteration, RecursionError):
+                pass  # json.loads below gives the verdict and the error's position
+            else:
+                if end > newline or source_text[end:newline].strip():
+                    obj = None
+        if obj is None:
+            line = source_text[begin:newline].strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", number, exc.colno) from exc
+            except RecursionError as exc:
+                raise ParseError("invalid JSON: nested too deeply", number, 1) from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"each {what} line must be a JSON object", number, 1)
+        if source_text.find("\\u", begin, newline) >= 0:
             _reject_surrogates(obj, number)
-        values = list(map(obj.get, core))
+        values = list(map(obj.pop, core, absent))
         for i, value in enumerate(values):
             if i == multi:
                 values[i] = [] if value is None else _json_values(value, "category", number)
-            elif not isinstance(value, str):
+            elif type(value) is not str:
                 if value is not None:
                     raise ParseError(f"{core[i]!r} must be a string", number, 1)
                 values[i] = ""
         properties: dict[str, list[str]] = {}
         yield number, values, properties
         for key in sorted(obj):
-            if key not in core:
-                found = _json_values(obj[key], key, number)
-                if found:
-                    properties[key] = found
+            found = _json_values(obj[key], key, number)
+            if found:
+                properties[keys.setdefault(key, key)] = found
 
 
 def _reject_surrogates(obj: dict, line: int) -> None:
@@ -284,9 +309,19 @@ def _reject_surrogates(obj: dict, line: int) -> None:
 
 
 def _json_values(value, key: str, line: int) -> list[str]:
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
-        raise ParseError(f"{key!r} must be an array of strings", line, 1)
-    return _distinct(value)
+    """``value``'s distinct nonempty strings; it must be an array of strings."""
+    if type(value) is list:
+        if len(value) == 1 and type(value[0]) is str:
+            return value if value[0] else []
+        found = {}
+        for item in value:
+            if type(item) is not str:
+                break
+            found[item] = None
+        else:
+            found.pop("", None)
+            return list(found)
+    raise ParseError(f"{key!r} must be an array of strings", line, 1)
 
 
 @_gc_paused()
@@ -312,16 +347,18 @@ def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
 
     One leading UTF-8 byte order mark (U+FEFF) is ignored. After each
     format's syntax, the predicate must be nonempty, then the subject and
-    the object must be CURIEs.
+    the object must be CURIEs. Equal predicates are one object per call.
     """
     cache: dict[str, Curie] = {}
+    predicates: dict[str, str] = {}
     edges = []
     for number, values, properties in _rows(source_text, fmt, EDGE_COLUMNS, "edge"):
-        if not values[1]:
+        predicate = values[1]
+        if not predicate:
             raise ParseError("empty predicate", number, 1)
         subject = _curie_cache_get(cache, values[0], number)
         obj = _curie_cache_get(cache, values[2], number)
-        edges.append(Edge(subject, values[1], obj, properties))
+        edges.append(Edge(subject, predicates.setdefault(predicate, predicate), obj, properties))
     return edges
 
 

@@ -54,10 +54,12 @@ def test_read_tsv_basics():
 
 @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
 def test_rows_repeating_an_id_share_one_object(fmt):
-    # One object per distinct id within a call keeps a large edge list small.
+    # One object per distinct id, predicate and property key within a call
+    # keeps a large edge list small.
     def text(columns, rows):
         if fmt == "jsonl":
-            objects = [{c: [v] if c == "category" else v for c, v in zip(columns, row)} for row in rows]
+            many = ("category", "publications")
+            objects = [{c: [v] if c in many else v for c, v in zip(columns, row)} for row in rows]
             return "".join(json.dumps(obj) + "\n" for obj in objects)
         return "".join("\t".join(row) + "\n" for row in [columns, *rows])
 
@@ -72,13 +74,23 @@ def test_rows_repeating_an_id_share_one_object(fmt):
     assert nodes[0].id is not nodes[1].id
     edges = read_edges(
         text(
-            ("subject", "predicate", "object"),
-            [("A:1", "related_to", "B:2"), ("B:2", "related_to", "A:1"), ("A:1", "treats", "B:2")],
+            ("subject", "predicate", "object", "publications"),
+            [
+                ("A:1", "related_to", "B:2", "PMID:1"),
+                ("B:2", "related_to", "A:1", "PMID:2"),
+                ("A:1", "treats", "B:2", "PMID:1"),
+            ],
         ),
         fmt,
     )
     assert edges[0].subject is edges[1].object is edges[2].subject
     assert edges[0].object is edges[1].subject is edges[2].object
+    assert edges[0].predicate is edges[1].predicate
+    assert edges[0].predicate is not edges[2].predicate
+    keys = [next(iter(edge.properties)) for edge in edges]
+    assert keys[0] == "publications" and keys[0] is keys[1] is keys[2]
+    # Values are not shared: each list is its record's own.
+    assert edges[0].properties["publications"] is not edges[2].properties["publications"]
 
 
 def test_read_jsonl_and_sniffing():
@@ -251,6 +263,25 @@ def test_read_jsonl_rejects_deep_nesting_as_parse_error(read, text):
     with pytest.raises(ParseError) as info:
         read(text % DEEP_ARRAY)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The decoder may read on into the next line; the fault is the first line's.
+        ('{"subject": "A:1", "predicate": "p", "object": "B:2", "x": \n' + "[" * 50_000 + "\n",
+         "line 1, column 59: invalid JSON: Expecting value"),
+        ('{"subject": "A:1", "predicate": "p",\n"object": "B:2"}\n',
+         "line 1, column 37: invalid JSON: Expecting property name enclosed in double quotes"),
+        (_EJ + '{"subject": "A:1", "predicate": "p", "object": "B:2"} x\n',
+         "line 2, column 55: invalid JSON: Extra data"),
+    ],
+    ids=["unterminated-then-deep", "continued", "trailing"],
+)
+def test_jsonl_object_must_end_on_its_own_line(text, message):
+    with pytest.raises(ParseError) as info:
+        read_edges(text)
+    assert str(info.value) == message
 
 
 def test_parse_error_carries_line_number():
