@@ -49,7 +49,7 @@ _DIRTY_JSONL = [
 _TMP_GRAPH = ["--nodes", "{tmp}/nodes.jsonl", "--edges", "{tmp}/edges.jsonl"]
 
 
-def _tmp_graph(nodes: str, edges: str, bom: bool = False) -> dict[str, tuple[str, bool]]:
+def _graph_inputs(nodes: str, edges: str, bom: bool = False) -> dict[str, tuple[str, bool]]:
     return {"nodes.jsonl": (nodes, bom), "edges.jsonl": (edges, bom)}
 
 
@@ -95,7 +95,7 @@ CASES: list[Case] = [
     Case(
         "validate_dirty_jsonl_bom",
         ["validate", "--schema", "{schema}", *_TMP_GRAPH],
-        inputs=_tmp_graph("{data}/dirty_nodes.jsonl", "{data}/dirty_edges.jsonl", bom=True),
+        inputs=_graph_inputs("{data}/dirty_nodes.jsonl", "{data}/dirty_edges.jsonl", bom=True),
     ),
     Case(
         "validate_demo_bom_schema",
@@ -106,13 +106,13 @@ CASES: list[Case] = [
     Case(
         "convert_demo_two_tsv",
         ["convert", *_TMP_GRAPH, "--to", "tsv"],
-        inputs=_tmp_graph("{data}/rhobtb2_nodes.jsonl", "{data}/rhobtb2_edges.jsonl"),
+        inputs=_graph_inputs("{data}/rhobtb2_nodes.jsonl", "{data}/rhobtb2_edges.jsonl"),
     ),
     # The nodes cannot be TSV (a tab in a name): exit 2, and no file written.
     Case(
         "convert_dirty_two_tsv",
         ["convert", *_TMP_GRAPH, "--to", "tsv"],
-        inputs=_tmp_graph("{data}/dirty_nodes.jsonl", "{data}/dirty_edges.jsonl"),
+        inputs=_graph_inputs("{data}/dirty_nodes.jsonl", "{data}/dirty_edges.jsonl"),
     ),
 ]
 
