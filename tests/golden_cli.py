@@ -59,6 +59,18 @@ CASES: list[Case] = [
     Case("stats_demo_tsv", ["stats", *_DEMO]),
     Case("stats_demo_jsonl", ["stats", *_DEMO, "--format", "jsonl"]),
     Case("query_demo", ["query", *_DEMO, "--query", "{data}/rhobtb2_query.txt"]),
+    # Unpinned: the search starts from every node, and symmetric edges
+    # match from both ends.
+    Case("query_demo_unpinned", ["query", *_DEMO, "--query", "?a -[related_to]-> ?b -[related_to]-> ?c"]),
+    # Three edges between one pair: JSON-text order, and a symmetric edge's
+    # reversed twin with equal evidence adds no binding.
+    Case(
+        "query_ties",
+        [
+            "query", "--schema", "{schema}", "--nodes", "{data}/ties_nodes.tsv",
+            "--edges", "{data}/ties_edges.tsv", "--query", "HGNC:1 -[related_to]-> ?x",
+        ],
+    ),
     Case(
         "normalize_demo",
         ["normalize", "--schema", "{schema}", "--equivalences", "{data}/equivalences.tsv"],

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +14,15 @@ from kgschema import (
     expand_query,
     match,
     parse_query,
+    read_edges,
+    read_nodes,
 )
 from kgschema.kg_store import Edge, Node
 from kgschema.query import QEdge, QNode, QueryGraph
-from generators import ABSENT, dirty_graph, random_graph, random_query
+from generators import ABSENT, QUERY_SHAPES, dirty_graph, random_graph, random_query
 from oracles import bindings_as_dicts, brute_force_match
 
+DATA = Path(__file__).parent / "data"
 TWO_HOP = (
     "NCBIGene:23221 -[entity_regulates_entity|genetically_interacts_with]-> "
     "?g:Gene|Protein -[related_to]-> ?c:SmallMolecule"
@@ -381,3 +386,78 @@ def test_results_sorted_by_bound_id_tuples(seed_doc, seed_index, demo_graph):
     bindings = match(qg, demo_graph, seed_doc, seed_index)
     keys = [tuple(b.assignments[v] for v in ("a", "b")) for b in bindings]
     assert keys == sorted(keys)
+
+
+def _in_output_order(qg: QueryGraph, oracle: list[dict]) -> list[str]:
+    """The oracle's bindings as JSON text, in ``match``'s documented order.
+
+    That order is the assignment tuple in ``qg.qnodes`` order, then the
+    binding's JSON text.
+    """
+    texts = {json.dumps(d, sort_keys=True, ensure_ascii=False): d for d in oracle}
+    return sorted(texts, key=lambda text: (tuple(texts[text]["assignments"][var] for var in qg.qnodes), text))
+
+
+def _graph_with_ties(rng: random.Random, doc) -> tuple[list[Node], list[Edge]]:
+    """A random graph plus edges that make bindings tie on their assignments.
+
+    One node pair gets parallel edges under three predicates. Each
+    symmetric edge may get a reversed twin, whose evidence is either equal
+    (the same values in reverse order) or not (one more publication).
+    """
+    nodes, edges = random_graph(rng, doc, max_nodes=4, max_edges=12)
+    subject, object_id = rng.choice(nodes).id, rng.choice(nodes).id
+    for predicate in rng.sample(doc.predicate_names(), 3):
+        properties = {"publications": rng.sample(["PMID:1", "PMID:2", "PMID:3"], rng.randint(1, 2))}
+        if rng.random() < 0.5:
+            properties["has_evidence"] = [f"ECO:{rng.randint(1, 2)}"]
+        edges.append(Edge(subject, predicate, object_id, properties))
+    for edge in list(edges):
+        if doc.slots[edge.predicate].symmetric and rng.random() < 0.7:
+            properties = {key: values[::-1] for key, values in edge.properties.items()}
+            if rng.random() < 0.5:
+                properties["publications"] = [*properties.get("publications", []), "PMID:4"]
+            edges.append(Edge(edge.object, edge.predicate, edge.subject, properties))
+    return nodes, edges
+
+
+def test_match_order_equals_the_sorted_oracle_on_graphs_with_ties(seed_doc, seed_index):
+    """``match`` output, in order, is the oracle sorted by assignment tuple, then JSON text."""
+    rng = random.Random(2026)
+    ties = 0
+    for trial in range(200):
+        nodes, edges = _graph_with_ties(rng, seed_doc)
+        kg = build_graph(nodes, edges)
+        shape = QUERY_SHAPES[trial % len(QUERY_SHAPES)]
+        qg = expand_query(random_query(rng, seed_doc, nodes, edges, shape), seed_index)
+        ours = [binding.to_json() for binding in match(qg, kg, seed_doc, seed_index)]
+        assert ours == _in_output_order(qg, brute_force_match(qg, kg, seed_doc)), (trial, shape)
+        assignments = [tuple(json.loads(text)["assignments"].values()) for text in ours]
+        ties += sum(a == b for a, b in zip(assignments, assignments[1:]))
+    assert ties > 0  # the graphs do make bindings tie on their assignments
+
+
+def test_tied_bindings_follow_json_text_and_equal_symmetric_twins_collapse(seed_doc, seed_index):
+    """Three edges from HGNC:1 to HGNC:2 give three bindings in JSON-text order.
+
+    ``has_evidence`` sorts before ``matched_predicate`` in that text, so
+    ECO:1 comes before ECO:2 whatever the predicates. The reversed twin of
+    the symmetric edge carries the same evidence in another order and adds
+    no binding.
+    """
+    kg = build_graph(
+        read_nodes((DATA / "ties_nodes.tsv").read_text(encoding="utf-8")),
+        read_edges((DATA / "ties_edges.tsv").read_text(encoding="utf-8")),
+    )
+    qg = expand_query(parse_query("HGNC:1 -[related_to]-> ?x", seed_doc), seed_index)
+    bindings = match(qg, kg, seed_doc, seed_index)
+    assert [b.assignments for b in bindings] == [{"_0": "HGNC:1", "x": "HGNC:2"}] * 3
+    assert [
+        (ev.matched_predicate, ev.has_evidence, ev.publications)
+        for b in bindings
+        for ev in b.evidence.values()
+    ] == [
+        ("genetically_interacts_with", ("ECO:1",), ("PMID:1", "PMID:2")),
+        ("interacts_with", ("ECO:1",), ("PMID:1",)),
+        ("entity_regulates_entity", ("ECO:2",), ("PMID:1",)),
+    ]
