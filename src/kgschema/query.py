@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     DisconnectedQueryError,
@@ -228,9 +230,13 @@ def expand_query(qg: QueryGraph, index: ClosureIndex) -> QueryGraph:
                 else:
                     expanded.update(index.class_descendants[category])
             categories = frozenset(expanded)
-        qnodes[var] = replace(qnode, categories=categories)
+        qnodes[var] = QNode(var, qnode.id, categories)
     qedges = [
-        replace(qedge, predicates=frozenset(expand_predicates(index, set(qedge.predicates))))
+        QEdge(
+            qedge.subject_var,
+            frozenset(expand_predicates(index, set(qedge.predicates))),
+            qedge.object_var,
+        )
         for qedge in qg.qedges
     ]
     return QueryGraph(qnodes, qedges)
@@ -246,9 +252,13 @@ def match(
     """Enumerate all bindings of an (already expanded) query graph.
 
     ``doc`` supplies symmetric-predicate declarations and ``index`` closes
-    node categories under ancestors during category tests. Results are
-    sorted by the tuple of bound identifiers in variable declaration order
-    and are identical regardless of exploration order.
+    node categories under ancestors during category tests. Two matches are
+    one binding when their assignments are equal and so is each hop's
+    evidence: its predicate, publications and evidence codes, the last two
+    as sorted values. Results are sorted by the tuple of bound identifiers
+    in variable declaration order, bindings with equal tuples by their
+    JSON text (:meth:`Binding.to_json`), and are identical regardless of
+    exploration order.
 
     The search binds every pinned node first; a pinned identifier absent
     from the graph matches nothing. A query with no pinned node starts once
@@ -278,25 +288,24 @@ def match(
     if any(node_id not in nodes for node_id in assignment.values()):
         return []
     order = _edge_order(qg, set(assignment))
+    start = qg.qedges[order[0]].subject_var if order else next(iter(qg.qnodes))
+    # The variables in the order the search binds them: the pinned ones (or
+    # the start), then each step's other end. ``assignment`` keeps this order.
+    bound = list(assignment) or [start]
+    for qedge_ordinal in order:
+        qedge = qg.qedges[qedge_ordinal]
+        bound.extend(var for var in (qedge.subject_var, qedge.object_var) if var not in bound)
     by_subject, by_object = kg.adjacency()
     edges = kg.edges
-    bindings: list[Binding] = []
-    chosen: dict[int, int] = {}
+    # Per match: the node ids in ``bound`` order, the edge ordinals in ``order``.
+    found: list[tuple[tuple[Curie, ...], tuple[int, ...]]] = []
+    chosen = [0] * len(order)
 
     def extend(position: int) -> None:
         if position == len(order):
-            evidence = {}
-            for qedge_ordinal, edge_ordinal in chosen.items():
-                edge = edges[edge_ordinal]
-                evidence[qedge_ordinal] = EdgeEvidence(
-                    matched_predicate=edge.predicate,
-                    publications=tuple(sorted(edge.properties.get("publications", []))),
-                    has_evidence=tuple(sorted(edge.properties.get("has_evidence", []))),
-                )
-            bindings.append(Binding(dict(assignment), evidence))
+            found.append((tuple(assignment.values()), tuple(chosen)))
             return
-        qedge_ordinal = order[position]
-        qedge = qg.qedges[qedge_ordinal]
+        qedge = qg.qedges[order[position]]
         predicates = qedge.predicates
         if qedge.subject_var in assignment:
             anchor, other_var = assignment[qedge.subject_var], qedge.object_var
@@ -322,21 +331,19 @@ def match(
                 assignment[other_var] = other
             elif other != bound_other:
                 continue
-            chosen[qedge_ordinal] = edge_ordinal
+            chosen[position] = edge_ordinal
             extend(position + 1)
-            del chosen[qedge_ordinal]
             if bound_other is None:
                 del assignment[other_var]
 
     if assignment:
         extend(0)
     else:  # no pinned node: start from the first edge's subject, or the only node
-        start = qg.qedges[order[0]].subject_var if order else next(iter(qg.qnodes))
         for node_id in nodes:
             if satisfies(qg.qnodes[start], node_id):
                 assignment[start] = node_id
                 extend(0)
-    return _finalize(qg, bindings)
+    return _finalize(qg, bound, order, found, edges)
 
 
 def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
@@ -359,15 +366,54 @@ def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
     return order
 
 
-def _finalize(qg: QueryGraph, bindings: list[Binding]) -> list[Binding]:
-    """Bindings deduplicated by their JSON text, sorted by assignment, that text breaking ties."""
-    variables = list(qg.qnodes)
-    unique: dict[str, Binding] = {}
-    for binding in bindings:
-        unique.setdefault(binding.to_json(), binding)
+def _finalize(
+    qg: QueryGraph,
+    bound: list[str],
+    order: list[int],
+    found: list[tuple[tuple[Curie, ...], tuple[int, ...]]],
+    edges: list,
+) -> list[Binding]:
+    """The search's matches as bindings: deduplicated on values, then sorted.
 
-    def key(item: tuple[str, Binding]):
-        text, binding = item
-        return tuple(binding.assignments[var] for var in variables), text
+    ``found`` holds each match's node ids in ``bound`` order and its edge
+    ordinals in search ``order``. One :class:`EdgeEvidence` is built per
+    distinct edge, and two edges with equal evidence count as one, so the
+    dedup key (assignment, per-hop evidence) is the binding's JSON text in
+    values. Bindings sort by the assignment tuple in ``qg.qnodes`` order;
+    only bindings whose tuples tie are serialized, to be ordered by their
+    JSON text. A :class:`Binding` is made for each unique match only, its
+    assignments in ``bound`` order and its evidence in search order.
+    """
+    evidence: dict[int, EdgeEvidence] = {}
+    value: dict[int, int] = {}  # edge ordinal -> number of its evidence value
+    numbers: dict[EdgeEvidence, int] = {}
+    for edge_ordinal in {edge_ordinal for _, ordinals in found for edge_ordinal in ordinals}:
+        properties = edges[edge_ordinal].properties
+        hop = evidence[edge_ordinal] = EdgeEvidence(
+            matched_predicate=edges[edge_ordinal].predicate,
+            publications=tuple(sorted(properties.get("publications", ()))),
+            has_evidence=tuple(sorted(properties.get("has_evidence", ()))),
+        )
+        value[edge_ordinal] = numbers.setdefault(hop, len(numbers))
+    unique = {}
+    for ids, ordinals in found:
+        unique.setdefault((ids, tuple(map(value.__getitem__, ordinals))), (ids, ordinals))
+    # The ids in qg.qnodes order; a lone id sorts as its 1-tuple would.
+    declared = itemgetter(*(bound.index(var) for var in qg.qnodes))
 
-    return [binding for _, binding in sorted(unique.items(), key=key)]
+    def declared_ids(match: tuple[tuple[Curie, ...], tuple[int, ...]]):
+        return declared(match[0])
+
+    bindings: list[Binding] = []
+    for _, tied in groupby(sorted(unique.values(), key=declared_ids), key=declared_ids):
+        group = [
+            Binding(
+                dict(zip(bound, ids)),
+                {qedge_ordinal: evidence[o] for qedge_ordinal, o in zip(order, ordinals)},
+            )
+            for ids, ordinals in tied
+        ]
+        if len(group) > 1:
+            group.sort(key=Binding.to_json)
+        bindings.extend(group)
+    return bindings
