@@ -385,33 +385,30 @@ def _finalize(
     assignments in ``bound`` order and its evidence in search order.
     """
     evidence: dict[int, EdgeEvidence] = {}
-    value: dict[int, int] = {}  # edge ordinal -> number of its evidence value
-    numbers: dict[EdgeEvidence, int] = {}
+    number: dict[int, int] = {}  # edge ordinal -> number of its evidence value
+    values: dict[tuple[str, tuple[str, ...], tuple[str, ...]], int] = {}
     for edge_ordinal in {edge_ordinal for _, ordinals in found for edge_ordinal in ordinals}:
-        properties = edges[edge_ordinal].properties
-        hop = evidence[edge_ordinal] = EdgeEvidence(
-            matched_predicate=edges[edge_ordinal].predicate,
-            publications=tuple(sorted(properties.get("publications", ()))),
-            has_evidence=tuple(sorted(properties.get("has_evidence", ()))),
+        edge = edges[edge_ordinal]
+        properties = edge.properties
+        hop = (
+            edge.predicate,
+            tuple(sorted(properties.get("publications", ()))),
+            tuple(sorted(properties.get("has_evidence", ()))),
         )
-        value[edge_ordinal] = numbers.setdefault(hop, len(numbers))
+        evidence[edge_ordinal] = EdgeEvidence(*hop)
+        number[edge_ordinal] = values.setdefault(hop, len(values))
     unique = {}
     for ids, ordinals in found:
-        unique.setdefault((ids, tuple(map(value.__getitem__, ordinals))), (ids, ordinals))
+        unique.setdefault((ids, tuple(map(number.__getitem__, ordinals))), (ids, ordinals))
     # The ids in qg.qnodes order; a lone id sorts as its 1-tuple would.
-    declared = itemgetter(*(bound.index(var) for var in qg.qnodes))
-
-    def declared_ids(match: tuple[tuple[Curie, ...], tuple[int, ...]]):
-        return declared(match[0])
-
+    declared = itemgetter(*map(bound.index, qg.qnodes))
+    first = itemgetter(0)
+    ranked = sorted([(declared(ids), ids, ordinals) for ids, ordinals in unique.values()], key=first)
     bindings: list[Binding] = []
-    for _, tied in groupby(sorted(unique.values(), key=declared_ids), key=declared_ids):
+    for _, tied in groupby(ranked, first):
         group = [
-            Binding(
-                dict(zip(bound, ids)),
-                {qedge_ordinal: evidence[o] for qedge_ordinal, o in zip(order, ordinals)},
-            )
-            for ids, ordinals in tied
+            Binding(dict(zip(bound, ids)), dict(zip(order, map(evidence.__getitem__, ordinals))))
+            for _, ids, ordinals in tied
         ]
         if len(group) > 1:
             group.sort(key=Binding.to_json)
