@@ -258,23 +258,31 @@ def convert(nodes_path, edges_path, target) -> None:
     """Convert node/edge files between TSV and JSONL, losslessly.
 
     With a single input the result goes to standard output; with both, each
-    is written next to its source with the target extension.
+    is written next to its source with the target extension. Nothing is
+    read or written when a destination is an input or both are one file.
     """
     if nodes_path is None and edges_path is None:
         raise click.UsageError("supply --nodes and/or --edges")
-    outputs: list[tuple[Path, str]] = []
+    if nodes_path is not None and edges_path is not None:
+        inputs = {nodes_path.resolve(), edges_path.resolve()}
+        destinations = [path.with_suffix(f".{target}") for path in (nodes_path, edges_path)]
+        for destination in destinations:
+            if destination.resolve() in inputs:
+                raise KgschemaError(f"convert would overwrite its input {destination}")
+        if destinations[0].resolve() == destinations[1].resolve():
+            raise KgschemaError(f"convert would write both outputs to {destinations[0]}")
+    outputs: list[str] = []
     for path, read, write in ((nodes_path, read_nodes, write_nodes), (edges_path, read_edges, write_edges)):
         if path is not None:
             with _gc_paused():  # as in _load_graph
                 records = read(path.read_text(encoding="utf-8"))
                 gc.freeze()
-            outputs.append((path, write(records, fmt=target)))
+            outputs.append(write(records, fmt=target))
             del records  # not held while the next file loads
     if len(outputs) == 1:
-        sys.stdout.write(outputs[0][1])
+        sys.stdout.write(outputs[0])
     else:
-        for source, text in outputs:
-            destination = source.with_suffix(f".{target}")
+        for destination, text in zip(destinations, outputs):
             destination.write_text(text, encoding="utf-8")
             click.echo(f"wrote {destination}", err=True)
     sys.exit(EXIT_OK)

@@ -10,7 +10,7 @@ directory read as ``{data}`` and ``{tmp}`` in the outputs, so the
 expected files hold no machine-specific path. The expected output of case ``name`` lives in
 ``tests/golden/name.stdout``, ``name.stderr`` and ``name.exit``; each file
 the run writes into ``{tmp}`` is compared with ``name.wrote.<file name>``,
-and the run may write no other file.
+and the run may write no other file nor change an input.
 
 Regenerate every expected file (only when an output change is intended)::
 
@@ -120,6 +120,15 @@ CASES: list[Case] = [
         ["convert", *_TMP_GRAPH, "--to", "tsv"],
         inputs=_graph_inputs("{data}/rhobtb2_nodes.jsonl", "{data}/rhobtb2_edges.jsonl"),
     ),
+    # Each output would be its own input: exit 2, inputs unchanged.
+    Case(
+        "convert_demo_two_tsv_onto_inputs",
+        ["convert", "--nodes", "{tmp}/nodes.tsv", "--edges", "{tmp}/edges.tsv", "--to", "tsv"],
+        inputs={
+            "nodes.tsv": ("{data}/rhobtb2_nodes.tsv", False),
+            "edges.tsv": ("{data}/rhobtb2_edges.tsv", False),
+        },
+    ),
     # The nodes cannot be TSV (a tab in a name): exit 2, and no file written.
     Case(
         "convert_dirty_two_tsv",
@@ -141,15 +150,17 @@ def run(case: Case) -> tuple[str, str, int, dict[str, str]]:
     schema = str(files("kgschema") / "data" / "seed_schema.kgs.yaml")
     with tempfile.TemporaryDirectory() as tmp:
         places = {"schema": schema, "data": DATA, "tmp": tmp}
+        copied = {}
         for name, (source, bom) in case.inputs.items():
             text = Path(source.format(**places)).read_text(encoding="utf-8")
-            (Path(tmp) / name).write_text(BOM + text if bom else text, encoding="utf-8")
+            copied[name] = BOM + text if bom else text
+            (Path(tmp) / name).write_text(copied[name], encoding="utf-8")
         args = [arg.format(**places) for arg in case.args]
         result = CliRunner().invoke(main, args, input=case.stdin, catch_exceptions=False)
         written = {
-            path.name: path.read_text(encoding="utf-8")
+            path.name: text
             for path in sorted(Path(tmp).iterdir())
-            if path.name not in case.inputs
+            if (text := path.read_text(encoding="utf-8")) != copied.get(path.name)
         }
     stdout, stderr = (
         text.replace(str(DATA), "{data}").replace(tmp, "{tmp}") for text in (result.stdout, result.stderr)

@@ -342,6 +342,32 @@ def test_convert_two_inputs_write_sibling_files(runner, tmp_path):
     assert "wrote" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "nodes_name, edges_name, target",
+    [
+        ("n.tsv", "e.jsonl", "tsv"),  # the nodes' output is the edge file
+        ("n.tsv", "n.tsv", "jsonl"),  # one file as both inputs: one output
+        ("x.csv", "x.txt", "jsonl"),  # two inputs, one output name
+    ],
+)
+def test_convert_refuses_an_output_onto_an_input_or_onto_the_other(
+    runner, tmp_path, nodes_name, edges_name, target
+):
+    (tmp_path / "n.tsv").write_text((DATA / "rhobtb2_nodes.tsv").read_text())
+    (tmp_path / "e.jsonl").write_text((DATA / "rhobtb2_edges.jsonl").read_text())
+    (tmp_path / "x.csv").write_text((DATA / "rhobtb2_nodes.tsv").read_text())
+    (tmp_path / "x.txt").write_text((DATA / "rhobtb2_edges.tsv").read_text())
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    result = runner.invoke(
+        main,
+        ["convert", "--nodes", str(tmp_path / nodes_name), "--edges", str(tmp_path / edges_name),
+         "--to", target],
+    )
+    assert result.exit_code == 2
+    assert "convert would" in result.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_convert_requires_an_input(runner):
     result = runner.invoke(main, ["convert", "--to", "jsonl"])
     assert result.exit_code == 2
