@@ -270,6 +270,8 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
                 raise ParseError(f"invalid JSON: {exc.msg}", number, exc.colno) from exc
             except RecursionError as exc:
                 raise ParseError("invalid JSON: nested too deeply", number, 1) from exc
+            except ValueError as exc:  # an integer with more digits than int() takes
+                raise ParseError(f"invalid JSON: {exc}", number, 1) from exc
             if not isinstance(obj, dict):
                 raise ParseError(f"each {what} line must be a JSON object", number, 1)
         if source_text.find("\\u", begin, newline) >= 0:

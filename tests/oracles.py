@@ -568,6 +568,8 @@ def naive_jsonl_read(text: str, kind: str) -> list[Node] | list[Edge]:
             raise fault(f"invalid JSON: {exc.msg}", exc.colno) from None
         except RecursionError:
             raise fault("invalid JSON: nested too deeply") from None
+        except ValueError as exc:  # an integer with more digits than int() takes
+            raise fault(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise fault(f"each {kind} line must be a JSON object")
         if "\\u" in line:

@@ -169,6 +169,9 @@ MALFORMED = [
      "line 1, column 1: 'category' holds an unpaired surrogate escape"),
     (read_nodes, r'{"id": "A:1", "category": ["Gene"], "xref": ["X:1", "\ud83d"]}',
      "line 1, column 1: 'xref' holds an unpaired surrogate escape"),
+    (read_nodes, _NJ + '{"id": "A:2", "category": ["Gene"], "n": ' + "1" * 5000 + "}\n",
+     "line 2, column 1: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
     # edges, TSV
     (read_edges, "subject\tpredicate\n",
      "line 1, column 1: edges header must start with ['subject', 'predicate', 'object'], "
@@ -219,8 +222,13 @@ MALFORMED = [
 ]
 
 
+def _case_id(text: str) -> str:
+    """A table row's test id: its text, or the text's head and length when that is long."""
+    return text if len(text) <= 200 else f"{text[:60]}...({len(text)} chars)"
+
+
 @pytest.mark.parametrize(
-    "read, text, message", [pytest.param(*case, id=case[1]) for case in MALFORMED]
+    "read, text, message", [pytest.param(*case, id=_case_id(case[1])) for case in MALFORMED]
 )
 def test_read_nodes_rejects_malformed(read, text, message):
     with pytest.raises(ParseError) as info:
@@ -483,6 +491,7 @@ _ODD_LINES = [
     r'{"subject": "A:1", "predicate": "p", "object": "B:2", "\ud83d\ude00": ["\u00e9"]}',
     r'{"id": "A:1", "category": ["Gene"], "\udfff": ["x"]}',
     r'{"id": "A:1", "category": ["Gene"], "xref": ["\\ud800"]}',
+    '{"n": ' + "9" * 4301 + "}",
 ]
 
 
