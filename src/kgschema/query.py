@@ -29,7 +29,7 @@ from .errors import (
 )
 from .hierarchy import ClosureIndex, category_profiles, expand_predicates
 from .identifiers import Curie, parse_curie
-from .kg_store import KnowledgeGraph
+from .kg_store import Edge, KnowledgeGraph
 from .schema_model import PREDICATE, SchemaDocument
 
 MAX_QNODES = 8
@@ -297,13 +297,14 @@ def match(
         bound.extend(var for var in (qedge.subject_var, qedge.object_var) if var not in bound)
     by_subject, by_object = kg.adjacency()
     edges = kg.edges
-    # Per match: the node ids in ``bound`` order, the edge ordinals in ``order``.
+    variables = list(qg.qnodes)
+    # Per match: the node ids in ``variables`` order, the edge ordinals in ``order``.
     found: list[tuple[tuple[Curie, ...], tuple[int, ...]]] = []
     chosen = [0] * len(order)
 
     def extend(position: int) -> None:
         if position == len(order):
-            found.append((tuple(assignment.values()), tuple(chosen)))
+            found.append((tuple(map(assignment.__getitem__, variables)), tuple(chosen)))
             return
         qedge = qg.qedges[order[position]]
         predicates = qedge.predicates
@@ -343,7 +344,7 @@ def match(
             if satisfies(qg.qnodes[start], node_id):
                 assignment[start] = node_id
                 extend(0)
-    return _finalize(qg, bound, order, found, edges)
+    return _finalize(variables, bound, order, found, edges)
 
 
 def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
@@ -367,22 +368,23 @@ def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
 
 
 def _finalize(
-    qg: QueryGraph,
+    variables: list[str],
     bound: list[str],
     order: list[int],
     found: list[tuple[tuple[Curie, ...], tuple[int, ...]]],
-    edges: list,
+    edges: list[Edge],
 ) -> list[Binding]:
-    """The search's matches as bindings: deduplicated on values, then sorted.
+    """The search's matches as bindings, deduplicated on values and sorted.
 
-    ``found`` holds each match's node ids in ``bound`` order and its edge
-    ordinals in search ``order``. One :class:`EdgeEvidence` is built per
-    distinct edge, and two edges with equal evidence count as one, so the
-    dedup key (assignment, per-hop evidence) is the binding's JSON text in
-    values. Bindings sort by the assignment tuple in ``qg.qnodes`` order;
-    only bindings whose tuples tie are serialized, to be ordered by their
-    JSON text. A :class:`Binding` is made for each unique match only, its
-    assignments in ``bound`` order and its evidence in search order.
+    ``found`` holds each match's node ids in ``variables`` (declaration)
+    order and its edge ordinals in search ``order``. One
+    :class:`EdgeEvidence` is built per distinct edge. Matches with equal ids
+    and equal evidence per hop (edges with equal values count as one) are
+    one binding: the key that their equal JSON texts would give. Bindings
+    sort by the ids; only those whose ids tie are serialized, to be ordered
+    by their JSON text. A :class:`Binding` is made for each unique match
+    only, its assignments in ``bound`` order and its evidence in search
+    order, as the search filled them.
     """
     evidence: dict[int, EdgeEvidence] = {}
     number: dict[int, int] = {}  # edge ordinal -> number of its evidence value
@@ -398,17 +400,20 @@ def _finalize(
         evidence[edge_ordinal] = EdgeEvidence(*hop)
         number[edge_ordinal] = values.setdefault(hop, len(values))
     unique = {}
-    for ids, ordinals in found:
-        unique.setdefault((ids, tuple(map(number.__getitem__, ordinals))), (ids, ordinals))
-    # The ids in qg.qnodes order; a lone id sorts as its 1-tuple would.
-    declared = itemgetter(*map(bound.index, qg.qnodes))
-    first = itemgetter(0)
-    ranked = sorted([(declared(ids), ids, ordinals) for ids, ordinals in unique.values()], key=first)
+    for result in found:
+        unique.setdefault((result[0], tuple(map(number.__getitem__, result[1]))), result)
+    ids_of = itemgetter(0)
+    ranked = sorted(unique.values(), key=ids_of)
+    del unique  # its keys are freed before the bindings are made
+    positions = list(map(variables.index, bound))
     bindings: list[Binding] = []
-    for _, tied in groupby(ranked, first):
+    for _, tied in groupby(ranked, ids_of):
         group = [
-            Binding(dict(zip(bound, ids)), dict(zip(order, map(evidence.__getitem__, ordinals))))
-            for _, ids, ordinals in tied
+            Binding(
+                dict(zip(bound, map(ids.__getitem__, positions))),
+                dict(zip(order, map(evidence.__getitem__, ordinals))),
+            )
+            for ids, ordinals in tied
         ]
         if len(group) > 1:
             group.sort(key=Binding.to_json)
