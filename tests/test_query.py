@@ -461,3 +461,15 @@ def test_tied_bindings_follow_json_text_and_equal_symmetric_twins_collapse(seed_
         ("interacts_with", ("ECO:1",), ("PMID:1",)),
         ("entity_regulates_entity", ("ECO:2",), ("PMID:1",)),
     ]
+
+
+def test_binding_dicts_keep_the_search_order(seed_doc, seed_index, demo_graph):
+    """Assignments list the pinned variable, then each variable as the search
+    binds it; evidence lists the query edges in search order, not declaration order."""
+    qg = expand_query(
+        parse_query("?b -[related_to]-> ?a\nEDGE NCBIGene:23221 -[related_to]-> ?a", seed_doc),
+        seed_index,
+    )
+    bindings = match(qg, demo_graph, seed_doc, seed_index)
+    assert len(bindings) == 7
+    assert {(tuple(b.assignments), tuple(b.evidence)) for b in bindings} == {(("_0", "a", "b"), (1, 0))}
