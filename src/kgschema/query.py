@@ -294,7 +294,9 @@ def match(
     bound = list(assignment) or [start]
     for qedge_ordinal in order:
         qedge = qg.qedges[qedge_ordinal]
-        bound.extend(var for var in (qedge.subject_var, qedge.object_var) if var not in bound)
+        other_var = qedge.object_var if qedge.subject_var in bound else qedge.subject_var
+        if other_var not in bound:
+            bound.append(other_var)
     by_subject, by_object = kg.adjacency()
     edges = kg.edges
     variables = list(qg.qnodes)
