@@ -19,6 +19,7 @@ from kgschema import (
     Node,
     ParseError,
     SchemaDocument,
+    Violation,
     parse_curie,
 )
 from kgschema.query import Binding, EdgeEvidence, QueryGraph
@@ -606,3 +607,36 @@ def naive_jsonl_read(text: str, kind: str) -> list[Node] | list[Edge]:
         else:
             records.append(Edge(subject, fields["predicate"], object_id, properties))
     return records
+
+
+def naive_jsonl_write(records: list[Node] | list[Edge] | list[Violation]) -> str:
+    """JSONL text of nodes, edges or violations, one ``dict`` and one ``json.dumps`` per record.
+
+    The reference for ``write_nodes`` and ``write_edges`` with ``"jsonl"``
+    and for the violation lines of ``ValidationReport.to_jsonl``. A record's
+    object holds its properties, then each core value that is not None;
+    ``sort_keys=True`` orders the keys and ``ensure_ascii=False`` leaves
+    non-ASCII text as it is.
+    """
+    lines = []
+    for record in records:
+        if isinstance(record, Node):
+            obj = {**record.properties, "id": record.id, "category": record.categories}
+            if record.name is not None:
+                obj["name"] = record.name
+        elif isinstance(record, Edge):
+            obj = {
+                **record.properties,
+                "subject": record.subject,
+                "predicate": record.predicate,
+                "object": record.object,
+            }
+        else:
+            obj = {
+                "code": record.code,
+                "severity": record.severity,
+                "subject": record.subject,
+                "detail": record.detail,
+            }
+        lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+    return "".join(lines)

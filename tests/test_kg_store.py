@@ -11,6 +11,8 @@ from kgschema import (
     Edge,
     Node,
     ParseError,
+    ValidationReport,
+    Violation,
     build_graph,
     close_categories,
     graph_equal,
@@ -25,7 +27,7 @@ from kgschema import (
 from kgschema import build_closure, kg_store
 from kgschema.identifiers import MalformedCurieError, parse_curie
 from generators import dirty_graph, extended_seed_schema, max_examples, random_graph, random_schema
-from oracles import naive_closed_list, naive_jsonl_read, naive_stats_bucket
+from oracles import naive_closed_list, naive_jsonl_read, naive_jsonl_write, naive_stats_bucket
 
 NODES_TSV = (
     "id\tcategory\tname\n"
@@ -380,6 +382,58 @@ def test_writers_emit_exact_text():
         '{"object": "A:1", "predicate": "affects", "subject": "B:2"}\n'
     )
     assert (write_nodes([]), write_edges([], "jsonl")) == ("id\tcategory\tname\n", "")
+
+
+# Text that JSON must escape, or must pass through as it stands: lone
+# surrogates and U+2028 included, and a '%' for any text template.
+_ESCAPED = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\U0001f600",
+            "\ud800", "\udfff", "%", "%s", "\u00e9", "/"]
+_json_text = st.lists(st.sampled_from(_ESCAPED) | st.characters(), max_size=4).map("".join)
+# Property keys that sort before, between and after each kind's core keys.
+_KEYS = ["", "a", "categoryz", "d", "ida", "m", "o", "objectz", "p", "predicatez", "s",
+         "subjectz", "xref", "\u00e9", "%"]
+# Lists of strings, as read; then what only a library caller makes: other
+# items in a list, and values that are not lists.
+_json_values = (
+    st.lists(_json_text, max_size=3)
+    | st.lists(_json_text | st.integers() | st.none(), max_size=3)
+    | _json_text
+    | st.tuples(_json_text)
+)
+
+
+def _json_properties(core):
+    keys = (st.sampled_from(_KEYS) | _json_text).filter(lambda key: key not in core)
+    return st.dictionaries(keys, _json_values, max_size=4)
+
+
+_json_records = {
+    "node": st.builds(Node, _json_text, st.lists(_json_text, max_size=3), st.none() | _json_text,
+                      _json_properties(kg_store.NODE_COLUMNS)),
+    "edge": st.builds(Edge, _json_text, _json_text, _json_text, _json_properties(kg_store.EDGE_COLUMNS)),
+    "violation": st.builds(Violation, _json_text, st.sampled_from(["error", "warning"]) | _json_text,
+                           _json_text, _json_text),
+}
+
+
+@settings(max_examples=max_examples(150), deadline=None)
+@given(st.sampled_from(sorted(_json_records)).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.lists(_json_records[kind], max_size=5))))
+def test_jsonl_writers_equal_the_naive_writer(case):
+    kind, records = case
+    if kind == "violation":
+        report = ValidationReport(records, {"X": len(records)}, "h")
+        header, rest = report.to_jsonl().split("\n", 1)
+        assert json.loads(header) == {
+            "counts": {"X": len(records)},
+            "errors": report.error_count,
+            "warnings": report.warning_count,
+            "inputs_hash": "h",
+        }
+        assert rest == naive_jsonl_write(records)
+    else:
+        write = write_nodes if kind == "node" else write_edges
+        assert write(records, "jsonl") == naive_jsonl_write(records)
 
 
 def test_write_rejects_pipe_in_name():
