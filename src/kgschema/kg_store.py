@@ -14,9 +14,10 @@ from __future__ import annotations
 import gc
 import json
 from collections import Counter
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DanglingEdgeError, ParseError
 from .hierarchy import ClosureIndex, category_profiles
@@ -368,27 +369,98 @@ def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
 # Writing
 
 
-def _write(records: list, fmt: str, columns: tuple[str, ...], core) -> str:
+# The stdlib's C string encoder, the one json.dumps(ensure_ascii=False) uses.
+_encode_string = json.encoder.encode_basestring
+_encode_object = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
+def _json_items(values: list[str]) -> str:
+    """The JSON text between the brackets of a list of strings; TypeError for anything else."""
+    return ", ".join(map(_encode_string, list.__iter__(values)))
+
+
+def _json_template(keys: tuple[str, ...], arrays: int = 0) -> tuple[str, Callable]:
+    """A JSON object's ``%`` template, and the getter that orders its values to fit.
+
+    ``template % order(texts)`` is the object with ``keys`` in ``sort_keys``
+    order, for ``texts``, the JSON text of each key's value in the order of
+    ``keys``. The first ``arrays`` keys hold lists, whose text comes from
+    ``_json_items``. A key that is not a string raises TypeError.
+    """
+    ranks = sorted(range(len(keys)), key=keys.__getitem__)
+    fields = ", ".join(
+        _encode_string(keys[i]).replace("%", "%%") + (": [%s]" if i < arrays else ": %s")
+        for i in ranks
+    )
+    order = itemgetter(*ranks) if len(ranks) > 1 else lambda texts: (texts[ranks[0]],)
+    return "{" + fields + "}", order
+
+
+def _json_lines(
+    records, columns: tuple[str, ...], texts, as_dict, properties=attrgetter("properties")
+) -> list[str]:
+    """``json.dumps(as_dict(record), sort_keys=True, ensure_ascii=False)`` for each record.
+
+    That object holds ``properties(record)``, whose values are lists, and
+    each of ``columns`` whose text in ``texts(record)``, the JSON text of
+    each core value, is not None. The line comes from one template per key
+    tuple, without the object; a record with a value that is neither a
+    string nor a list of strings goes to the stdlib encoder instead, which
+    gives the same text or raises.
+    """
+    # Keyed by the property keys; a record with an absent value by its
+    # whole key tuple.
+    templates: dict[tuple, tuple[str, Callable]] = {}
+    sparse: dict[tuple, tuple[str, Callable]] = {}
+    lines = []
+    append = lines.append
+    for record in records:
+        extra = properties(record)
+        try:
+            values = texts(record)
+            if None in values:
+                shape = (*extra, *[c for c, v in zip(columns, values) if v is not None])
+                values = [value for value in values if value is not None]
+                entry = sparse.get(shape) or sparse.setdefault(shape, _json_template(shape, len(extra)))
+            else:
+                shape = tuple(extra)
+                entry = templates.get(shape) or templates.setdefault(
+                    shape, _json_template((*shape, *columns), len(shape))
+                )
+            template, order = entry
+            append(template % order((
+                *[
+                    _encode_string(v[0]) if v.__class__ is list and len(v) == 1 else _json_items(v)
+                    for v in extra.values()
+                ],
+                *values,
+            )))
+        except TypeError:
+            append(_encode_object(as_dict(record)))
+    return lines
+
+
+def _write(records: list, fmt: str, columns: tuple[str, ...], core, texts) -> str:
     """Serialize ``records``; ``core(record)`` gives the value of each of ``columns``.
 
     A value is a string, a list for a multivalued column, or None when
-    absent. TSV output is checked once as joined text: a ``|`` beyond the
-    header's and the separators counted while joining would split a value
-    on reading, as would a tab or a line break.
+    absent; ``texts(record)`` gives each value's JSON text for JSONL (see
+    ``_json_lines``). TSV output is checked once as joined text: a ``|``
+    beyond the header's and the separators counted while joining would
+    split a value on reading, as would a tab or a line break.
     """
     keys = {key for record in records for key in record.properties}
     if not keys.isdisjoint(columns):
         clash = sorted(keys.intersection(columns))
         raise ValueError(f"a property cannot be named like a core column: {clash}")
     if fmt == "jsonl":
-        encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-        lines = []
-        for record in records:
+
+        def as_dict(record) -> dict:
             obj = dict(record.properties)
-            for column, value in zip(columns, core(record)):
-                if value is not None:
-                    obj[column] = value
-            lines.append(encode(obj))
+            obj.update((c, v) for c, v in zip(columns, core(record)) if v is not None)
+            return obj
+
+        lines = _json_lines(records, columns, texts, as_dict)
         return "\n".join(lines) + ("\n" if lines else "")
     extras = sorted(keys)
     rows = ["\t".join((*columns, *extras))]
@@ -417,12 +489,28 @@ def _write(records: list, fmt: str, columns: tuple[str, ...], core) -> str:
 
 def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
     """Serialize nodes; extra property columns appear sorted by name."""
-    return _write(nodes, fmt, NODE_COLUMNS, lambda node: (node.id, node.categories, node.name))
+    return _write(
+        nodes,
+        fmt,
+        NODE_COLUMNS,
+        lambda node: (node.id, node.categories, node.name),
+        lambda node: (
+            _encode_string(node.id),
+            "[" + _json_items(node.categories) + "]",
+            None if node.name is None else _encode_string(node.name),
+        ),
+    )
 
 
 def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
     """Serialize edges; extra property columns appear sorted by name."""
-    return _write(edges, fmt, EDGE_COLUMNS, lambda e: (e.subject, e.predicate, e.object))
+    return _write(
+        edges,
+        fmt,
+        EDGE_COLUMNS,
+        lambda e: (e.subject, e.predicate, e.object),
+        lambda e: (_encode_string(e.subject), _encode_string(e.predicate), _encode_string(e.object)),
+    )
 
 
 # ---------------------------------------------------------------------------

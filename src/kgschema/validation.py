@@ -16,10 +16,11 @@ import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .hierarchy import CategoryProfile, ClosureIndex, category_profiles
 from .identifiers import Curie, is_curie
-from .kg_store import Edge, KnowledgeGraph, Node
+from .kg_store import Edge, KnowledgeGraph, Node, _encode_string, _json_lines
 from .schema_model import AssociationDefinition, SchemaDocument, serialize_schema
 
 UNKNOWN_CATEGORY = "UNKNOWN_CATEGORY"
@@ -45,6 +46,9 @@ VIOLATION_CODES = (
     DANGLING_EDGE,
     MALFORMED_PROVENANCE_CURIE,
 )
+
+
+_VIOLATION_FIELDS = ("code", "severity", "subject", "detail")
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,13 @@ class ValidationReport:
             "inputs_hash": self.inputs_hash,
         }
         lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
-        lines.extend(
-            json.dumps(v.as_dict(), sort_keys=True, ensure_ascii=False) for v in self.violations
+        fields = attrgetter(*_VIOLATION_FIELDS)
+        lines += _json_lines(
+            self.violations,
+            _VIOLATION_FIELDS,
+            lambda v: tuple(map(_encode_string, fields(v))),
+            Violation.as_dict,
+            lambda v: {},
         )
         return "\n".join(lines) + "\n"
 
