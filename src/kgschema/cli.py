@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -288,5 +289,27 @@ def convert(nodes_path, edges_path, target) -> None:
     sys.exit(EXIT_OK)
 
 
+def run() -> None:
+    """Run :func:`main` as a process: the ``kgschema`` command and ``python -m kgschema``.
+
+    On exit it flushes standard output and error and ends the process at
+    once, so the loaded graph is not freed object by object. An exit code
+    that is not None or an int, or a flush that fails, takes the
+    interpreter's normal exit instead.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+        if not isinstance(code, int):
+            raise
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            raise exc from None
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -12,7 +12,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kgschema
-from kgschema import cli, hierarchy, serialize_schema, validate_schema
+from kgschema import (
+    cli,
+    hierarchy,
+    read_edges,
+    read_nodes,
+    serialize_schema,
+    validate_schema,
+    write_edges,
+    write_nodes,
+)
 from kgschema.cli import main
 
 from generators import deep_chain_schema, max_examples
@@ -545,29 +554,46 @@ def test_verb_leaves_gc_enabled_and_freezes_the_loaded_input(runner, seed_path, 
 
 
 def test_real_process_matches_in_process_run(runner, seed_path, tmp_path):
-    # CliRunner never reaches interpreter exit, whose last collection skips
-    # the frozen heap; the bytes a real process writes must be the same.
-    # Besides the demo verbs: a data failure (exit 1) and a tool failure (2).
+    # CliRunner never reaches the process's end, which flushes and exits at
+    # once; the bytes a real process writes must be the same. Besides the
+    # demo verbs: a data failure (exit 1), tool failures (2), --version, a
+    # usage error (2) and a two-input convert, whose files are compared too.
     dirty = tmp_path / "dirty.tsv"
     dirty.write_text("id\tcategory\tname\nNCBIGene:23221\tNoSuchClass\tx\n", encoding="utf-8")
     surrogate = tmp_path / "surrogate.jsonl"
     surrogate.write_text('{"id": "A:1", "category": ["Gene"], "name": "\\ud800"}\n', encoding="utf-8")
+    pair = []
+    for name in ("rhobtb2_nodes.tsv", "rhobtb2_edges.tsv"):
+        pair.append(tmp_path / name)
+        pair[-1].write_bytes((DATA / name).read_bytes())
+    written = [path.with_suffix(".jsonl") for path in pair]
     edges = ["--edges", str(DATA / "rhobtb2_edges.tsv")]
-    failing = [
+    others = [
         ["validate", "--schema", str(seed_path), "--nodes", str(dirty), *edges],
         ["validate", "--schema", str(seed_path), "--nodes", str(surrogate), *edges],
         ["convert", "--nodes", str(surrogate), "--to", "tsv"],
+        ["--version"],
+        ["convert", "--nodes", str(dirty), "--to", "xml"],
+        ["convert", "--nodes", str(pair[0]), "--edges", str(pair[1]), "--to", "jsonl"],
     ]
     source = str(Path(kgschema.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
     codes = []
-    for args in _demo_verbs(seed_path) + failing:
-        expected = _invoke(runner, *args)
+    for args in _demo_verbs(seed_path) + others:
+        expected = _invoke(runner, *args, prog_name="python -m kgschema")
+        expected_files = [path.read_bytes() for path in written if path.exists()]
+        for path in written:
+            path.unlink(missing_ok=True)
         process = subprocess.run(
             [sys.executable, "-m", "kgschema", *args], capture_output=True, env=env, timeout=120
         )
         assert process.returncode == expected.exit_code, args
         assert process.stdout == expected.stdout_bytes, args
         assert process.stderr == expected.stderr_bytes, args
+        assert [path.read_bytes() for path in written if path.exists()] == expected_files, args
         codes.append(process.returncode)
-    assert codes == [0, 0, 0, 0, 1, 2, 2]
+    assert codes == [0, 0, 0, 0, 1, 2, 2, 0, 2, 0]
+    assert [path.read_bytes() for path in written] == [
+        write(read(path.read_text(encoding="utf-8")), "jsonl").encode("utf-8")
+        for path, read, write in zip(pair, (read_nodes, read_edges), (write_nodes, write_edges))
+    ]
