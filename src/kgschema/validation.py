@@ -334,11 +334,15 @@ def _canonical_line(fields: list[str]) -> str:
 
 
 def _add_properties(fields: list[str], properties: dict[str, list[str]]) -> list[str]:
-    for key in sorted(properties):
+    # Keys and values are sorted only when there are two or more of them.
+    for key in sorted(properties) if len(properties) > 1 else properties:
         values = properties[key]
-        fields.append(key)
-        fields.append(str(len(values)))
-        fields.extend(sorted(values))
+        if len(values) == 1:
+            fields += (key, "1", values[0])
+        else:
+            fields.append(key)
+            fields.append(str(len(values)))
+            fields.extend(sorted(values))
     return fields
 
 
