@@ -492,6 +492,7 @@ class _Walk:
         self.slot_parents = {n: s.is_a for n, s in doc.slots.items()}
         self.class_cycles = _find_cycles(self.class_parents)
         self.slot_cycles = _find_cycles(self.slot_parents)
+        self._narrowing: dict[tuple[str, str], bool] = {}
 
     @cached_property
     def class_chains(self) -> dict[str, list[str]]:
@@ -540,6 +541,25 @@ class _Walk:
                 for mixin in reach:
                     carriers[mixin].add(name)
         return {m: frozenset(c) for m, c in carriers.items()}
+
+    def narrows(self, child: str, parent: str) -> bool:
+        """True when class ``child`` denotes a subset of class ``parent`` for association checks.
+
+        A mixin parent is narrowed by what reaches it, a class parent by its
+        descendants, and by a mixin whose instantiable carriers all descend
+        from it. Each class reaches itself or is its own first ancestor.
+        Worked out once per pair.
+        """
+        known = self._narrowing.get((child, parent))
+        if known is None:
+            classes = self.doc.classes
+            if classes[parent].is_mixin:
+                known = parent in self.reach[child]
+            else:
+                carriers = self.carriers[child] if classes[child].is_mixin else (child,)
+                known = all(parent in self.class_chains[c] for c in carriers)
+            self._narrowing[(child, parent)] = known
+        return known
 
 
 def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
@@ -711,7 +731,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
             ("subject", assoc.subject, parent.subject),
             ("object", assoc.object, parent.object),
         ):
-            if not _narrows(walk, child_t, parent_t):
+            if not walk.narrows(child_t, parent_t):
                 err(
                     ASSOCIATION_WIDENS_PARENT,
                     name,
@@ -758,17 +778,3 @@ def _check_mappings(mappings: list[Mapping], element: str, err) -> None:
         prefix, _, local = m.target.partition(":")
         if not prefix or not local or any(c.isspace() for c in m.target):
             err(MALFORMED_MAPPING_TARGET, element, f"mapping target {m.target!r} is not a CURIE")
-
-
-def _narrows(walk: _Walk, child: str, parent: str) -> bool:
-    """True when class ``child`` denotes a subset of class ``parent`` for association checks.
-
-    A mixin parent is narrowed by what reaches it, a class parent by its
-    descendants, and by a mixin whose instantiable carriers all descend
-    from it. Each class reaches itself or is its own first ancestor.
-    """
-    classes = walk.doc.classes
-    if classes[parent].is_mixin:
-        return parent in walk.reach[child]
-    carriers = walk.carriers[child] if classes[child].is_mixin else (child,)
-    return all(parent in walk.class_chains[c] for c in carriers)
