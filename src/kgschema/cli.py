@@ -306,7 +306,7 @@ def run() -> None:
         try:
             sys.stdout.flush()
             sys.stderr.flush()
-        except Exception:
+        except (OSError, ValueError):  # e.g. a closed pipe
             raise exc from None
         os._exit(code)
 

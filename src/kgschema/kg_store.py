@@ -379,7 +379,7 @@ def _json_items(values: list[str]) -> str:
     return ", ".join(map(_encode_string, list.__iter__(values)))
 
 
-def _json_template(keys: tuple[str, ...], arrays: int = 0) -> tuple[str, Callable]:
+def _json_template(keys: tuple[str, ...], arrays: int) -> tuple[str, Callable]:
     """A JSON object's ``%`` template, and the getter that orders its values to fit.
 
     ``template % order(texts)`` is the object with ``keys`` in ``sort_keys``
@@ -392,21 +392,20 @@ def _json_template(keys: tuple[str, ...], arrays: int = 0) -> tuple[str, Callabl
         _encode_string(keys[i]).replace("%", "%%") + (": [%s]" if i < arrays else ": %s")
         for i in ranks
     )
-    order = itemgetter(*ranks) if len(ranks) > 1 else lambda texts: (texts[ranks[0]],)
-    return "{" + fields + "}", order
+    return "{" + fields + "}", itemgetter(*ranks)
 
 
 def _json_lines(
     records, columns: tuple[str, ...], texts, as_dict, properties=attrgetter("properties")
 ) -> list[str]:
-    """``json.dumps(as_dict(record), sort_keys=True, ensure_ascii=False)`` for each record.
+    """The line ``json.dumps(as_dict(record), sort_keys=True, ensure_ascii=False)`` per record.
 
-    That object holds ``properties(record)``, whose values are lists, and
-    each of ``columns`` whose text in ``texts(record)``, the JSON text of
-    each core value, is not None. The line comes from one template per key
-    tuple, without the object; a record with a value that is neither a
-    string nor a list of strings goes to the stdlib encoder instead, which
-    gives the same text or raises.
+    That dict holds ``properties(record)``, whose values are lists, and
+    each of ``columns`` whose JSON text in ``texts(record)`` is not None.
+    Each key tuple gets one ``%`` template, filled with the JSON text of
+    each value, so no dict is made. A record with a value that is neither
+    a string nor a list of strings goes to the stdlib encoder instead,
+    which gives the same text or raises.
     """
     # Keyed by the property keys; a record with an absent value by its
     # whole key tuple.
