@@ -400,12 +400,12 @@ def _json_lines(
 ) -> list[str]:
     """The line ``json.dumps(as_dict(record), sort_keys=True, ensure_ascii=False)`` per record.
 
-    That dict holds ``properties(record)``, whose values are lists, and
-    each of ``columns`` whose JSON text in ``texts(record)`` is not None.
-    Each key tuple gets one ``%`` template, filled with the JSON text of
-    each value, so no dict is made. A record with a value that is neither
-    a string nor a list of strings goes to the stdlib encoder instead,
-    which gives the same text or raises.
+    Each line ends in ``\\n``. The dict holds ``properties(record)``,
+    whose values are lists, and each of ``columns`` whose JSON text in
+    ``texts(record)`` is not None. Each key tuple gets one ``%`` template,
+    filled with the JSON text of each value, so no dict is made. A record
+    with a value that is neither a string nor a list of strings goes to
+    the stdlib encoder instead, which gives the same text or raises.
     """
     # Keyed by the property keys; a record with an absent value by its
     # whole key tuple.
@@ -427,15 +427,18 @@ def _json_lines(
                     shape, _json_template((*shape, *columns), len(shape))
                 )
             template, order = entry
-            append(template % order((
+            text = template % order((
                 *[
                     _encode_string(v[0]) if v.__class__ is list and len(v) == 1 else _json_items(v)
                     for v in extra.values()
                 ],
                 *values,
-            )))
+            ))
         except TypeError:
-            append(_encode_object(as_dict(record)))
+            text = _encode_object(as_dict(record))
+        # A new string of exact size: ``%`` leaves its text in a block up to
+        # a third larger, which a list of lines would keep.
+        append(text + "\n")
     return lines
 
 
@@ -459,8 +462,7 @@ def _write(records: list, fmt: str, columns: tuple[str, ...], core, texts) -> st
             obj.update((c, v) for c, v in zip(columns, core(record)) if v is not None)
             return obj
 
-        lines = _json_lines(records, columns, texts, as_dict)
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(_json_lines(records, columns, texts, as_dict))
     extras = sorted(keys)
     rows = ["\t".join((*columns, *extras))]
     separators = 0

@@ -90,16 +90,15 @@ class ValidationReport:
             "warnings": self.warning_count,
             "inputs_hash": self.inputs_hash,
         }
-        lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
         fields = attrgetter(*_VIOLATION_FIELDS)
-        lines += _json_lines(
+        lines = _json_lines(
             self.violations,
             _VIOLATION_FIELDS,
             lambda v: tuple(map(_encode_string, fields(v))),
             Violation.as_dict,
             lambda v: {},
         )
-        return "\n".join(lines) + "\n"
+        return json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n" + "".join(lines)
 
 
 def _node_memo(doc: SchemaDocument, index: ClosureIndex, profile: Callable) -> Callable:
