@@ -17,9 +17,11 @@ from kgschema import (
     KnowledgeGraph,
     MalformedCurieError,
     Node,
+    NormalizationReport,
     ParseError,
     SchemaDocument,
     Violation,
+    normalize_curie,
     parse_curie,
 )
 from kgschema.query import Binding, EdgeEvidence, QueryGraph
@@ -640,3 +642,111 @@ def naive_jsonl_write(records: list[Node] | list[Edge] | list[Violation]) -> str
             }
         lines.append(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
     return "".join(lines)
+
+
+def naive_tsv_write(records: list[Node] | list[Edge], kind: str) -> str:
+    """TSV text of nodes or edges, one list of cells and one ``join`` per record.
+
+    The reference for ``write_nodes`` and ``write_edges`` with ``"tsv"``:
+    its checks and their messages are the writer's. A core value that is
+    not a string is joined with ``|``; a property value is joined with
+    ``|`` whatever it is. The text is checked whole: its tabs and line
+    breaks against the row count, and its ``|`` against the header's and
+    the separators counted while joining.
+    """
+    columns = ("id", "category", "name") if kind == "node" else ("subject", "predicate", "object")
+
+    def core(record):
+        if kind == "node":
+            return (record.id, record.categories, record.name)
+        return (record.subject, record.predicate, record.object)
+
+    keys = {key for record in records for key in record.properties}
+    if not keys.isdisjoint(columns):
+        clash = sorted(keys.intersection(columns))
+        raise ValueError(f"a property cannot be named like a core column: {clash}")
+    extras = sorted(keys)
+    rows = ["\t".join((*columns, *extras))]
+    separators = 0
+    for record in records:
+        cells = []
+        for value in core(record):
+            if value and not isinstance(value, str):
+                separators += len(value) - 1
+                value = "|".join(value)
+            cells.append(value or "")
+        for values in map(record.properties.get, extras):
+            if values:
+                separators += len(values) - 1
+            cells.append("|".join(values or ()))
+        rows.append("\t".join(cells))
+    text = "\n".join(rows) + "\n"
+    width = len(columns) + len(extras)
+    if text.count("\t") != len(rows) * (width - 1) or text.count("\n") != len(rows) or "\r" in text:
+        bad = next(r for r in rows if r.count("\t") != width - 1 or "\n" in r or "\r" in r)
+        raise ValueError(f"TSV cannot hold a tab or a line break inside a value: {bad!r}")
+    if text.count("|") != rows[0].count("|") + separators:
+        raise ValueError("TSV cannot hold '|' inside a value")
+    return text
+
+
+def _naive_union(target: list[str], extra: list[str]) -> None:
+    for value in extra:
+        if value not in target:
+            target.append(value)
+
+
+def naive_normalize(kg: KnowledgeGraph, table, doc: SchemaDocument, index, normalize=normalize_curie):
+    """``normalize_graph``'s result, resolving ids one record at a time and merging by copy.
+
+    Each node id, then each edge's subject and object, goes to
+    ``normalize(table, curie, doc, index)`` on its first sight. With no id
+    rewritten the input graph itself comes back. Otherwise every record is
+    renamed, and records that meet on one key merge into a copy of the
+    first: categories and property values by ordered union, the first name
+    kept and each other differing name counted as a conflict.
+    """
+    report = NormalizationReport()
+    mapping: dict[Curie, Curie] = {}
+    for curie in [*kg.nodes, *(end for edge in kg.edges for end in (edge.subject, edge.object))]:
+        if curie in mapping:
+            continue
+        mapping[curie] = normalize(table, curie, doc, index)
+        if table.clique_of(curie) is None:
+            report.unknown_ids += 1
+        elif mapping[curie] != curie:
+            report.ids_rewritten += 1
+    if report.ids_rewritten == 0:
+        return kg, report
+
+    def merge_properties(target: dict, extra: dict) -> None:
+        for key, values in extra.items():
+            if key in target:
+                _naive_union(target[key], values)
+            else:
+                target[key] = list(values)
+
+    nodes: dict[Curie, Node] = {}
+    for node in kg.nodes.values():
+        node_id = mapping[node.id]
+        kept = nodes.get(node_id)
+        if kept is None:
+            nodes[node_id] = Node(node_id, list(node.categories), node.name,
+                                  {k: list(v) for k, v in node.properties.items()})
+            continue
+        _naive_union(kept.categories, node.categories)
+        if kept.name is None:
+            kept.name = node.name
+        elif node.name is not None and node.name != kept.name:
+            report.name_conflicts += 1
+        merge_properties(kept.properties, node.properties)
+    edges: dict[tuple, Edge] = {}
+    for edge in kg.edges:
+        key = (mapping[edge.subject], edge.predicate, mapping[edge.object])
+        if key in edges:
+            merge_properties(edges[key].properties, edge.properties)
+        else:
+            edges[key] = Edge(*key, {k: list(v) for k, v in edge.properties.items()})
+    report.nodes_merged = len(kg.nodes) - len(nodes)
+    report.edges_deduplicated = len(kg.edges) - len(edges)
+    return KnowledgeGraph(nodes, list(edges.values())), report

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kgschema import (
     DanglingEdgeError,
     Edge,
+    KnowledgeGraph,
     Node,
     ParseError,
     ValidationReport,
@@ -18,6 +19,7 @@ from kgschema import (
     graph_equal,
     graph_stats,
     load_equivalences,
+    normalize_curie,
     normalize_graph,
     read_edges,
     read_nodes,
@@ -27,7 +29,14 @@ from kgschema import (
 from kgschema import build_closure, kg_store
 from kgschema.identifiers import MalformedCurieError, parse_curie
 from generators import dirty_graph, extended_seed_schema, max_examples, random_graph, random_schema
-from oracles import naive_closed_list, naive_jsonl_read, naive_jsonl_write, naive_stats_bucket
+from oracles import (
+    naive_closed_list,
+    naive_jsonl_read,
+    naive_jsonl_write,
+    naive_normalize,
+    naive_stats_bucket,
+    naive_tsv_write,
+)
 
 NODES_TSV = (
     "id\tcategory\tname\n"
@@ -385,35 +394,47 @@ def test_writers_emit_exact_text():
 
 
 # Text that JSON must escape, or must pass through as it stands: lone
-# surrogates and U+2028 included, and a '%' for any text template.
-_ESCAPED = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\U0001f600",
-            "\ud800", "\udfff", "%", "%s", "\u00e9", "/"]
+# surrogates and U+2028 included, and a '%' for any text template; a CR
+# and a '|' that TSV cannot hold.
+_ESCAPED = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\r", "|", "\u2028", "\u2029",
+            "\U0001f600", "\ud800", "\udfff", "%", "%s", "\u00e9", "/"]
 _json_text = st.lists(st.sampled_from(_ESCAPED) | st.characters(), max_size=4).map("".join)
 # Property keys that sort before, between and after each kind's core keys.
 _KEYS = ["", "a", "categoryz", "d", "ida", "m", "o", "objectz", "p", "predicatez", "s",
          "subjectz", "xref", "\u00e9", "%"]
+
+
 # Lists of strings, as read; then what only a library caller makes: other
 # items in a list, and values that are not lists.
-_json_values = (
-    st.lists(_json_text, max_size=3)
-    | st.lists(_json_text | st.integers() | st.none(), max_size=3)
-    | _json_text
-    | st.tuples(_json_text)
-)
+def _values(text):
+    return (
+        st.lists(text, max_size=3)
+        | st.lists(text | st.integers() | st.none(), max_size=3)
+        | text
+        | st.tuples(text, text)
+        | st.integers()
+        | st.none()
+    )
 
 
-def _json_properties(core):
-    keys = (st.sampled_from(_KEYS) | _json_text).filter(lambda key: key not in core)
-    return st.dictionaries(keys, _json_values, max_size=4)
+def _properties(core, text):
+    keys = (st.sampled_from(_KEYS) | text).filter(lambda key: key not in core)
+    return st.dictionaries(keys, _values(text), max_size=4)
 
 
-_json_records = {
-    "node": st.builds(Node, _json_text, st.lists(_json_text, max_size=3), st.none() | _json_text,
-                      _json_properties(kg_store.NODE_COLUMNS)),
-    "edge": st.builds(Edge, _json_text, _json_text, _json_text, _json_properties(kg_store.EDGE_COLUMNS)),
-    "violation": st.builds(Violation, _json_text, st.sampled_from(["error", "warning"]) | _json_text,
-                           _json_text, _json_text),
-}
+def _records(text):
+    return {
+        "node": st.builds(Node, text, st.lists(text, max_size=3) | st.tuples(text, text),
+                          st.none() | text, _properties(kg_store.NODE_COLUMNS, text)),
+        "edge": st.builds(Edge, text, text, text, _properties(kg_store.EDGE_COLUMNS, text)),
+        "violation": st.builds(Violation, text, st.sampled_from(["error", "warning"]) | text,
+                               text, text),
+    }
+
+
+_json_records = _records(_json_text)
+# Half of the text is text that TSV can hold, so that some writes succeed.
+_tsv_records = _records(st.text("ab:1 \u00e9", max_size=3) | _json_text)
 
 
 @settings(max_examples=max_examples(150), deadline=None)
@@ -434,6 +455,25 @@ def test_jsonl_writers_equal_the_naive_writer(case):
     else:
         write = write_nodes if kind == "node" else write_edges
         assert write(records, "jsonl") == naive_jsonl_write(records)
+
+
+def _outcome(write, *args):
+    """The text written, or the message of a ValueError, or that a TypeError was raised."""
+    try:
+        return write(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=max_examples(300), deadline=None)
+@given(st.sampled_from(["node", "edge"]).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.lists(_tsv_records[kind], max_size=6))))
+def test_tsv_writers_equal_the_naive_writer(case):
+    kind, records = case
+    write = write_nodes if kind == "node" else write_edges
+    assert _outcome(write, records, "tsv") == _outcome(naive_tsv_write, records, kind)
 
 
 def test_write_rejects_pipe_in_name():
@@ -736,6 +776,53 @@ def _random_table(rng, kg, seed_doc):
         used.update(members)
         lines.append("Gene\t" + "|".join(members))
     return load_equivalences("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _normalize_cases(rng, seed_doc):
+    """Graphs with cliques over their ids: built ones, and hand-built ones
+    whose edge lists repeat triples and whose node maps miss edge ends."""
+    for _ in range(80):
+        nodes, edges = random_graph(rng, seed_doc, max_nodes=12, max_edges=25)
+        for node in rng.sample(nodes, rng.randint(0, len(nodes))):
+            nodes.append(Node(node.id, ["Gene", "Disease"], rng.choice([None, "n0", f"dup {node.name}"]),
+                              {"xref": [f"X:{rng.randint(1, 3)}"]}))
+        for edge in rng.sample(edges, rng.randint(0, len(edges))):
+            edges.append(Edge(edge.subject, edge.predicate, edge.object,
+                              {"publications": [f"PMID:{rng.randint(1, 5)}"]}))
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+        kg = build_graph(nodes, edges)
+        table = _random_table(rng, kg, seed_doc)
+        yield kg, table
+        kept = {node_id: node for node_id, node in kg.nodes.items() if rng.random() < 0.7}
+        yield KnowledgeGraph(kept, edges), table
+
+
+def test_normalize_graph_equals_the_naive_normalizer(seed_doc, seed_index, monkeypatch):
+    def recording(calls):
+        def normalize(table, curie, doc, index):
+            calls.append(curie)
+            return normalize_curie(table, curie, doc, index)
+        return normalize
+
+    def fields(kg):
+        return (
+            [(key, n.id, n.categories, n.name, n.properties) for key, n in kg.nodes.items()],
+            [(e.subject, e.predicate, e.object, e.properties) for e in kg.edges],
+        )
+
+    for kg, table in _normalize_cases(random.Random(2024), seed_doc):
+        calls, naive_calls = [], []
+        monkeypatch.setattr(kg_store, "normalize_curie", recording(calls))
+        normalized, report = normalize_graph(kg, table, seed_doc, seed_index)
+        expected, expected_report = naive_normalize(kg, table, seed_doc, seed_index,
+                                                    recording(naive_calls))
+        assert fields(normalized) == fields(expected)
+        assert report == expected_report
+        assert calls == naive_calls
+        assert (normalized is kg) == (report.ids_rewritten == 0)
+        again, again_report = normalize_graph(normalized, table, seed_doc, seed_index)
+        assert again is normalized and again_report.ids_rewritten == 0
 
 
 def test_normalize_graph_idempotent_on_random_graphs(seed_doc, seed_index):
