@@ -17,7 +17,8 @@ from collections import Counter
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, itemgetter, ne, or_
 
 from .errors import DanglingEdgeError, ParseError
 from .hierarchy import ClosureIndex, category_profiles
@@ -372,6 +373,7 @@ def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
 # The stdlib's C string encoder, the one json.dumps(ensure_ascii=False) uses.
 _encode_string = json.encoder.encode_basestring
 _encode_object = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_properties = attrgetter("properties")
 
 
 def _json_items(values: list[str]) -> str:
@@ -396,7 +398,7 @@ def _json_template(keys: tuple[str, ...], arrays: int) -> tuple[str, Callable]:
 
 
 def _json_lines(
-    records, columns: tuple[str, ...], texts, as_dict, properties=attrgetter("properties")
+    records, columns: tuple[str, ...], texts, as_dict, properties=_properties
 ) -> list[str]:
     """The line ``json.dumps(as_dict(record), sort_keys=True, ensure_ascii=False)`` per record.
 
@@ -442,20 +444,75 @@ def _json_lines(
     return lines
 
 
-def _write(records: list, fmt: str, columns: tuple[str, ...], core, texts) -> str:
-    """Serialize ``records``; ``core(record)`` gives the value of each of ``columns``.
+# Records per block of the TSV writer: a block's cells are made a column
+# at a time and its rows joined into one text.
+_TSV_BLOCK = 4096
+
+
+def _tsv_cells(values: list, core: bool) -> tuple[list, int]:
+    """The cells of one column of a block, and the ``|`` separators joined into them.
+
+    A core value that is a string stays as it is; any other is joined with
+    ``|``, or empty when falsy. A property value is joined with ``|``
+    whatever it is, a string too, and is empty when falsy.
+    """
+    kinds = set(map(type, values))
+    if core and kinds == {str}:
+        return values, 0
+    if kinds <= {list, tuple}:
+        return list(map("|".join, values)), sum(map(len, values)) - sum(map(bool, values))
+    cells = []
+    separators = 0
+    for value in values:
+        if core and (not value or isinstance(value, str)):
+            cells.append(value or "")
+            continue
+        if value:
+            separators += len(value) - 1
+        cells.append("|".join(value or ()))
+    return cells, separators
+
+
+def _tsv_blocks(records, fields: tuple[str, ...], extras: list[str]):
+    """Per block of ``records``, an iterator of its rows and the ``|`` separators joined into them.
+
+    A row has no line break of its own; one column of a block is made at
+    a time, by ``_tsv_cells``.
+    """
+    getters = list(map(attrgetter, fields))
+    remaining = iter(records)
+    while block := list(islice(remaining, _TSV_BLOCK)):
+        columns = []
+        separators = 0
+        for getter in getters:
+            cells, joined = _tsv_cells(list(map(getter, block)), True)
+            columns.append(cells)
+            separators += joined
+        properties = list(map(_properties, block))
+        for key in extras:
+            cells, joined = _tsv_cells(list(map(dict.get, properties, repeat(key), repeat(()))), False)
+            columns.append(cells)
+            separators += joined
+        yield map("\t".join, zip(*columns)), separators
+
+
+def _write(records: list, fmt: str, columns: tuple[str, ...], fields: tuple[str, ...], texts) -> str:
+    """Serialize ``records``; attribute ``fields[i]`` of a record holds the value of ``columns[i]``.
 
     A value is a string, a list for a multivalued column, or None when
     absent; ``texts(record)`` gives each value's JSON text for JSONL (see
-    ``_json_lines``). TSV output is checked once as joined text: a ``|``
-    beyond the header's and the separators counted while joining would
-    split a value on reading, as would a tab or a line break.
+    ``_json_lines``). TSV output is made a block of records at a time and
+    joined once, then checked as a whole: a ``|`` beyond the header's and
+    the separators counted while joining would split a value on reading,
+    as would a tab or a line break. Only a failed check makes the rows
+    again, to name the first bad one.
     """
-    keys = {key for record in records for key in record.properties}
+    keys = set(chain.from_iterable(map(_properties, records)))
     if not keys.isdisjoint(columns):
         clash = sorted(keys.intersection(columns))
         raise ValueError(f"a property cannot be named like a core column: {clash}")
     if fmt == "jsonl":
+        core = attrgetter(*fields)
 
         def as_dict(record) -> dict:
             obj = dict(record.properties)
@@ -464,26 +521,21 @@ def _write(records: list, fmt: str, columns: tuple[str, ...], core, texts) -> st
 
         return "".join(_json_lines(records, columns, texts, as_dict))
     extras = sorted(keys)
-    rows = ["\t".join((*columns, *extras))]
+    header = "\t".join((*columns, *extras))
+    parts = [header]
     separators = 0
-    for record in records:
-        cells = []
-        for value in core(record):
-            if value and not isinstance(value, str):
-                separators += len(value) - 1
-                value = "|".join(value)
-            cells.append(value or "")
-        for values in map(record.properties.get, extras):
-            if values:
-                separators += len(values) - 1
-            cells.append("|".join(values or ()))
-        rows.append("\t".join(cells))
-    text = "\n".join(rows) + "\n"
-    width = len(columns) + len(extras)
-    if text.count("\t") != len(rows) * (width - 1) or text.count("\n") != len(rows) or "\r" in text:
-        bad = next(r for r in rows if r.count("\t") != width - 1 or "\n" in r or "\r" in r)
+    for rows, joined in _tsv_blocks(records, fields, extras):
+        parts.append("\n".join(rows))
+        separators += joined
+    parts.append("")
+    text = "\n".join(parts)
+    lines = len(records) + 1
+    tabs = len(columns) + len(extras) - 1
+    if text.count("\t") != lines * tabs or text.count("\n") != lines or "\r" in text:
+        rows = chain((header,), chain.from_iterable(rows for rows, _ in _tsv_blocks(records, fields, extras)))
+        bad = next(r for r in rows if r.count("\t") != tabs or "\n" in r or "\r" in r)
         raise ValueError(f"TSV cannot hold a tab or a line break inside a value: {bad!r}")
-    if text.count("|") != rows[0].count("|") + separators:
+    if text.count("|") != header.count("|") + separators:
         raise ValueError("TSV cannot hold '|' inside a value")
     return text
 
@@ -494,7 +546,7 @@ def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
         nodes,
         fmt,
         NODE_COLUMNS,
-        lambda node: (node.id, node.categories, node.name),
+        ("id", "categories", "name"),
         lambda node: (
             _encode_string(node.id),
             "[" + _json_items(node.categories) + "]",
@@ -509,7 +561,7 @@ def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
         edges,
         fmt,
         EDGE_COLUMNS,
-        lambda e: (e.subject, e.predicate, e.object),
+        EDGE_COLUMNS,
         lambda e: (_encode_string(e.subject), _encode_string(e.predicate), _encode_string(e.object)),
     )
 
@@ -618,6 +670,10 @@ def close_categories(kg: KnowledgeGraph, index: ClosureIndex) -> KnowledgeGraph:
     return KnowledgeGraph(nodes=closed_nodes, edges=list(kg.edges))
 
 
+_id = attrgetter("id")
+_ends = attrgetter("subject", "object")
+
+
 def normalize_graph(
     kg: KnowledgeGraph,
     table: EquivalenceTable,
@@ -633,46 +689,44 @@ def normalize_graph(
     are immutable by contract.
     """
     report = NormalizationReport()
-    mapping: dict[Curie, Curie] = {}
-
-    def resolve(curie: Curie) -> Curie:
-        normalized = mapping.get(curie)
-        if normalized is None:
-            normalized = normalize_curie(table, curie, doc, index)
-            mapping[curie] = normalized
-            if table.clique_of(curie) is None:
-                report.unknown_ids += 1
-            elif normalized != curie:
-                report.ids_rewritten += 1
-        return normalized
-
-    for node_id in kg.nodes:
-        resolve(node_id)
-    for edge in kg.edges:
-        resolve(edge.subject)
-        resolve(edge.object)
-    if report.ids_rewritten == 0:
+    # Each edge's subject and object, then each distinct id once in
+    # first-seen order: node ids, then edge ends. Equal ends are mostly one
+    # object, so they are made distinct among themselves first.
+    ends = list(chain.from_iterable(map(_ends, kg.edges)))
+    ids = dict.fromkeys(kg.nodes)
+    ids.update(dict.fromkeys(ends))
+    preferred = list(map(normalize_curie, repeat(table), ids, repeat(doc), repeat(index)))
+    # An id outside every clique is its own preferred form.
+    report.unknown_ids = len(ids) - sum(map(table.member_index.__contains__, ids))
+    renamed = dict(compress(zip(ids, preferred), map(ne, ids, preferred)))
+    report.ids_rewritten = len(renamed)
+    if not renamed:
         # Fixed point: nothing to rewrite or merge.
         return kg, report
 
-    # Renamed objects share their value lists with the input: a merge copies
-    # an object before it mutates it.
+    # Only records that touch a renamed id are made again; they share their
+    # value lists with the input, and a merge copies an object before it
+    # mutates it.
+    is_renamed = renamed.__contains__
     with _gc_paused():
-        new_nodes = []
-        for node in kg.nodes.values():
-            normalized = mapping[node.id]
-            if normalized != node.id:
-                node = Node(normalized, node.categories, node.name, node.properties)
-            new_nodes.append(node)
-        new_edges = []
-        for edge in kg.edges:
-            subject = mapping[edge.subject]
-            obj = mapping[edge.object]
-            if subject != edge.subject or obj != edge.object:
-                edge = Edge(subject, edge.predicate, obj, edge.properties)
-            new_edges.append(edge)
-        merged_nodes = _merge_nodes(new_nodes, report)
-        merged_edges = _merge_edges(new_edges)
+        nodes = list(kg.nodes.values())
+        for i in list(compress(count(), map(is_renamed, map(_id, nodes)))):
+            node = nodes[i]
+            nodes[i] = Node(renamed[node.id], node.categories, node.name, node.properties)
+        edges = list(kg.edges)
+        hits = list(map(is_renamed, ends))
+        del ends
+        for i in list(compress(count(), map(or_, hits[::2], hits[1::2]))):
+            edge = edges[i]
+            edges[i] = Edge(
+                renamed.get(edge.subject, edge.subject),
+                edge.predicate,
+                renamed.get(edge.object, edge.object),
+                edge.properties,
+            )
+        del hits
+        merged_nodes = _merge_nodes(nodes, report)
+        merged_edges = _merge_edges(edges)
     report.nodes_merged = len(kg.nodes) - len(merged_nodes)
     report.edges_deduplicated = len(kg.edges) - len(merged_edges)
     return KnowledgeGraph(nodes=merged_nodes, edges=merged_edges), report

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -473,7 +474,27 @@ def _outcome(write, *args):
 def test_tsv_writers_equal_the_naive_writer(case):
     kind, records = case
     write = write_nodes if kind == "node" else write_edges
-    assert _outcome(write, records, "tsv") == _outcome(naive_tsv_write, records, kind)
+    expected = _outcome(naive_tsv_write, records, kind)
+    # Blocks of one and two records: each column of a block has its own mix of value types.
+    for block in (kg_store._TSV_BLOCK, 1, 2):
+        with patch.object(kg_store, "_TSV_BLOCK", block):
+            assert _outcome(write, records, "tsv") == expected
+
+
+def test_tsv_writer_joins_blocks_into_one_text():
+    size = kg_store._TSV_BLOCK
+    edges = [
+        Edge(f"A:{i}", "treats", "B:1", {"p": [f"x{i}", "y"]} if i % 3 else {"q": f"v{i}"})
+        for i in range(2 * size + 1)
+    ]
+    text = write_edges(edges)
+    assert text == naive_tsv_write(edges, "edge")
+    assert text.count("\n") == 2 * size + 2
+    # A bad row in a later block is named; a '|' there is counted.
+    for bad in (Edge("A:x", "tre\tats", "B:1"), Edge("A:x", "treats", "B:1", {"p": ["x|y"]})):
+        edges[size + 1] = bad
+        assert _outcome(write_edges, edges) == _outcome(naive_tsv_write, edges, "edge")
+        assert _outcome(write_edges, edges)[0] == "ValueError"
 
 
 def test_write_rejects_pipe_in_name():
