@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import os
 import sys
@@ -161,7 +162,10 @@ def normalize(schema_path, equivalences_path, lax) -> None:
                     f"equivalence clique names unknown category {category!r}"
                 )
     total = changed = unknown = malformed = 0
-    for raw in sys.stdin:
+    lines = iter(sys.stdin)
+    # One leading byte order mark is dropped, as from every input file.
+    first = next(lines, "").removeprefix("\ufeff")
+    for raw in itertools.chain((first,), lines):
         line = raw.strip()
         if not line:
             continue

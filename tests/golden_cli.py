@@ -76,6 +76,11 @@ CASES: list[Case] = [
         ["normalize", "--schema", "{schema}", "--equivalences", "{data}/equivalences.tsv"],
         "HGNC:18756\nDOID:1826\nNCBIGene:6850\nFOO:1\nnot a curie\nCHEBI:66919\n\nX:a:b\n",
     ),
+    Case(
+        "normalize_demo_bom",
+        ["normalize", "--schema", "{schema}", "--equivalences", "{data}/equivalences.tsv"],
+        BOM + "HGNC:18756\nDOID:1826\nNCBIGene:6850\nFOO:1\nnot a curie\nCHEBI:66919\n\nX:a:b\n",
+    ),
     Case("convert_demo_nodes_jsonl", ["convert", "--nodes", "{data}/rhobtb2_nodes.tsv", "--to", "jsonl"]),
     Case("convert_demo_edges_jsonl", ["convert", "--edges", "{data}/rhobtb2_edges.tsv", "--to", "jsonl"]),
     # Unknown categories, a mixin-only node, a dangling edge, malformed
@@ -142,6 +147,7 @@ CASES: list[Case] = [
 BOM_TWINS = [
     ("validate_dirty_jsonl_bom", "validate_dirty_jsonl"),
     ("validate_demo_bom_schema", "validate_demo"),
+    ("normalize_demo_bom", "normalize_demo"),
 ]
 
 

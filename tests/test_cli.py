@@ -197,6 +197,17 @@ def test_normalize_stdin_to_stdout(runner, seed_path):
     assert "total=3 changed=2 unchanged=1 unknown=1 malformed=0" in result.stderr
 
 
+def test_normalize_drops_one_leading_bom_from_stdin(runner, seed_path):
+    args = ("normalize", "--schema", str(seed_path), "--equivalences", str(DATA / "equivalences.tsv"))
+    result = _invoke(runner, *args, input="\ufeffNCBIGene:23221\nHGNC:18756\n")
+    assert result.exit_code == 0
+    assert result.stdout == "NCBIGene:23221\nNCBIGene:23221\n"
+    assert "total=2 changed=1 unchanged=1 unknown=0 malformed=0" in result.stderr
+    # Only one, and only at the start of the input.
+    result = _invoke(runner, *args, input="\ufeff\ufeffFOO:1\n\ufeffFOO:2\n")
+    assert result.stdout.splitlines() == ["\ufeffFOO:1", "\ufeffFOO:2"]
+
+
 def test_normalize_prints_an_incomparable_clique_warning_once(runner, seed_path, tmp_path):
     table = tmp_path / "eq.tsv"
     table.write_text("Gene|Disease\tNCBIGene:1|MONDO:2\n")
