@@ -475,15 +475,11 @@ def _reachable(doc: SchemaDocument, start: str) -> list[str]:
     return out
 
 
-def _mixin_contribution(doc: SchemaDocument, mixin: str) -> list[str]:
-    """Slots of ``mixin`` in pre-order: own slots, then is_a, then mixins."""
-    return [slot for name in _reachable(doc, mixin) for slot in doc.classes[name].slots]
-
-
 class _Walk:
     """Each hierarchy of ``doc`` walked once, for validation and the closure.
 
-    Cycles are found up front; chains, mixin reach and carriers on first use.
+    Cycles are found up front; chains, mixin reach, carriers and the classes
+    reachable from each declared mixin on first use.
     """
 
     def __init__(self, doc: SchemaDocument):
@@ -493,6 +489,19 @@ class _Walk:
         self.class_cycles = _find_cycles(self.class_parents)
         self.slot_cycles = _find_cycles(self.slot_parents)
         self._narrowing: dict[tuple[str, str], bool] = {}
+        self._reached: dict[str, list[str]] = {}
+
+    def reachable(self, start: str) -> list[str]:
+        """``_reachable(doc, start)``, walked once per start."""
+        found = self._reached.get(start)
+        if found is None:
+            found = self._reached[start] = _reachable(self.doc, start)
+        return found
+
+    def contribution(self, mixin: str) -> list[str]:
+        """Slots of ``mixin`` in pre-order: own slots, then is_a, then mixins."""
+        classes = self.doc.classes
+        return [slot for name in self.reachable(mixin) for slot in classes[name].slots]
 
     @cached_property
     def class_chains(self) -> dict[str, list[str]]:
@@ -518,7 +527,7 @@ class _Walk:
             added = {name} if cls.is_mixin else set()
             for mixin in cls.mixins:
                 if mixin not in declared:
-                    declared[mixin] = {n for n in _reachable(self.doc, mixin) if classes[n].is_mixin}
+                    declared[mixin] = {n for n in self.reachable(mixin) if classes[n].is_mixin}
                 added |= declared[mixin]
             return added
 
@@ -588,7 +597,7 @@ def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
         add(doc.classes[name].slots)
     for name in chain:
         for mixin in doc.classes[name].mixins:
-            add(_mixin_contribution(doc, mixin))
+            add(walk.contribution(mixin))
     return ordered
 
 
@@ -753,7 +762,7 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
     for name, cls in doc.classes.items():
         first_source: dict[str, str] = {}
         for mixin in cls.mixins:
-            for slot in _mixin_contribution(doc, mixin):
+            for slot in walk.contribution(mixin):
                 if slot in first_source and first_source[slot] != mixin:
                     warn(
                         MIXIN_SLOT_SHADOWED,

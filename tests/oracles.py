@@ -168,6 +168,46 @@ def naive_hierarchy_violations(doc: SchemaDocument) -> list[tuple[str, str, str]
     return sorted(out)
 
 
+def naive_shadowed(doc: SchemaDocument) -> list[tuple[str, str]]:
+    """``(class, detail)`` of each MIXIN_SLOT_SHADOWED warning, sorted, by recursive walks.
+
+    A declared mixin contributes the slots of every class it reaches, in
+    pre-order: a class's own slots, then what its is_a reaches, then what
+    each of its mixins reaches; each class once, unknown names skipped. A
+    slot that an earlier declared mixin of the same class already gave is
+    shadowed.
+    """
+
+    def contribution(mixin: str) -> list[str]:
+        slots: list[str] = []
+        seen: set[str] = set()
+
+        def visit(name: str | None) -> None:
+            if name is None or name in seen or name not in doc.classes:
+                return
+            seen.add(name)
+            cls = doc.classes[name]
+            slots.extend(cls.slots)
+            visit(cls.is_a)
+            for parent in cls.mixins:
+                visit(parent)
+
+        visit(mixin)
+        return slots
+
+    found = []
+    for name, cls in doc.classes.items():
+        first_source: dict[str, str] = {}
+        for mixin in cls.mixins:
+            for slot in contribution(mixin):
+                if slot in first_source and first_source[slot] != mixin:
+                    shadow = first_source[slot]
+                    found.append((name, f"slot {slot!r} from {mixin!r} is shadowed by {shadow!r}"))
+                else:
+                    first_source.setdefault(slot, mixin)
+    return sorted(found)
+
+
 def naive_minimal(doc: SchemaDocument, known: set[str]) -> list[str]:
     """Members of ``known`` with no other member below them, sorted.
 

@@ -25,6 +25,7 @@ from oracles import (
     mixin_reach,
     naive_carriers,
     naive_hierarchy_violations,
+    naive_shadowed,
     recursive_slot_union,
 )
 
@@ -531,6 +532,21 @@ def test_hierarchy_checks_equal_naive_oracle_on_tangled_schemas():
         doc = tangled_schema(rng)
         found = [(v.code, v.element, v.detail) for v in validate_schema(doc) if v.code in checked]
         assert found == naive_hierarchy_violations(doc), serialize_schema(doc)
+
+
+def test_mixin_slot_shadowing_equals_naive_oracle_on_tangled_schemas():
+    # Classes share a few slot names, so mixins that reach each other, or
+    # loop, often give one slot twice.
+    rng = random.Random(1717)
+    warned = 0
+    for _ in range(1000):
+        doc = tangled_schema(rng)
+        for cls in doc.classes.values():
+            cls.slots = rng.sample(["s0", "s1", "s2"], rng.randint(0, 2))
+        found = [(v.element, v.detail) for v in validate_schema(doc) if v.code == sm.MIXIN_SLOT_SHADOWED]
+        assert found == naive_shadowed(doc), serialize_schema(doc)
+        warned += len(found)
+    assert warned > 100
 
 
 # ---------------------------------------------------------------------------
