@@ -671,7 +671,6 @@ def close_categories(kg: KnowledgeGraph, index: ClosureIndex) -> KnowledgeGraph:
 
 
 _id = attrgetter("id")
-_ends = attrgetter("subject", "object")
 
 
 def normalize_graph(
@@ -689,10 +688,13 @@ def normalize_graph(
     are immutable by contract.
     """
     report = NormalizationReport()
-    # Each edge's subject and object, then each distinct id once in
-    # first-seen order: node ids, then edge ends. Equal ends are mostly one
-    # object, so they are made distinct among themselves first.
-    ends = list(chain.from_iterable(map(_ends, kg.edges)))
+    # Each edge's subject and object in turn (a comprehension reads a slot
+    # faster than attrgetter), then each distinct id once in first-seen
+    # order: node ids, then edge ends. Equal ends are mostly one object, so
+    # they are made distinct among themselves first.
+    ends = [None] * (2 * len(kg.edges))
+    ends[::2] = [edge.subject for edge in kg.edges]
+    ends[1::2] = [edge.object for edge in kg.edges]
     ids = dict.fromkeys(kg.nodes)
     ids.update(dict.fromkeys(ends))
     preferred = list(map(normalize_curie, repeat(table), ids, repeat(doc), repeat(index)))
