@@ -670,9 +670,6 @@ def close_categories(kg: KnowledgeGraph, index: ClosureIndex) -> KnowledgeGraph:
     return KnowledgeGraph(nodes=closed_nodes, edges=list(kg.edges))
 
 
-_id = attrgetter("id")
-
-
 def normalize_graph(
     kg: KnowledgeGraph,
     table: EquivalenceTable,
@@ -709,16 +706,15 @@ def normalize_graph(
     # Only records that touch a renamed id are made again; they share their
     # value lists with the input, and a merge copies an object before it
     # mutates it.
-    is_renamed = renamed.__contains__
     with _gc_paused():
         nodes = list(kg.nodes.values())
-        for i in list(compress(count(), map(is_renamed, map(_id, nodes)))):
+        for i in compress(count(), [node.id in renamed for node in nodes]):
             node = nodes[i]
             nodes[i] = Node(renamed[node.id], node.categories, node.name, node.properties)
         edges = list(kg.edges)
-        hits = list(map(is_renamed, ends))
-        del ends
-        for i in list(compress(count(), map(or_, hits[::2], hits[1::2]))):
+        hits = list(map(renamed.__contains__, ends))
+        del ends  # not held through the merges
+        for i in compress(count(), map(or_, hits[::2], hits[1::2])):
             edge = edges[i]
             edges[i] = Edge(
                 renamed.get(edge.subject, edge.subject),
