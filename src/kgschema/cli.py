@@ -101,14 +101,19 @@ def _load_graph(
     return kg
 
 
+_input_file = click.Path(exists=True, dir_okay=False, path_type=Path)
 _schema_option = click.option(
     "--schema",
     "schema_path",
     envvar="KGSCHEMA_DEFAULT_SCHEMA",
     required=True,
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
+    type=_input_file,
     help="Schema file (.kgs.yaml); defaults to $KGSCHEMA_DEFAULT_SCHEMA.",
 )
+_nodes_option = click.option("--nodes", "nodes_path", required=True, type=_input_file)
+_edges_option = click.option("--edges", "edges_path", required=True, type=_input_file)
+_strict_option = click.option("--strict", is_flag=True, help="Fail on dangling edges at load time.")
+_lax_option = click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
 
 
 @click.group(no_args_is_help=False)
@@ -123,10 +128,10 @@ def main() -> None:
 
 @main.command()
 @_schema_option
-@click.option("--nodes", "nodes_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--strict", is_flag=True, help="Fail on dangling edges at load time.")
-@click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
+@_nodes_option
+@_edges_option
+@_strict_option
+@_lax_option
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Accepted for compatibility; validation runs on one thread.")
 @click.option("--close-categories", is_flag=True, help="Close node categories under ancestors.")
@@ -146,10 +151,10 @@ def validate(schema_path, nodes_path, edges_path, strict, lax, jobs, close_categ
     "--equivalences",
     "equivalences_path",
     required=True,
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
+    type=_input_file,
     help="Clique file: categories<TAB>curie1|curie2 per line.",
 )
-@click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
+@_lax_option
 @_tool_errors
 def normalize(schema_path, equivalences_path, lax) -> None:
     """Rewrite CURIEs from stdin to their preferred form, one per line."""
@@ -192,11 +197,11 @@ def normalize(schema_path, equivalences_path, lax) -> None:
 
 @main.command()
 @_schema_option
-@click.option("--nodes", "nodes_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_nodes_option
+@_edges_option
 @click.option("--query", "query_text", required=True, help="Query text, or a path to a query file.")
-@click.option("--strict", is_flag=True, help="Fail on dangling edges at load time.")
-@click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
+@_strict_option
+@_lax_option
 @_tool_errors
 def query(schema_path, nodes_path, edges_path, query_text, strict, lax) -> None:
     """Run a pattern query and print one binding per line as JSON."""
@@ -219,7 +224,7 @@ def query(schema_path, nodes_path, edges_path, query_text, strict, lax) -> None:
 @main.command()
 @_schema_option
 @click.option("--predicate", required=True, help="Predicate to expand to its descendants.")
-@click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
+@_lax_option
 @_tool_errors
 def expand(schema_path, predicate, lax) -> None:
     """Print the descendant closure of a predicate, sorted, one per line."""
@@ -231,11 +236,11 @@ def expand(schema_path, predicate, lax) -> None:
 
 @main.command()
 @_schema_option
-@click.option("--nodes", "nodes_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_nodes_option
+@_edges_option
 @click.option("--format", "output_format", type=click.Choice(["tsv", "jsonl"]), default="tsv", show_default=True)
-@click.option("--strict", is_flag=True, help="Fail on dangling edges at load time.")
-@click.option("--lax", is_flag=True, help="Tolerate unknown schema keys.")
+@_strict_option
+@_lax_option
 @_tool_errors
 def stats(schema_path, nodes_path, edges_path, output_format, strict, lax) -> None:
     """Count nodes per most specific category and edges per predicate."""
@@ -255,8 +260,8 @@ def stats(schema_path, nodes_path, edges_path, output_format, strict, lax) -> No
 
 
 @main.command()
-@click.option("--nodes", "nodes_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--edges", "edges_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.option("--nodes", "nodes_path", type=_input_file)
+@click.option("--edges", "edges_path", type=_input_file)
 @click.option("--to", "target", required=True, type=click.Choice(["tsv", "jsonl"]))
 @_tool_errors
 def convert(nodes_path, edges_path, target) -> None:

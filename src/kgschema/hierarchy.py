@@ -21,7 +21,7 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .schema_model import PREDICATE, SchemaDocument, _Walk, validate_schema
+from .schema_model import PREDICATE, SchemaDocument, _schema_violations, _Walk
 
 
 @dataclass
@@ -69,11 +69,11 @@ def build_closure(doc: SchemaDocument) -> ClosureIndex:
     Raises :class:`SchemaNotValidError`, holding the error-severity
     violations, if the schema has any (warnings are tolerated).
     """
-    errors = [v for v in validate_schema(doc) if v.severity == "error"]
+    walk = _Walk(doc)
+    errors = [v for v in _schema_violations(doc, walk) if v.severity == "error"]
     if errors:
         summary = ", ".join(sorted({v.code for v in errors}))
         raise SchemaNotValidError(f"schema has {len(errors)} error(s): {summary}", errors)
-    walk = _Walk(doc)
     # In a valid schema a predicate's slot chain holds only predicates.
     predicate_ancestors = {
         name: chain for name, chain in walk.slot_chains.items() if doc.slots[name].slot_kind == PREDICATE

@@ -106,9 +106,9 @@ def load_equivalences(source_text: str) -> EquivalenceTable:
     """Read the one-clique-per-line equivalence format.
 
     Each line is ``category1|category2<TAB>curie1|curie2``; ``#`` starts a
-    comment line. One leading byte order mark (U+FEFF) is dropped. An
-    identifier appearing in two cliques raises
-    :class:`OverlappingCliquesError`.
+    comment line. Empty list values are skipped, as in graph cells. One
+    leading byte order mark (U+FEFF) is dropped. An identifier appearing in
+    two cliques raises :class:`OverlappingCliquesError`.
     """
     table = EquivalenceTable()
     for number, raw in enumerate(source_text.removeprefix("\ufeff").split("\n"), start=1):
@@ -124,7 +124,7 @@ def load_equivalences(source_text: str) -> EquivalenceTable:
         if not categories:
             raise ParseError("clique has no categories", number, 1)
         members: dict[Curie, None] = {}  # in line order: an overlap names its first member
-        for chunk in parts[1].split("|"):
+        for chunk in filter(None, parts[1].split("|")):
             try:
                 members[parse_curie(chunk)] = None
             except MalformedCurieError as exc:

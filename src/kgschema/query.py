@@ -192,18 +192,15 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
 
 
 def _check_connected(qnodes: dict[str, QNode], qedges: list[QEdge]) -> None:
-    variables = list(qnodes)
-    component = {variables[0]}
-    grew = True
-    while grew:
-        grew = False
+    component = {next(iter(qnodes))}
+    size = 0
+    while size < len(component):  # until a pass over the edges joins no variable
+        size = len(component)
         for qedge in qedges:
-            joined = {qedge.subject_var, qedge.object_var}
-            if joined & component and not joined <= component:
-                component.update(joined)
-                grew = True
-    if component != set(variables):
-        missing = sorted(set(variables) - component)
+            if qedge.subject_var in component or qedge.object_var in component:
+                component.update((qedge.subject_var, qedge.object_var))
+    missing = sorted(set(qnodes) - component)
+    if missing:
         raise DisconnectedQueryError(f"variables not connected to the pattern: {missing}")
 
 
@@ -260,93 +257,85 @@ def match(
     JSON text (:meth:`Binding.to_json`), and are identical regardless of
     exploration order.
 
-    The search binds every pinned node first; a pinned identifier absent
-    from the graph matches nothing. A query with no pinned node starts once
-    from each node that satisfies the subject of its first edge, or, with
-    no edge, its only node. Each step then follows a query edge out of a
-    bound end, reading only the graph edges at that node from
-    :meth:`KnowledgeGraph.adjacency`, so a pinned query touches only
-    incident edges. The first match on a graph builds that index in
-    O(edges). The index covers every edge, dangling ones included, and is
-    rebuilt when ``kg.edges`` is replaced or changes length; nodes may
-    change freely. Editing an edge of a matched graph in place, with the
-    edge count unchanged, is not supported.
+    The search goes level by level. Its first list of partial matches
+    holds the pinned nodes, none if one is absent from the graph, or, with
+    no pinned node, each node that satisfies the subject of the first edge
+    (with no edge, the only node). Each step follows one query edge out of
+    a bound end and replaces each partial match by its extensions, in the
+    order of the graph edges at that node in :meth:`KnowledgeGraph.adjacency`,
+    so a pinned query touches only incident edges. A query graph that is
+    not connected raises :class:`DisconnectedQueryError`. The first match
+    on a graph builds that index in O(edges). The index covers every edge,
+    dangling ones included, and is rebuilt when ``kg.edges`` is replaced or
+    changes length; nodes may change freely. Editing an edge of a matched
+    graph in place, with the edge count unchanged, is not supported.
     """
-    symmetric = {
-        name for name, slot in doc.slots.items() if slot.slot_kind == PREDICATE and slot.symmetric
-    }
+    symmetric = {n for n, s in doc.slots.items() if s.slot_kind == PREDICATE and s.symmetric}
     nodes = kg.nodes
     profile = category_profiles(index)
-
-    def satisfies(qnode: QNode, node_id: Curie) -> bool:
-        return node_id in nodes and (
-            qnode.categories is None
-            or not qnode.categories.isdisjoint(profile(nodes[node_id].categories).closure)
-        )
-
-    assignment = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}
-    if any(node_id not in nodes for node_id in assignment.values()):
-        return []
-    order = _edge_order(qg, set(assignment))
-    start = qg.qedges[order[0]].subject_var if order else next(iter(qg.qnodes))
-    # The variables in the order the search binds them: the pinned ones (or
-    # the start), then each step's other end. ``assignment`` keeps this order.
-    bound = list(assignment) or [start]
-    for qedge_ordinal in order:
-        qedge = qg.qedges[qedge_ordinal]
-        other_var = qedge.object_var if qedge.subject_var in bound else qedge.subject_var
-        if other_var not in bound:
-            bound.append(other_var)
+    pinned = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}
+    order = _edge_order(qg, set(pinned))
     by_subject, by_object = kg.adjacency()
     edges = kg.edges
-    variables = list(qg.qnodes)
-    # Per match: the node ids in ``variables`` order, the edge ordinals in ``order``.
-    found: list[tuple[tuple[Curie, ...], tuple[int, ...]]] = []
-    chosen = [0] * len(order)
-
-    def extend(position: int) -> None:
-        if position == len(order):
-            found.append((tuple(map(assignment.__getitem__, variables)), tuple(chosen)))
-            return
-        qedge = qg.qedges[order[position]]
+    # Each partial match: its node ids in ``bound`` order, the variables in
+    # the order the search binds them, and its edge ordinals in ``order``.
+    if pinned:
+        bound, ids = list(pinned), tuple(pinned.values())
+        partial = [(ids, ())] if all(node_id in nodes for node_id in ids) else []
+    else:  # start from the first edge's subject, or the only node
+        bound = [qg.qedges[order[0]].subject_var if order else next(iter(qg.qnodes))]
+        categories = qg.qnodes[bound[0]].categories
+        partial = [
+            ((node_id,), ())
+            for node_id, node in nodes.items()
+            if categories is None or not categories.isdisjoint(profile(node.categories).closure)
+        ]
+    for qedge_ordinal in order:
+        qedge = qg.qedges[qedge_ordinal]
         predicates = qedge.predicates
-        if qedge.subject_var in assignment:
-            anchor, other_var = assignment[qedge.subject_var], qedge.object_var
-            stored, mirrored = by_subject.get(anchor, ()), by_object.get(anchor, ())
-        else:
-            anchor, other_var = assignment[qedge.object_var], qedge.subject_var
-            stored, mirrored = by_object.get(anchor, ()), by_subject.get(anchor, ())
-        bound_other = assignment.get(other_var)
-        other_q = qg.qnodes[other_var]
-        # The stored-direction edges at the anchor, then the reversed ones
-        # of a symmetric predicate; a self-loop is in both and counts once.
-        for hop, edge_ordinal in enumerate((*stored, *mirrored)):
-            edge = edges[edge_ordinal]
-            predicate = edge.predicate
-            if predicate not in predicates or hop >= len(stored) and (
-                predicate not in symmetric or edge.subject == edge.object
-            ):
-                continue
-            other = edge.object if edge.subject == anchor else edge.subject
-            if bound_other is None:
-                if not satisfies(other_q, other):
+        if qedge.subject_var in bound:
+            anchor_at, other_var = bound.index(qedge.subject_var), qedge.object_var
+            forward, backward = by_subject, by_object
+        elif qedge.object_var in bound:
+            anchor_at, other_var = bound.index(qedge.object_var), qedge.subject_var
+            forward, backward = by_object, by_subject
+        else:  # neither end bound: the pattern is not connected
+            break
+        other_at = bound.index(other_var) if other_var in bound else None
+        categories = qg.qnodes[other_var].categories
+        extended = []
+        for ids, ordinals in partial:
+            anchor = ids[anchor_at]
+            stored = forward.get(anchor, ())
+            # The stored-direction edges at the anchor, then the reversed ones
+            # of a symmetric predicate; a self-loop is in both and counts once.
+            for hop, edge_ordinal in enumerate((*stored, *backward.get(anchor, ()))):
+                edge = edges[edge_ordinal]
+                predicate = edge.predicate
+                if predicate not in predicates or hop >= len(stored) and (
+                    predicate not in symmetric or edge.subject == edge.object
+                ):
                     continue
-                assignment[other_var] = other
-            elif other != bound_other:
-                continue
-            chosen[position] = edge_ordinal
-            extend(position + 1)
-            if bound_other is None:
-                del assignment[other_var]
-
-    if assignment:
-        extend(0)
-    else:  # no pinned node: start from the first edge's subject, or the only node
-        for node_id in nodes:
-            if satisfies(qg.qnodes[start], node_id):
-                assignment[start] = node_id
-                extend(0)
-    return _finalize(variables, bound, order, found, edges)
+                other = edge.object if edge.subject == anchor else edge.subject
+                if other_at is not None:
+                    if other == ids[other_at]:
+                        extended.append((ids, ordinals + (edge_ordinal,)))
+                elif other in nodes and (
+                    categories is None
+                    or not categories.isdisjoint(profile(nodes[other].categories).closure)
+                ):
+                    extended.append((ids + (other,), ordinals + (edge_ordinal,)))
+        partial = extended
+        if other_at is None:
+            bound.append(other_var)
+    variables = list(qg.qnodes)
+    if len(bound) < len(variables) or len(pinned) > 1:  # the latter may join separate parts
+        _check_connected(qg.qnodes, qg.qedges)
+    if bound != variables:  # in place: a second list would double the peak
+        in_declaration_order = itemgetter(*map(bound.index, variables))
+        for position, (ids, ordinals) in enumerate(partial):
+            partial[position] = (in_declaration_order(ids), ordinals)
+    return _finalize(variables, bound, order, partial, edges)
 
 
 def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:

@@ -607,8 +607,12 @@ def validate_schema(doc: SchemaDocument) -> list[SchemaViolation]:
     Violations are data, never exceptions, and are returned in a canonical
     order that does not depend on declaration order.
     """
+    return _schema_violations(doc, _Walk(doc))
+
+
+def _schema_violations(doc: SchemaDocument, walk: _Walk) -> list[SchemaViolation]:
+    """:func:`validate_schema` on a walk of ``doc`` that the caller goes on to read."""
     out: list[SchemaViolation] = []
-    walk = _Walk(doc)
 
     def err(code: str, element: str, detail: str) -> None:
         out.append(SchemaViolation(code, "error", element, detail))

@@ -17,8 +17,8 @@ from kgschema import (
     hierarchy,
     read_edges,
     read_nodes,
+    schema_model,
     serialize_schema,
-    validate_schema,
     write_edges,
     write_nodes,
 )
@@ -427,11 +427,11 @@ def test_expand_on_deep_child_first_chain(runner, tmp_path):
 def test_verb_validates_the_schema_once(runner, seed_path, monkeypatch):
     calls = []
 
-    def counting(doc):
+    def counting(doc, walk):
         calls.append(doc)
-        return validate_schema(doc)
+        return schema_model._schema_violations(doc, walk)
 
-    monkeypatch.setattr(hierarchy, "validate_schema", counting)
+    monkeypatch.setattr(hierarchy, "_schema_violations", counting)
     result = _invoke(runner, "stats", *_demo_args(seed_path))
     assert result.exit_code == 0
     assert len(calls) == 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kgschema import hierarchy, schema_model
 from kgschema import (
     ClassDefinition,
     EmptyCategorySetError,
@@ -91,6 +92,21 @@ def test_build_closure_rejects_invalid_schema():
     doc.classes["B"] = ClassDefinition(name="B", is_a="A")
     with pytest.raises(SchemaNotValidError):
         build_closure(doc)
+
+
+def test_build_closure_walks_the_schema_once(seed_doc, monkeypatch):
+    walks = []
+
+    class CountingWalk(schema_model._Walk):
+        def __init__(self, doc):
+            walks.append(doc)
+            super().__init__(doc)
+
+    monkeypatch.setattr(schema_model, "_Walk", CountingWalk)
+    monkeypatch.setattr(hierarchy, "_Walk", CountingWalk)
+    index = build_closure(seed_doc)
+    assert len(walks) == 1
+    assert index.predicate_descendants["related_to"] == set(seed_doc.predicate_names())
 
 
 def test_is_subclass_of_seed_cases(seed_index):

@@ -236,6 +236,23 @@ def test_load_equivalences_rejects_bad_lines(line):
         load_equivalences(line + "\n")
 
 
+@pytest.mark.parametrize(
+    "line, members, error",
+    [
+        ("Gene\t", None, "clique has no members"),
+        ("Gene\t|", None, "clique has no members"),
+        ("Gene\tA:1|", {"A:1"}, None),
+        ("Gene\tA:1||B:2", {"A:1", "B:2"}, None),
+    ],
+)
+def test_load_equivalences_skips_empty_members(line, members, error):
+    if error is not None:
+        with pytest.raises(ParseError, match=error):
+            load_equivalences(line + "\n")
+    else:
+        assert [c.members for c in load_equivalences(line + "\n").cliques] == [members]
+
+
 def test_normalize_identity_on_unknown(seed_doc, seed_index, demo_equivalences):
     stranger = "FOO:1"
     assert normalize_curie(demo_equivalences, stranger, seed_doc, seed_index) == stranger

@@ -1,8 +1,10 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from kgschema import (
     DisconnectedQueryError,
@@ -17,6 +19,7 @@ from kgschema import (
     read_edges,
     read_nodes,
 )
+from kgschema.cli import main
 from kgschema.kg_store import Edge, Node
 from kgschema.query import QEdge, QNode, QueryGraph
 from generators import ABSENT, QUERY_SHAPES, dirty_graph, random_graph, random_query
@@ -211,6 +214,60 @@ def test_homomorphism_allows_two_variables_on_one_node(seed_doc, seed_index):
         ("A:1", "B:2"),
         ("B:2", "B:2"),
     }
+
+
+@pytest.mark.parametrize(
+    "qnodes, qedges",
+    [
+        ("abcd", [("a", "b"), ("c", "d")]),
+        ("abz", [("a", "b")]),
+        ("az", []),
+        # Two pinned parts: every variable is reached, from one pin or the other.
+        ("pbqd", [("p", "b"), ("q", "d")]),
+    ],
+    ids=["two-edges", "isolated-variable", "no-edge", "two-pinned-parts"],
+)
+def test_match_rejects_a_disconnected_query_built_in_code(
+    seed_doc, seed_index, demo_graph, qnodes, qedges
+):
+    pins = {"p": "NCBIGene:23221", "q": "MONDO:0005027"}
+    qg = expand_query(
+        QueryGraph(
+            {var: QNode(var, id=pins.get(var)) for var in qnodes},
+            [QEdge(s, frozenset({"related_to"}), o) for s, o in qedges],
+        ),
+        seed_index,
+    )
+    with pytest.raises(DisconnectedQueryError):
+        match(qg, demo_graph, seed_doc, seed_index)
+
+
+def test_match_runs_more_query_edges_than_the_recursion_limit(
+    seed_doc, seed_index, demo_graph, seed_path
+):
+    one = "EDGE NCBIGene:23221 -[related_to]-> ?g\n"
+    many = one * (sys.getrecursionlimit() + 100)
+    single = match(expand_query(parse_query(one, seed_doc), seed_index), demo_graph, seed_doc, seed_index)
+    qg = expand_query(parse_query(many, seed_doc), seed_index)
+    bindings = match(qg, demo_graph, seed_doc, seed_index)
+    assert len(single) == 3
+    assert [b.assignments for b in bindings] == [b.assignments for b in single]
+    for binding in bindings:
+        assert len(binding.evidence) == len(qg.qedges)
+    result = CliRunner().invoke(
+        main,
+        [
+            "query", "--schema", str(seed_path),
+            "--nodes", str(DATA / "rhobtb2_nodes.tsv"),
+            "--edges", str(DATA / "rhobtb2_edges.tsv"),
+            "--query", many,
+        ],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0
+    assert [json.loads(line) for line in result.stdout.splitlines()] == [
+        b.as_dict() for b in bindings
+    ]
 
 
 def test_match_sees_edges_and_nodes_changed_after_a_match(seed_doc, seed_index):
