@@ -9,7 +9,6 @@ pipelines never fail on unmapped vocabulary.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -22,24 +21,14 @@ from .errors import (
     UnknownClassError,
 )
 from .hierarchy import ClosureIndex, most_specific_category
-from .schema_model import SchemaDocument
+from .schema_model import _WHITESPACE_RE, SchemaDocument, is_curie
 
 NO_PREFERENCE_MATCH = "NO_PREFERENCE_MATCH"
-
-_WHITESPACE_RE = re.compile(r"\s")
 
 
 # A compact identifier ``prefix:local_id``: the text parse_curie accepted.
 # The prefix ends at the first colon; the local id may hold more colons.
 Curie = str
-
-
-def is_curie(text: str) -> bool:
-    """The one CURIE shape rule; allocates nothing.
-
-    The first colon has text on both sides, and no character is whitespace.
-    """
-    return 0 < text.find(":") < len(text) - 1 and _WHITESPACE_RE.search(text) is None
 
 
 def parse_curie(text: str) -> Curie:

@@ -154,8 +154,7 @@ class _QueryBuilder:
         if not predicates:
             raise ParseError("empty predicate list", line, 1)
         for predicate in predicates:
-            slot = self.doc.slots.get(predicate)
-            if slot is None or slot.slot_kind != PREDICATE:
+            if not self.doc.is_predicate(predicate):
                 raise UnknownPredicateError(predicate)
         self.qedges.append(QEdge(subject_var, frozenset(predicates), object_var))
 
@@ -343,18 +342,22 @@ def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
 
     Each edge after the first has a bound end, since the pattern is
     connected. Edges with both ends bound go first: they only filter.
-    Ties keep declaration order.
+    Ties keep declaration order. A round takes every remaining edge with
+    both ends bound or, with none, the first with the most bound ends,
+    which binds a new variable; so there are at most two rounds per
+    variable.
     """
-    remaining = list(range(len(qg.qedges)))
+    remaining = list(enumerate(qg.qedges))
     order: list[int] = []
     while remaining:
-        best = max(
-            remaining,
-            key=lambda i: (qg.qedges[i].subject_var in bound) + (qg.qedges[i].object_var in bound),
-        )
-        remaining.remove(best)
-        order.append(best)
-        bound.update((qg.qedges[best].subject_var, qg.qedges[best].object_var))
+        ends = [(q.subject_var in bound) + (q.object_var in bound) for _, q in remaining]
+        if 2 in ends:
+            order += [i for (i, _), n in zip(remaining, ends) if n == 2]
+            remaining = [pair for pair, n in zip(remaining, ends) if n < 2]
+        else:
+            i, qedge = remaining.pop(ends.index(max(ends)))
+            order.append(i)
+            bound.update((qedge.subject_var, qedge.object_var))
     return order
 
 

@@ -35,6 +35,15 @@ SCHEMA_FORMAT_VERSION = "1"
 
 _CAMEL_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 _SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_WHITESPACE_RE = re.compile(r"\s")
+
+
+def is_curie(text: str) -> bool:
+    """The one CURIE shape rule; allocates nothing.
+
+    The first colon has text on both sides, and no character is whitespace.
+    """
+    return 0 < text.find(":") < len(text) - 1 and _WHITESPACE_RE.search(text) is None
 
 
 @dataclass
@@ -788,6 +797,5 @@ def _check_mappings(mappings: list[Mapping], element: str, err) -> None:
                 element,
                 f"mapping relation {m.relation!r} is not one of {MAPPING_RELATIONS}",
             )
-        prefix, _, local = m.target.partition(":")
-        if not prefix or not local or any(c.isspace() for c in m.target):
+        if not is_curie(m.target):
             err(MALFORMED_MAPPING_TARGET, element, f"mapping target {m.target!r} is not a CURIE")

@@ -16,6 +16,7 @@ import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
 
 from .hierarchy import CategoryProfile, ClosureIndex, category_profiles
@@ -49,6 +50,7 @@ VIOLATION_CODES = (
 
 
 _VIOLATION_FIELDS = ("code", "severity", "subject", "detail")
+_violation_values = attrgetter(*_VIOLATION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,7 @@ class Violation:
     detail: str
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "subject": self.subject,
-            "detail": self.detail,
-        }
+        return dict(zip(_VIOLATION_FIELDS, _violation_values(self)))
 
 
 @dataclass
@@ -90,11 +87,10 @@ class ValidationReport:
             "warnings": self.warning_count,
             "inputs_hash": self.inputs_hash,
         }
-        fields = attrgetter(*_VIOLATION_FIELDS)
         lines = _json_lines(
             self.violations,
             _VIOLATION_FIELDS,
-            lambda v: tuple(map(_encode_string, fields(v))),
+            lambda v: tuple(map(_encode_string, _violation_values(v))),
             Violation.as_dict,
             lambda v: {},
         )
@@ -301,20 +297,6 @@ def validate_edge(
     return _edge_checker(kg, doc, index, category_profiles(index))(edge, ordinal)
 
 
-_NODE_CODES = frozenset((UNKNOWN_CATEGORY, ABSTRACT_MIXIN_INSTANTIATED, ID_PREFIX_NOT_ALLOWED))
-
-
-def _sort_key(violation: Violation) -> tuple:
-    """(code, subject, detail), with ``edge:<ordinal>`` subjects in ordinal order.
-
-    Node and edge checks raise disjoint codes, so the code tells what the
-    subject names: a node id may itself read ``edge:5`` or ``edge:x``.
-    """
-    if violation.code in _NODE_CODES:
-        return (violation.code, violation.subject, violation.detail)
-    return (violation.code, int(violation.subject[5:]), violation.detail)
-
-
 def _escape(field: str) -> str:
     field = field.replace("\\", "\\\\").replace("\t", "\\t")
     return field.replace("\n", "\\n").replace("\x00", "\\0")
@@ -391,7 +373,8 @@ def validate_graph(
 ) -> ValidationReport:
     """Validate every node and edge; the report is byte-stable.
 
-    Violations are sorted by (code, subject, detail). ``parallelism`` is
+    Violations are sorted by code, then node id text or edge ordinal, then
+    detail, and the report is built in that order. ``parallelism`` is
     accepted for compatibility and ignored: the checks are pure Python,
     which threads cannot speed up.
     """
@@ -399,17 +382,19 @@ def validate_graph(
     check = _edge_checker(kg, doc, index, profile)
     memo = _node_memo(doc, index, profile)
     violations: list[Violation] = []
-    # Node order does not matter: the sort below orders violations fully,
-    # and violations with equal keys are equal.
     for node in kg.nodes.values():
         violations.extend(validate_node(node, doc, index, memo=memo))
-
+    # Node and edge checks raise disjoint codes, so the stable sort by code
+    # below keeps node violations by id text and edge ones by ordinal.
+    violations.sort(key=attrgetter("subject", "detail"))
+    by_code_and_detail = attrgetter("code", "detail")
     for ordinal, edge in enumerate(kg.edges):
-        violations.extend(check(edge, ordinal))
-    violations.sort(key=_sort_key)
-    counts: dict[str, int] = {}
-    for violation in violations:
-        counts[violation.code] = counts.get(violation.code, 0) + 1
+        found = check(edge, ordinal)
+        if len(found) > 1:
+            found.sort(key=by_code_and_detail)
+        violations.extend(found)
+    violations.sort(key=attrgetter("code"))
+    counts = {code: len(list(same)) for code, same in groupby(violations, attrgetter("code"))}
     return ValidationReport(
         violations=violations,
         counts=counts,

@@ -358,6 +358,26 @@ def brute_force_match(
     return [results[key] for key in sorted(results)]
 
 
+def greedy_edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
+    """Query edge positions in search order, one edge per step.
+
+    Each step takes the first remaining edge with the most bound ends and
+    binds both of its ends; ``bound`` is not changed.
+    """
+    bound = set(bound)
+    remaining = list(range(len(qg.qedges)))
+    order: list[int] = []
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda i: (qg.qedges[i].subject_var in bound) + (qg.qedges[i].object_var in bound),
+        )
+        remaining.remove(best)
+        order.append(best)
+        bound.update((qg.qedges[best].subject_var, qg.qedges[best].object_var))
+    return order
+
+
 def bindings_as_dicts(bindings: list[Binding]) -> list[dict]:
     """Matcher output in the oracle's canonical shape for comparison."""
     return sorted((b.as_dict() for b in bindings), key=lambda d: json.dumps(d, sort_keys=True))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgschema import (
     DisconnectedQueryError,
@@ -21,9 +23,9 @@ from kgschema import (
 )
 from kgschema.cli import main
 from kgschema.kg_store import Edge, Node
-from kgschema.query import QEdge, QNode, QueryGraph
-from generators import ABSENT, QUERY_SHAPES, dirty_graph, random_graph, random_query
-from oracles import bindings_as_dicts, brute_force_match
+from kgschema.query import QEdge, QNode, QueryGraph, _edge_order
+from generators import ABSENT, QUERY_SHAPES, dirty_graph, max_examples, random_graph, random_query
+from oracles import bindings_as_dicts, brute_force_match, greedy_edge_order
 
 DATA = Path(__file__).parent / "data"
 TWO_HOP = (
@@ -242,32 +244,56 @@ def test_match_rejects_a_disconnected_query_built_in_code(
         match(qg, demo_graph, seed_doc, seed_index)
 
 
+@st.composite
+def _edge_order_cases(draw):
+    """A query graph of 1-8 variables and 0-12 edges, connected or not, and
+    0-2 initially bound variables."""
+    variables = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    var = st.sampled_from(variables)
+    pairs = draw(st.lists(st.tuples(var, var), max_size=12))
+    qg = QueryGraph(
+        {name: QNode(name) for name in variables},
+        [QEdge(s, frozenset({"related_to"}), o) for s, o in pairs],
+    )
+    return qg, draw(st.sets(var, max_size=2))
+
+
+@settings(max_examples=max_examples(300), deadline=None)
+@given(_edge_order_cases())
+def test_edge_order_equals_the_one_edge_per_step_oracle(case):
+    qg, bound = case
+    assert _edge_order(qg, set(bound)) == greedy_edge_order(qg, bound)
+
+
 def test_match_runs_more_query_edges_than_the_recursion_limit(
     seed_doc, seed_index, demo_graph, seed_path
 ):
+    # The second count is wide enough that a search order quadratic in the
+    # query edges would take seconds.
     one = "EDGE NCBIGene:23221 -[related_to]-> ?g\n"
-    many = one * (sys.getrecursionlimit() + 100)
     single = match(expand_query(parse_query(one, seed_doc), seed_index), demo_graph, seed_doc, seed_index)
-    qg = expand_query(parse_query(many, seed_doc), seed_index)
-    bindings = match(qg, demo_graph, seed_doc, seed_index)
     assert len(single) == 3
-    assert [b.assignments for b in bindings] == [b.assignments for b in single]
-    for binding in bindings:
-        assert len(binding.evidence) == len(qg.qedges)
-    result = CliRunner().invoke(
-        main,
-        [
-            "query", "--schema", str(seed_path),
-            "--nodes", str(DATA / "rhobtb2_nodes.tsv"),
-            "--edges", str(DATA / "rhobtb2_edges.tsv"),
-            "--query", many,
-        ],
-        catch_exceptions=False,
-    )
-    assert result.exit_code == 0
-    assert [json.loads(line) for line in result.stdout.splitlines()] == [
-        b.as_dict() for b in bindings
-    ]
+    for count in (sys.getrecursionlimit() + 100, 4400):
+        many = one * count
+        qg = expand_query(parse_query(many, seed_doc), seed_index)
+        bindings = match(qg, demo_graph, seed_doc, seed_index)
+        assert [b.assignments for b in bindings] == [b.assignments for b in single]
+        for binding in bindings:
+            assert len(binding.evidence) == len(qg.qedges) == count
+        result = CliRunner().invoke(
+            main,
+            [
+                "query", "--schema", str(seed_path),
+                "--nodes", str(DATA / "rhobtb2_nodes.tsv"),
+                "--edges", str(DATA / "rhobtb2_edges.tsv"),
+                "--query", many,
+            ],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        assert [json.loads(line) for line in result.stdout.splitlines()] == [
+            b.as_dict() for b in bindings
+        ]
 
 
 def test_match_sees_edges_and_nodes_changed_after_a_match(seed_doc, seed_index):

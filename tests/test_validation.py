@@ -260,6 +260,40 @@ def test_node_ids_that_read_like_edge_labels(seed_doc, seed_index):
     assert len(reports) == 1
 
 
+def test_report_order_is_code_then_node_id_text_or_edge_ordinal_then_detail(seed_doc, seed_index):
+    # Node ids sort as text ("edge:10" before "edge:9"), edge labels by
+    # ordinal (edge:2 before edge:10), and one edge's findings by detail,
+    # though it raises them in another order.
+    genes = [_node(f"NCBIGene:{k}", ["Gene"]) for k in range(12)]
+    nodes = [_node("edge:9", ["NoSuchClass"]), _node("edge:10", ["NoSuchClass"]), *genes]
+    edges = [_edge("NCBIGene:11", "interacts_with", f"NCBIGene:{k}") for k in range(11)]
+    edges[2] = _edge("NCBIGene:11", "interacts_with", "NCBIGene:2", publications=["z z", "a a"])
+    edges[10] = _edge("NCBIGene:11", "interacts_with", "NCBIGene:10", publications=["y y", "b b"])
+    edges[5] = _edge("NCBIGene:11", "treats", "NCBIGene:5", publications=["m m"])
+    kg = build_graph(nodes, edges)
+    report = validate_graph(kg, seed_doc, seed_index)
+    treats = "NCBIGene:11 -treats-> NCBIGene:5"
+    unknown = "category 'NoSuchClass' is not in the schema"
+    assert [(v.code, v.subject, v.detail) for v in report.violations] == [
+        ("DOMAIN_VIOLATION", "edge:5", f"{treats}: subject is not a 'ChemicalEntity'"),
+        ("MALFORMED_PROVENANCE_CURIE", "edge:2", "publications value 'a a' is not a CURIE"),
+        ("MALFORMED_PROVENANCE_CURIE", "edge:2", "publications value 'z z' is not a CURIE"),
+        ("MALFORMED_PROVENANCE_CURIE", "edge:5", "publications value 'm m' is not a CURIE"),
+        ("MALFORMED_PROVENANCE_CURIE", "edge:10", "publications value 'b b' is not a CURIE"),
+        ("MALFORMED_PROVENANCE_CURIE", "edge:10", "publications value 'y y' is not a CURIE"),
+        ("RANGE_VIOLATION", "edge:5", f"{treats}: object is not a 'Disease'"),
+        ("UNKNOWN_CATEGORY", "edge:10", unknown),
+        ("UNKNOWN_CATEGORY", "edge:9", unknown),
+    ]
+    assert report.counts == {
+        "DOMAIN_VIOLATION": 1,
+        "MALFORMED_PROVENANCE_CURIE": 5,
+        "RANGE_VIOLATION": 1,
+        "UNKNOWN_CATEGORY": 2,
+    }
+    assert report.to_jsonl() == naive_validate(kg, seed_doc)
+
+
 def test_inputs_hash_and_findings_stable_under_input_permutation(seed_doc, seed_index):
     # Edge ordinals follow input order, so reports are compared as multisets
     # of (code, core triple); the content digest must not move at all.
