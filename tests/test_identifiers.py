@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,20 @@ def test_is_curie_accepts_exactly_what_parse_curie_accepts(text):
         accepted = True
         assert curie is text
     assert is_curie(text) == accepted == (paired and not any(ch.isspace() for ch in text))
+
+
+def test_is_curie_equals_the_find_and_whitespace_rule_for_every_code_point():
+    def rule(text: str) -> bool:
+        return 0 < text.find(":") < len(text) - 1 and not any(map(str.isspace, text))
+
+    points = list(map(chr, range(sys.maxunicode + 1)))
+    for where, texts in (
+        ("as the prefix", [c + ":1" for c in points]),
+        ("before the colon", ["A" + c + ":1" for c in points]),
+        ("after it", ["A:" + c for c in points]),
+    ):
+        differ = [t for t, a, b in zip(texts, map(is_curie, texts), map(rule, texts)) if a != b]
+        assert differ == [], where
 
 
 @given(_prefix, _local)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from dataclasses import replace
@@ -467,6 +468,50 @@ def test_validate_graph_equals_naive_oracle(seed_doc, seed_index):
     assert {"UNKNOWN_CATEGORY", "ABSTRACT_MIXIN_INSTANTIATED", "ID_PREFIX_NOT_ALLOWED"} <= set(
         report.counts
     )
+    # Hostile provenance on signatures with and without a required
+    # ``publications``, each edge twice so that the second meets a decided
+    # signature: a line break, U+2028, U+0085 or U+001C inside a value, an
+    # empty side of the colon, good and bad values mixed, ``has_evidence``
+    # under declared and undeclared prefixes, and a required list present
+    # but empty.
+    hostile = (
+        {"publications": ["PMID:1\n2"]},
+        {"publications": ["PMID:"]},
+        {"publications": [":1"]},
+        {"publications": ["PMID:1\u20282", "PMID:1\x852", "PMID:1\x1c2"]},
+        {"publications": ["PMID:1", "PMID: 3", "PMID:22"]},
+        {"publications": ["PMID:1"], "has_evidence": ["ECO:1", "ECO:bad code", "ECO:", ":1"]},
+        {"publications": ["PMID:1"], "has_evidence": ["YY:bad code", "YY:1\n", "ECO:1\u2028"]},
+        {"has_evidence": ["ECO:1\x85", "manually curated"]},
+        {"publications": []},
+        {"publications": [], "has_evidence": []},
+        {"publications": ["PMID:1"]},
+        {},
+    )
+    ends = {
+        "MONDO": "Disease", "HP": "PhenotypicFeature", "CHEBI": "SmallMolecule", "NCBIGene": "Gene"
+    }
+    signatures = (
+        ("MONDO", "has_phenotype", "HP"),
+        ("NCBIGene", "gene_associated_with_condition", "MONDO"),
+        ("CHEBI", "interacts_with", "NCBIGene"),
+    )
+    edges = [
+        Edge(f"{subject}:{serial}", predicate, f"{obj}:{serial}", copy.deepcopy(properties))
+        for serial, ((subject, predicate, obj), properties) in enumerate(
+            itertools.product(signatures, hostile * 2)
+        )
+    ]
+    nodes = [Node(f"{prefix}:{n}", [ends[prefix]]) for prefix in ends for n in range(len(edges))]
+    kg = build_graph(nodes, edges)
+    assert len(kg.edges) == len(edges)
+    assert "YY" not in seed_doc.prefixes and "ECO" in seed_doc.prefixes
+    for doc, index in schemas:
+        report = validate_graph(kg, doc, index)
+        assert report.to_jsonl() == naive_validate(kg, doc)
+        assert {"MALFORMED_PROVENANCE_CURIE", "MISSING_REQUIRED_EDGE_PROPERTY"} <= set(
+            report.counts
+        )
 
 
 def test_one_graph_validated_under_several_schemas_in_turn(seed_doc, seed_index):
@@ -622,6 +667,13 @@ def _node_pair(left: dict, right: dict):
     return _graph([replace(base, **left)], []), _graph([replace(base, **right)], [])
 
 
+def _edge_pair(left: dict, right: dict):
+    """Two one-edge graphs: one edge with the ``left`` and with the ``right`` properties."""
+    base = Edge("A:1", "p", "B:2")
+    left_kg = _graph([], [replace(base, properties=left)])
+    return left_kg, _graph([], [replace(base, properties=right)])
+
+
 # Hand-picked near misses, each one a collision of some simpler line format.
 _NEAR_MISS_EXAMPLES = [
     _node_pair({"properties": {"k": ["a\tb"]}}, {"properties": {"k": ["a", "b"]}}),
@@ -637,6 +689,10 @@ _NEAR_MISS_EXAMPLES = [
     _node_pair({"properties": {"k": ["v"], "m": []}}, {"properties": {"k": [], "m": ["v"]}}),
     _node_pair({"categories": ["", "1", "x"]}, {"categories": [], "properties": {"": ["x"]}}),
     _node_pair({"categories": ["Gene", "x"]}, {"properties": {"x": []}}),
+    _edge_pair({"k": ["a\tb"]}, {"k": ["a", "b"]}),
+    _edge_pair({"k\\": ["v"]}, {"k\t": ["v"]}),
+    _edge_pair({"k": ["x\\n"]}, {"k": ["x\n"]}),
+    _edge_pair({"k": [""]}, {}),
 ]
 
 
