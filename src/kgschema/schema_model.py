@@ -36,14 +36,14 @@ SCHEMA_FORMAT_VERSION = "1"
 _CAMEL_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 _SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _WHITESPACE_RE = re.compile(r"\s")
+# The one CURIE shape rule: the first colon has text on both sides, and no
+# character is whitespace. Loops over many values map its ``fullmatch``.
+_CURIE_RE = re.compile(r"[^:\s]+:\S+")
 
 
 def is_curie(text: str) -> bool:
-    """The one CURIE shape rule; allocates nothing.
-
-    The first colon has text on both sides, and no character is whitespace.
-    """
-    return 0 < text.find(":") < len(text) - 1 and _WHITESPACE_RE.search(text) is None
+    """Whether ``text`` has the CURIE shape of ``_CURIE_RE``."""
+    return _CURIE_RE.fullmatch(text) is not None
 
 
 @dataclass
