@@ -6,15 +6,19 @@ domain/range constraints, association matching with required edge
 properties, and provenance identifier shape. Domain, range and association
 depend only on the edge's type signature (predicate, closed subject
 categories, closed object categories) and are decided once per signature.
-Violations are data; the report is deterministic across input order.
-Checks run on one thread.
+An edge whose signature is decided and raises nothing passes on one memo
+lookup when it has the properties that signature requires and every
+``publications`` and ``has_evidence`` value is CURIE-shaped; only an edge
+whose signature or provenance can raise is fully checked. Violations are
+data; the report is deterministic across input order. Checks run on one
+thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -23,11 +27,7 @@ from .hierarchy import CategoryProfile, ClosureIndex, category_profiles
 from .identifiers import Curie
 from .kg_store import Edge, KnowledgeGraph, Node, _encode_string, _json_lines
 from .schema_model import (
-    _CURIE_RE,
-    AssociationDefinition,
-    SchemaDocument,
-    is_curie,
-    serialize_schema,
+    _CURIE_RE, AssociationDefinition, SchemaDocument, is_curie, serialize_schema,
 )
 
 UNKNOWN_CATEGORY = "UNKNOWN_CATEGORY"
@@ -160,7 +160,7 @@ def _signature_verdict(
     governing: list[AssociationDefinition],
     doc: SchemaDocument,
     index: ClosureIndex,
-) -> tuple[list[tuple[str, str, str]], tuple[str, ...], str | None]:
+) -> tuple[list[tuple[str, str, str]], Sequence[str], str | None]:
     """What holds for every edge with this predicate and these closed end categories.
 
     ``governing`` lists the associations whose predicate is this predicate
@@ -208,7 +208,7 @@ def _signature_verdict(
         )
     if best is None:
         return faults, (), None
-    return faults, tuple(best.required_edge_properties), best.name
+    return faults, best.required_edge_properties, best.name
 
 
 def _typed_closures(nodes: dict[Curie, Node], profile: Callable) -> dict[Curie, frozenset[str]]:
@@ -272,12 +272,12 @@ def _edge_checker(
             verdict = verdicts[signature] = _signature_verdict(
                 *signature, governing.get(predicate, []), doc, index
             )
-        signature_faults, required, association = verdict
+        signature_faults, required, name = verdict
         for code, severity, suffix in signature_faults:
             faults.append((code, severity, f"{_triple(edge)}: {suffix}"))
         for prop in required:
             if not properties.get(prop):
-                detail = f"{_triple(edge)}: {association} requires {prop!r}"
+                detail = f"{_triple(edge)}: {name} requires {prop!r}"
                 faults.append((MISSING_REQUIRED_EDGE_PROPERTY, "error", detail))
         return _labelled(edge, ordinal, faults)
 

@@ -693,6 +693,10 @@ _NEAR_MISS_EXAMPLES = [
     _edge_pair({"k\\": ["v"]}, {"k\t": ["v"]}),
     _edge_pair({"k": ["x\\n"]}, {"k": ["x\n"]}),
     _edge_pair({"k": [""]}, {}),
+    (
+        _graph([], [Edge("A:1", "p", "B:2", {"k": ["1\ty"]})]),
+        _graph([], [Edge("A:1", "p", "B:2\tk", {"1": ["y"]})]),
+    ),
 ]
 
 
