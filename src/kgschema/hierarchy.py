@@ -9,7 +9,7 @@ instantiable tree.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
@@ -26,7 +26,8 @@ from .schema_model import PREDICATE, SchemaDocument, _schema_violations, _Walk
 
 @dataclass
 class ClosureIndex:
-    """Precomputed reachability over one schema. Immutable after build.
+    """Precomputed reachability over one schema. Immutable after build,
+    apart from the cache of :meth:`profile`, which never changes a result.
 
     Ancestor lists are reflexive and ordered self-first, then nearest to
     farthest. Descendant sets are the exact duals of the ancestor lists.
@@ -41,6 +42,25 @@ class ClosureIndex:
     mixin_membership: dict[str, frozenset[str]] = field(default_factory=dict)
     mixins: frozenset[str] = frozenset()
     mixin_carriers: dict[str, frozenset[str]] = field(default_factory=dict)
+
+    # Category tuple -> CategoryProfile, made on first use. Not a field, so
+    # it stays out of __init__, equality and repr.
+    _profiles = None
+
+    def profile(self, categories: Sequence[str]) -> CategoryProfile:
+        """What ``categories`` means under this index; one profile per distinct list.
+
+        The profiles are a cache, kept for the life of this index: one
+        entry per distinct category list looked up.
+        """
+        key = tuple(categories)
+        profiles = self._profiles
+        if profiles is None:  # threads that race here get one dict
+            profiles = self.__dict__.setdefault("_profiles", {})
+        found = profiles.get(key)
+        if found is None:
+            found = profiles.setdefault(key, CategoryProfile(key, self))
+        return found
 
     def depth(self, class_name: str) -> int:
         return len(self.class_ancestors[class_name]) - 1
@@ -104,7 +124,7 @@ def is_subclass_of(index: ClosureIndex, a: str, b: str, use_mixins: bool = False
     return use_mixins and b in index.mixin_membership[a]
 
 
-def expand_predicates(index: ClosureIndex, predicates: set[str]) -> set[str]:
+def expand_predicates(index: ClosureIndex, predicates: set[str] | frozenset[str]) -> set[str]:
     """Union of descendant sets over ``predicates``; always a superset."""
     expanded: set[str] = set()
     for predicate in predicates:
@@ -179,18 +199,3 @@ class CategoryProfile:
         """The ancestors and carried mixins of the known names; validation reads it."""
         ancestors, mixins = self._index.class_ancestors, self._index.mixin_membership
         return frozenset().union(*(mixins[c].union(ancestors[c]) for c in self.known))
-
-
-def category_profiles(index: ClosureIndex) -> Callable[[Sequence[str]], CategoryProfile]:
-    """``profile(categories)``: one :class:`CategoryProfile` per distinct list.
-
-    One per validate, match, stats or close call: never on the shared index,
-    nor on the graph, whose nodes may be replaced between calls.
-    """
-    memo: dict[tuple[str, ...], CategoryProfile] = {}
-
-    def profile(categories: Sequence[str]) -> CategoryProfile:
-        key = tuple(categories)
-        return memo.get(key) or memo.setdefault(key, CategoryProfile(key, index))
-
-    return profile

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, itemgetter, ne, or_
 
-from .errors import DanglingEdgeError, ParseError
-from .hierarchy import ClosureIndex, category_profiles
+from .errors import DanglingEdgeError, EmptyCategorySetError, ParseError
+from .hierarchy import ClosureIndex
 from .identifiers import Curie, EquivalenceTable, MalformedCurieError, normalize_curie, parse_curie
 from .schema_model import SchemaDocument
 
@@ -670,7 +670,7 @@ def close_categories(kg: KnowledgeGraph, index: ClosureIndex) -> KnowledgeGraph:
     nearest-first order after the declared categories. Edges and property
     lists are shared with ``kg``.
     """
-    profile = category_profiles(index)
+    profile = index.profile
     closed_nodes = {
         node_id: Node(node_id, list(profile(node.categories).closure), node.name, node.properties)
         for node_id, node in kg.nodes.items()
@@ -741,13 +741,18 @@ def normalize_graph(
 def graph_stats(kg: KnowledgeGraph, index: ClosureIndex) -> StatsReport:
     """Node and edge counts, bucketed by most specific category and predicate.
 
-    A node with no known category is bucketed by its first declared one.
+    A node with no known category is bucketed by its first declared one;
+    one with no category at all raises :class:`EmptyCategorySetError`.
     """
-    profile = category_profiles(index)
+    profile = index.profile
     by_category: Counter[str] = Counter()
     for node in kg.nodes.values():
         most_specific = profile(node.categories).most_specific
-        by_category[node.categories[0] if most_specific is None else most_specific] += 1
+        if most_specific is None:
+            if not node.categories:
+                raise EmptyCategorySetError(f"node {node.id!r} has no categories")
+            most_specific = node.categories[0]
+        by_category[most_specific] += 1
     by_predicate: Counter[str] = Counter()
     for edge in kg.edges:
         by_predicate[edge.predicate] += 1

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, count
+from operator import itemgetter, ne
 
 from .errors import (
     DisconnectedQueryError,
@@ -27,7 +27,7 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .hierarchy import ClosureIndex, category_profiles, expand_predicates
+from .hierarchy import ClosureIndex, expand_predicates
 from .identifiers import Curie, parse_curie
 from .kg_store import Edge, KnowledgeGraph
 from .schema_model import PREDICATE, SchemaDocument
@@ -193,7 +193,8 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
 def _check_connected(qnodes: dict[str, QNode], qedges: list[QEdge]) -> None:
     component = {next(iter(qnodes))}
     size = 0
-    while size < len(component):  # until a pass over the edges joins no variable
+    # Until a pass over the edges joins no variable, or every variable is joined.
+    while size < len(component) < len(qnodes):
         size = len(component)
         for qedge in qedges:
             if qedge.subject_var in component or qedge.object_var in component:
@@ -211,30 +212,29 @@ def expand_query(qg: QueryGraph, index: ClosureIndex) -> QueryGraph:
     """Expand predicates to descendants and categories down the hierarchy.
 
     An instantiable category expands to its descendant classes; a mixin
-    expands to every instantiable class that carries it.
+    expands to every instantiable class that carries it. A query node or
+    edge that expansion leaves as it was is reused, not copied.
     """
     qnodes = {}
     for var, qnode in qg.qnodes.items():
-        categories = qnode.categories
-        if categories is not None:
+        if qnode.categories is not None:
             expanded: set[str] = set()
-            for category in categories:
+            for category in qnode.categories:
                 if category not in index.class_ancestors:
                     raise UnknownClassError(category)
                 if category in index.mixins:
                     expanded.update(index.mixin_carriers[category])
                 else:
                     expanded.update(index.class_descendants[category])
-            categories = frozenset(expanded)
-        qnodes[var] = QNode(var, qnode.id, categories)
-    qedges = [
-        QEdge(
-            qedge.subject_var,
-            frozenset(expand_predicates(index, set(qedge.predicates))),
-            qedge.object_var,
-        )
-        for qedge in qg.qedges
-    ]
+            if expanded != qnode.categories:
+                qnode = QNode(var, qnode.id, frozenset(expanded))
+        qnodes[var] = qnode
+    qedges = []
+    for qedge in qg.qedges:
+        predicates = expand_predicates(index, qedge.predicates)
+        if predicates != qedge.predicates:
+            qedge = QEdge(qedge.subject_var, frozenset(predicates), qedge.object_var)
+        qedges.append(qedge)
     return QueryGraph(qnodes, qedges)
 
 
@@ -271,7 +271,7 @@ def match(
     """
     symmetric = {n for n, s in doc.slots.items() if s.slot_kind == PREDICATE and s.symmetric}
     nodes = kg.nodes
-    profile = category_profiles(index)
+    profile = index.profile
     pinned = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}
     order = _edge_order(qg, set(pinned))
     by_subject, by_object = kg.adjacency()
@@ -302,17 +302,22 @@ def match(
             break
         other_at = bound.index(other_var) if other_var in bound else None
         categories = qg.qnodes[other_var].categories
+        reversible = predicates & symmetric
         extended = []
         for ids, ordinals in partial:
             anchor = ids[anchor_at]
             stored = forward.get(anchor, ())
-            # The stored-direction edges at the anchor, then the reversed ones
-            # of a symmetric predicate; a self-loop is in both and counts once.
-            for hop, edge_ordinal in enumerate((*stored, *backward.get(anchor, ()))):
+            stored_count = len(stored)
+            # The stored-direction edges at the anchor, then, when the query
+            # edge takes a symmetric predicate, the reversed ones of such a
+            # predicate; a self-loop is in both and counts once.
+            for hop, edge_ordinal in enumerate(
+                (*stored, *backward.get(anchor, ())) if reversible else stored
+            ):
                 edge = edges[edge_ordinal]
                 predicate = edge.predicate
-                if predicate not in predicates or hop >= len(stored) and (
-                    predicate not in symmetric or edge.subject == edge.object
+                if predicate not in predicates or hop >= stored_count and (
+                    predicate not in reversible or edge.subject == edge.object
                 ):
                     continue
                 other = edge.object if edge.subject == anchor else edge.subject
@@ -386,10 +391,12 @@ def _finalize(
     for edge_ordinal in {edge_ordinal for _, ordinals in found for edge_ordinal in ordinals}:
         edge = edges[edge_ordinal]
         properties = edge.properties
-        hop = (
+        publications = properties.get("publications", ())
+        codes = properties.get("has_evidence", ())
+        hop = (  # a list of none or one value is already sorted
             edge.predicate,
-            tuple(sorted(properties.get("publications", ()))),
-            tuple(sorted(properties.get("has_evidence", ()))),
+            tuple(sorted(publications)) if len(publications) > 1 else tuple(publications),
+            tuple(sorted(codes)) if len(codes) > 1 else tuple(codes),
         )
         evidence[edge_ordinal] = EdgeEvidence(*hop)
         number[edge_ordinal] = values.setdefault(hop, len(values))
@@ -399,17 +406,20 @@ def _finalize(
     ids_of = itemgetter(0)
     ranked = sorted(unique.values(), key=ids_of)
     del unique  # its keys are freed before the bindings are made
-    positions = list(map(variables.index, bound))
-    bindings: list[Binding] = []
-    for _, tied in groupby(ranked, ids_of):
-        group = [
-            Binding(
-                dict(zip(bound, map(ids.__getitem__, positions))),
-                dict(zip(order, map(evidence.__getitem__, ordinals))),
-            )
-            for ids, ordinals in tied
-        ]
-        if len(group) > 1:
-            group.sort(key=Binding.to_json)
-        bindings.extend(group)
+    in_bound_order = tuple if bound == variables else itemgetter(*map(variables.index, bound))
+    bindings = [
+        Binding(
+            dict(zip(bound, in_bound_order(ids))),
+            dict(zip(order, map(evidence.__getitem__, ordinals))),
+        )
+        for ids, ordinals in ranked
+    ]
+    # Bindings with equal ids sit side by side; each run of two or more is
+    # ordered by JSON text. A run ends where the next ids differ.
+    ranked_ids = list(map(ids_of, ranked))
+    start = 0
+    for end in compress(count(1), map(ne, ranked_ids, ranked_ids[1:] + [None])):
+        if end - start > 1:
+            bindings[start:end] = sorted(bindings[start:end], key=Binding.to_json)
+        start = end
     return bindings

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,26 @@ from kgschema import (
     UnknownClassError,
     UnknownPredicateError,
     build_closure,
+    build_graph,
+    close_categories,
+    expand_query,
+    graph_stats,
+    match,
+    validate_graph,
     validate_schema,
     expand_predicates,
     is_subclass_of,
     most_specific_category,
 )
-from generators import deep_chain_schema, mixin_association_schema, random_schema
+from generators import (
+    QUERY_SHAPES,
+    deep_chain_schema,
+    dirty_graph,
+    mixin_association_schema,
+    random_graph,
+    random_query,
+    random_schema,
+)
 from oracles import dfs_ancestors, dfs_descendants, mixin_reach, naive_carriers
 
 
@@ -187,3 +202,41 @@ def test_most_specific_category_errors(seed_index):
         most_specific_category(seed_index, set())
     with pytest.raises(UnknownClassError):
         most_specific_category(seed_index, {"Gene", "Nope"})
+
+
+def test_shared_index_gives_what_fresh_indexes_give(seed_doc, monkeypatch):
+    """One index serves interleaved validate, match, stats and close calls on
+    two graphs, with the results of a fresh index per call, and makes at most
+    one category profile per distinct category list."""
+    built = Counter()
+
+    class CountedProfile(hierarchy.CategoryProfile):
+        def __init__(self, categories, index):
+            built[id(index), categories] += 1
+            super().__init__(categories, index)
+
+    monkeypatch.setattr(hierarchy, "CategoryProfile", CountedProfile)
+    rng = random.Random(2121)
+    graphs = [random_graph(rng, seed_doc), dirty_graph(rng, seed_doc, max_nodes=30, max_edges=60)]
+    shared = build_closure(seed_doc)
+    fresh_indexes = []  # kept alive, so that no two share an id()
+
+    def fresh():
+        fresh_indexes.append(build_closure(seed_doc))
+        return fresh_indexes[-1]
+
+    kgs = [build_graph(nodes, edges) for nodes, edges in graphs]
+    for _ in range(3):
+        for (nodes, edges), kg in zip(graphs, kgs):
+            report = validate_graph(kg, seed_doc, shared).to_jsonl()
+            assert report == validate_graph(kg, seed_doc, fresh()).to_jsonl()
+            for shape in QUERY_SHAPES:
+                qg = random_query(rng, seed_doc, nodes, edges, shape)
+                ours = match(expand_query(qg, shared), kg, seed_doc, shared)
+                index = fresh()
+                assert ours == match(expand_query(qg, index), kg, seed_doc, index), shape
+            assert graph_stats(kg, shared) == graph_stats(kg, fresh())
+            assert close_categories(kg, shared) == close_categories(kg, fresh())
+    assert built and max(built.values()) == 1
+    distinct = {tuple(node.categories) for kg in kgs for node in kg.nodes.values()}
+    assert {categories for index_id, categories in built if index_id == id(shared)} == distinct

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kgschema import (
     DanglingEdgeError,
+    EmptyCategorySetError,
     Edge,
     KnowledgeGraph,
     Node,
@@ -931,6 +932,12 @@ def test_graph_stats_empty(seed_index):
     report = graph_stats(build_graph([], []), seed_index)
     assert report.num_nodes == 0 and report.num_edges == 0
     assert report.nodes_by_category == {} and report.edges_by_predicate == {}
+
+
+def test_graph_stats_names_a_node_with_no_category(seed_index):
+    kg = build_graph([Node("NCBIGene:1", ["Gene"]), Node("A:1", [])], [])
+    with pytest.raises(EmptyCategorySetError, match="'A:1'"):
+        graph_stats(kg, seed_index)
 
 
 def test_graph_stats_demo_tally(demo_graph, seed_index):

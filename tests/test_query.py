@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from kgschema import (
     ParseError,
     UnknownClassError,
     UnknownPredicateError,
+    build_closure,
     build_graph,
     expand_predicates,
     expand_query,
@@ -556,3 +558,43 @@ def test_binding_dicts_keep_the_search_order(seed_doc, seed_index, demo_graph):
     bindings = match(qg, demo_graph, seed_doc, seed_index)
     assert len(bindings) == 7
     assert {(tuple(b.assignments), tuple(b.evidence)) for b in bindings} == {(("_0", "a", "b"), (1, 0))}
+
+
+def test_threads_sharing_a_graph_and_an_index_get_what_one_thread_gets(seed_doc):
+    """Four threads run every query shape on one graph and one index, both
+    cold, so that they race to build the adjacency and the category profiles."""
+    rng = random.Random(4321)
+    nodes, edges = random_graph(rng, seed_doc, max_nodes=40, max_edges=120)
+    queries = [random_query(rng, seed_doc, nodes, edges, shape) for shape in QUERY_SHAPES * 4]
+
+    def answers(kg, index, order):
+        out = {}
+        for position in order:
+            qg = expand_query(queries[position], index)
+            out[position] = [binding.to_json() for binding in match(qg, kg, seed_doc, index)]
+        return [out[position] for position in range(len(queries))]
+
+    expected = answers(build_graph(nodes, edges), build_closure(seed_doc), range(len(queries)))
+    assert sum(map(bool, expected)) >= len(QUERY_SHAPES)  # the queries do find bindings
+    kg, index = build_graph(nodes, edges), build_closure(seed_doc)
+    got: dict[int, object] = {}
+
+    def work(worker: int) -> None:
+        order = [(position + worker * 5) % len(queries) for position in range(len(queries))]
+        try:
+            got[worker] = [answers(kg, index, order) for _ in range(3)]
+        except Exception as exc:  # reported by the assertion below
+            got[worker] = exc
+
+    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {worker: [expected] * 3 for worker in range(4)}

@@ -689,6 +689,13 @@ _NEAR_MISS_EXAMPLES = [
     _node_pair({"properties": {"k": ["v"], "m": []}}, {"properties": {"k": [], "m": ["v"]}}),
     _node_pair({"categories": ["", "1", "x"]}, {"categories": [], "properties": {"": ["x"]}}),
     _node_pair({"categories": ["Gene", "x"]}, {"properties": {"x": []}}),
+    # One category and no property: the one-step node line.
+    _node_pair({"name": "x\t1\tC", "categories": ["D"]}, {"name": "x", "categories": ["C\t1\tD"]}),
+    _node_pair({"name": "x\\t"}, {"name": "x\t"}),
+    _node_pair({"name": "x\\0"}, {"name": "x\x00"}),
+    _node_pair({"categories": ["G\\t"]}, {"categories": ["G\t"]}),
+    _node_pair({"categories": ["G\\n"]}, {"categories": ["G\n"]}),
+    _node_pair({"categories": ["G\\0"]}, {"categories": ["G\x00"]}),
     _edge_pair({"k": ["a\tb"]}, {"k": ["a", "b"]}),
     _edge_pair({"k\\": ["v"]}, {"k\t": ["v"]}),
     _edge_pair({"k": ["x\\n"]}, {"k": ["x\n"]}),
@@ -716,6 +723,18 @@ def test_inputs_digest_tells_near_misses_apart(pair):
     a, b = pair
     assert json_inputs_digest(a, _DOC) != json_inputs_digest(b, _DOC)
     assert inputs_digest(a, _DOC) != inputs_digest(b, _DOC)
+
+
+def test_inputs_digest_of_confusable_texts_in_one_step_lines_is_pinned():
+    # Nodes of one category and no property, and edges of one single-valued
+    # property, take the one-step lines; each confusable text goes in a
+    # name, a category and a property value. The digest is the one the
+    # field-by-field lines give.
+    texts = [text for pair in _CONFUSABLE for text in pair]
+    nodes = [Node(f"N:{i}", [text], text) for i, text in enumerate(texts)]
+    edges = [Edge("N:0", "p", f"N:{i}", {"k": [text]}) for i, text in enumerate(texts)]
+    digest = inputs_digest(_graph(nodes, edges), _DOC)
+    assert digest == "b287dfc95cb76bd969afbd3c3525ac9761b38172dc4e588fa46b462923f24061"
 
 
 @given(_graphs, st.randoms(use_true_random=False))
