@@ -27,6 +27,7 @@ from .identifiers import load_equivalences, normalize_curie, parse_curie
 from .kg_store import (
     KnowledgeGraph,
     _gc_paused,
+    _read_edges,
     build_graph,
     close_categories,
     graph_stats,
@@ -90,10 +91,13 @@ def _load_graph(
     # The graph lives until the process exits. It is built with the GC off
     # and frozen before the GC comes back on, so no collection ever scans
     # it: not the one each library call would leave for its return, nor the
-    # last one at exit. Nothing unfreezes.
+    # last one at exit. Nothing unfreezes. The edge reader starts from the
+    # node ids, so an edge end that names a node is the node's id object.
     with _gc_paused():
         nodes = read_nodes(nodes_path.read_text(encoding="utf-8"))
-        edges = read_edges(edges_path.read_text(encoding="utf-8"))
+        edges = _read_edges(
+            edges_path.read_text(encoding="utf-8"), None, {node.id: node.id for node in nodes}
+        )
         kg = build_graph(nodes, edges, strict=strict)
         if close:
             kg = close_categories(kg, index)

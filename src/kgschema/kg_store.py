@@ -153,47 +153,78 @@ def _split_cell(cell: str) -> list[str]:
     return _distinct(cell.split("|"))
 
 
-def _curie_cache_get(cache: dict[str, Curie], text: str, line: int) -> Curie:
-    """``text`` checked as an id, one object per distinct text within one read."""
-    curie = cache.get(text)
-    if curie is None:
-        try:
-            curie = parse_curie(text)
-        except MalformedCurieError as exc:
-            raise ParseError(str(exc), line, 1) from exc
-        cache[text] = curie
-    return curie
+def _split_column(cells) -> list[list[str]]:
+    """``_split_cell`` of each cell; a column with no ``|`` and no empty cell in one pass."""
+    if all(cells) and "|" not in "\t".join(cells):
+        return [[cell] for cell in cells]
+    return list(map(_split_cell, cells))
+
+
+def _new_id(cache: dict[str, Curie], text: str, line: int) -> Curie:
+    """``text`` checked as an id at ``line``, then kept in ``cache`` as the one object of its text."""
+    try:
+        cache[text] = parse_curie(text)
+    except MalformedCurieError as exc:
+        raise ParseError(str(exc), line, 1) from exc
+    return text
+
+
+def _new_ids_pass(cache: dict[str, Curie], *columns) -> bool:
+    """Whether each id of ``columns`` that ``cache`` lacks is a CURIE; ``cache`` gains them as they pass."""
+    new = set(columns[0]).union(*columns[1:]).difference(cache)
+    try:
+        cache.update(zip(new, map(parse_curie, new)))
+    except MalformedCurieError:
+        return False
+    return True
 
 
 def _rows(source_text: str, fmt: str | None, core: tuple[str, ...], what: str):
-    """Yield ``(line number, core values, properties)`` per record of TSV or JSONL text.
+    """The blocks of the records of TSV or JSONL text, as ``(rows, columns)`` pairs.
 
     One leading byte order mark (U+FEFF) is dropped, then the format is
     sniffed when unset: JSONL when the first non-blank character starts a
     JSON object, array or string. Each format checks only its own syntax.
-    Core values come in ``core`` order, the ``category`` value as a list of
-    strings and every other one as a string, empty when absent.
+    ``rows`` yields ``(line number, core values, properties)`` per record
+    of the block: core values in ``core`` order, the ``category`` value as
+    a list of strings and every other one as a string, empty when absent.
+    ``columns`` is None or holds the same records a column at a time, the
+    syntax already checked (see ``_tsv_read_blocks``); a reader then reads
+    ``rows`` only when its screen of the columns finds a fault, to report
+    it. JSONL is one block without columns.
     """
     source_text = source_text.removeprefix("\ufeff")
     if fmt is None:
         fmt = "jsonl" if source_text.lstrip().startswith(("{", "[", '"')) else "tsv"
     if fmt == "jsonl":
-        return _jsonl_rows(source_text, core, what)
-    return _tsv_rows(source_text, core, f"{what}s")
+        return [(_jsonl_rows(source_text, core, what), None)]
+    return _tsv_read_blocks(source_text, core, f"{what}s")
 
 
-def _tsv_rows(source_text: str, core: tuple[str, ...], what: str):
-    """Check the header, each row's width and its single-valued core cells.
+# Characters of TSV text that a reader screens at once; a block ends at the
+# first line break past them. The row lists of a much larger block would
+# outweigh the one list of every line that blocks replace.
+_READ_BLOCK = 1 << 16
 
-    A trailing CR is dropped. A ``|`` splits the ``category`` cell into
-    values and is an error in any other core cell. Properties map each
-    nonempty cell past ``core`` to its values. The yielded cells may run
-    past ``core``.
+
+def _tsv_read_blocks(source_text: str, core: tuple[str, ...], what: str):
+    """Check the header, then yield ``(rows, columns)`` per block of rows.
+
+    ``rows`` is the block's row loop, ``_tsv_rows``, the one place of
+    each syntax check and its message. ``columns`` is the screen: each
+    core column as a sequence of cells, the ``category`` cells split into
+    lists, and last each record's properties; or None when a row has the
+    wrong width or a ``|`` in a single-valued core cell, or when the block
+    holds blank lines only. Like the row loop, it drops trailing CRs and
+    blank lines.
     """
-    lines = source_text.split("\n")
-    if not lines[0].strip():
+    end = source_text.find("\n")
+    if end < 0:
+        end = len(source_text)
+    first = source_text[:end]
+    if not first.strip():
         raise ParseError(f"missing {what} header", 1, 1)
-    header = lines[0].rstrip("\r").split("\t")
+    header = first.rstrip("\r").split("\t")
     leading = len(core)
     if tuple(header[:leading]) != core:
         raise ParseError(f"{what} header must start with {list(core)}, got {header[:leading]}", 1, 1)
@@ -203,8 +234,63 @@ def _tsv_rows(source_text: str, core: tuple[str, ...], what: str):
     width = len(header)
     extras = header[leading:]
     multi = core.index("category") if "category" in core else -1
+    single = [i for i in range(leading) if i != multi]
+    size = len(source_text)
+    number = 2
+    start = end + 1
+    while start < size:
+        end = source_text.find("\n", start + _READ_BLOCK)
+        if end < 0:
+            end = size
+        block = source_text[start:end]
+        lines = block.split("\n")
+        if "\r" in block:
+            lines = [line.rstrip("\r") for line in lines]
+        if "" in lines:
+            lines = list(filter(None, lines))
+        columns = None
+        if set(map(str.count, lines, repeat("\t"))) == {width - 1}:
+            cells = "\t".join(lines).split("\t")
+            del lines  # not held while the records are made
+            columns = [cells[i::width] for i in range(width)]
+            if "|" in block and any("|" in "\t".join(columns[i]) for i in single):
+                columns = None
+            else:
+                if multi >= 0:
+                    columns[multi] = _split_column(columns[multi])
+                columns[leading:] = [_tsv_properties(extras, columns[leading:], len(columns[0]))]
+        yield _tsv_rows(block, number, core, extras), columns
+        number += block.count("\n") + 1
+        start = end + 1
+
+
+def _tsv_properties(keys: list[str], columns: list, count: int) -> list[dict[str, list[str]]]:
+    """Each of ``count`` rows' properties: each nonempty cell of the column of each key, split."""
+    if not keys:
+        return [{} for _ in range(count)]
+    if not all(map(all, columns)):
+        return [{key: _split_cell(cell) for key, cell in zip(keys, row) if cell} for row in zip(*columns)]
+    first, *rest = map(_split_column, columns)
+    properties = [{keys[0]: values} for values in first]
+    for key, column in zip(keys[1:], rest):
+        for record, values in zip(properties, column):
+            record[key] = values
+    return properties
+
+
+def _tsv_rows(block: str, number: int, core: tuple[str, ...], extras: list[str]):
+    """Check each row's width and its single-valued core cells; ``number`` is the first line's.
+
+    A trailing CR is dropped. A ``|`` splits the ``category`` cell into
+    values and is an error in any other core cell. Properties map each
+    nonempty cell past ``core`` to its values. The yielded cells may run
+    past ``core``.
+    """
+    leading = len(core)
+    width = leading + len(extras)
+    multi = core.index("category") if "category" in core else -1
     single = [(i, column) for i, column in enumerate(core) if i != multi]
-    for number, raw in enumerate(lines[1:], start=2):
+    for number, raw in enumerate(block.split("\n"), start=number):
         row = raw.rstrip("\r")
         if not row:
             continue
@@ -240,12 +326,16 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
     as an empty cell would. Properties hold the object's other keys in
     sorted order, each key text one object per call. They are read when
     the caller asks for the next line, after its field rules, so a field
-    fault is the one reported.
+    fault is the one reported. A one-string array is kept as it is.
     """
     multi = core.index("category") if "category" in core else -1
     absent = (None,) * len(core)
+    kinds = [list if i == multi else str for i in range(len(core))]
     keys: dict[str, str] = {}
     size = len(source_text)
+    # Where the next "\\u" is, or ``size``: a line holds one when it starts
+    # before the line's end.
+    escape = source_text.find("\\u") % (size + 1)
     number = start = 0
     while start <= size:
         newline = source_text.find("\n", start)
@@ -276,22 +366,38 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
                 raise ParseError(f"invalid JSON: {exc}", number, 1) from exc
             if not isinstance(obj, dict):
                 raise ParseError(f"each {what} line must be a JSON object", number, 1)
-        if source_text.find("\\u", begin, newline) >= 0:
+        if escape < newline:
             _reject_surrogates(obj, number)
+            escape = source_text.find("\\u", newline) % (size + 1)
         values = list(map(obj.pop, core, absent))
-        for i, value in enumerate(values):
-            if i == multi:
-                values[i] = [] if value is None else _json_values(value, "category", number)
-            elif type(value) is not str:
-                if value is not None:
-                    raise ParseError(f"{core[i]!r} must be a string", number, 1)
-                values[i] = ""
+        if list(map(type, values)) != kinds:
+            _json_core(values, core, multi, number)
+        elif multi >= 0:
+            categories = values[multi]
+            if len(categories) != 1 or type(categories[0]) is not str or not categories[0]:
+                values[multi] = _json_values(categories, "category", number)
         properties: dict[str, list[str]] = {}
         yield number, values, properties
         for key in sorted(obj):
-            found = _json_values(obj[key], key, number)
+            value = obj[key]
+            if type(value) is list and len(value) == 1 and type(value[0]) is str:
+                if value[0]:
+                    properties[keys.setdefault(key, key)] = value
+                continue
+            found = _json_values(value, key, number)
             if found:
                 properties[keys.setdefault(key, key)] = found
+
+
+def _json_core(values: list, core: tuple[str, ...], multi: int, line: int) -> None:
+    """Check the JSON types of a line's core values, in place: absent or null is empty."""
+    for i, value in enumerate(values):
+        if i == multi:
+            values[i] = [] if value is None else _json_values(value, "category", line)
+        elif type(value) is not str:
+            if value is not None:
+                raise ParseError(f"{core[i]!r} must be a string", line, 1)
+            values[i] = ""
 
 
 def _reject_surrogates(obj: dict, line: int) -> None:
@@ -337,11 +443,19 @@ def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
     """
     cache: dict[str, Curie] = {}
     nodes = []
-    for number, values, properties in _rows(source_text, fmt, NODE_COLUMNS, "node"):
-        node_id = _curie_cache_get(cache, values[0], number)
-        if not values[1]:
-            raise ParseError("node has no categories", number, 1)
-        nodes.append(Node(node_id, values[1], values[2] or None, properties))
+    for rows, columns in _rows(source_text, fmt, NODE_COLUMNS, "node"):
+        if columns is not None:
+            ids, categories, names, properties = columns
+            if all(categories) and _new_ids_pass(cache, ids):
+                if "" in names:
+                    names = [name or None for name in names]
+                nodes += map(Node, map(cache.__getitem__, ids), categories, names, properties)
+                continue
+        for number, values, properties in rows:
+            node_id = cache.get(values[0]) or _new_id(cache, values[0], number)
+            if not values[1]:
+                raise ParseError("node has no categories", number, 1)
+            nodes.append(Node(node_id, values[1], values[2] or None, properties))
     return nodes
 
 
@@ -353,16 +467,37 @@ def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
     format's syntax, the predicate must be nonempty, then the subject and
     the object must be CURIEs. Equal predicates are one object per call.
     """
-    cache: dict[str, Curie] = {}
+    return _read_edges(source_text, fmt, {})
+
+
+def _read_edges(source_text: str, fmt: str | None, cache: dict[str, Curie]) -> list[Edge]:
+    """``read_edges`` with an id cache to start from: each key a checked CURIE, its value the key.
+
+    An edge end equal to a key is that value, so a loader that passes its
+    node ids makes every end that names a node the node's own id object.
+    The cache gains the new ids.
+    """
     predicates: dict[str, str] = {}
     edges = []
-    for number, values, properties in _rows(source_text, fmt, EDGE_COLUMNS, "edge"):
-        predicate = values[1]
-        if not predicate:
-            raise ParseError("empty predicate", number, 1)
-        subject = _curie_cache_get(cache, values[0], number)
-        obj = _curie_cache_get(cache, values[2], number)
-        edges.append(Edge(subject, predicates.setdefault(predicate, predicate), obj, properties))
+    for rows, columns in _rows(source_text, fmt, EDGE_COLUMNS, "edge"):
+        if columns is not None:
+            subjects, labels, objects, properties = columns
+            if all(labels) and _new_ids_pass(cache, subjects, objects):
+                edges += map(
+                    Edge,
+                    map(cache.__getitem__, subjects),
+                    map(predicates.setdefault, labels, labels),
+                    map(cache.__getitem__, objects),
+                    properties,
+                )
+                continue
+        for number, values, properties in rows:
+            predicate = values[1]
+            if not predicate:
+                raise ParseError("empty predicate", number, 1)
+            subject = cache.get(values[0]) or _new_id(cache, values[0], number)
+            obj = cache.get(values[2]) or _new_id(cache, values[2], number)
+            edges.append(Edge(subject, predicates.setdefault(predicate, predicate), obj, properties))
     return edges
 
 

@@ -269,7 +269,7 @@ def match(
     changes length; nodes may change freely. Editing an edge of a matched
     graph in place, with the edge count unchanged, is not supported.
     """
-    symmetric = {n for n, s in doc.slots.items() if s.slot_kind == PREDICATE and s.symmetric}
+    slots = doc.slots
     nodes = kg.nodes
     profile = index.profile
     pinned = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}
@@ -302,7 +302,11 @@ def match(
             break
         other_at = bound.index(other_var) if other_var in bound else None
         categories = qg.qnodes[other_var].categories
-        reversible = predicates & symmetric
+        reversible = {
+            name
+            for name in predicates
+            if (slot := slots.get(name)) is not None and slot.slot_kind == PREDICATE and slot.symmetric
+        }
         extended = []
         for ids, ordinals in partial:
             anchor = ids[anchor_at]

@@ -671,6 +671,69 @@ def naive_jsonl_read(text: str, kind: str) -> list[Node] | list[Edge]:
     return records
 
 
+def naive_tsv_read(text: str, kind: str) -> list[Node] | list[Edge]:
+    """The records of TSV ``text``, read one split line at a time in the README's rule order.
+
+    ``kind`` is ``"node"`` or ``"edge"``. The reference for ``read_nodes``
+    and ``read_edges`` on TSV: one leading byte order mark is dropped, the
+    whole text is split on ``\\n`` and each line's trailing CRs are dropped.
+    The header must start with the core columns and repeat no column. Per
+    nonblank row come the syntax (its width, then a ``|`` in a
+    single-valued core cell), then the field rules; properties cannot
+    fault. The first fault raises the ``ParseError`` the reader must raise.
+    """
+    core = ["id", "category", "name"] if kind == "node" else ["subject", "predicate", "object"]
+    lines = text.removeprefix("\ufeff").split("\n")
+    if not lines[0].strip():
+        raise ParseError(f"missing {kind}s header", 1, 1)
+    header = lines[0].rstrip("\r").split("\t")
+    if header[:3] != core:
+        raise ParseError(f"{kind}s header must start with {core}, got {header[:3]}", 1, 1)
+    for name in header:
+        if header.count(name) > 1:
+            raise ParseError(f"duplicate column {name!r} in {kind}s header", 1, 1)
+
+    def values(cell: str) -> list[str]:
+        return [value for i, value in enumerate(cell.split("|")) if value and value not in cell.split("|")[:i]]
+
+    records = []
+    for number, raw in enumerate(lines, start=1):
+        row = raw.rstrip("\r")
+        if number == 1 or not row:
+            continue
+
+        def fault(message: str) -> ParseError:
+            return ParseError(message, number, 1)
+
+        def curie(value: str) -> Curie:
+            try:
+                return parse_curie(value)
+            except MalformedCurieError as exc:
+                raise fault(str(exc)) from None
+
+        cells = row.split("\t")
+        if len(cells) != len(header):
+            raise fault(f"expected {len(header)} columns, got {len(cells)}")
+        for column, cell in zip(core, cells):
+            if column != "category" and "|" in cell:
+                raise fault(f"literal '|' in single-valued column {column!r}")
+        if kind == "node":
+            node_id = curie(cells[0])
+            if not values(cells[1]):
+                raise fault("node has no categories")
+        else:
+            if not cells[1]:
+                raise fault("empty predicate")
+            subject, object_id = curie(cells[0]), curie(cells[2])
+        # A nonempty cell is a property even when it holds no value ("|").
+        properties = {key: values(cell) for key, cell in zip(header[3:], cells[3:]) if cell}
+        if kind == "node":
+            records.append(Node(node_id, values(cells[1]), cells[2] or None, properties))
+        else:
+            records.append(Edge(subject, cells[1], object_id, properties))
+    return records
+
+
 def naive_jsonl_write(records: list[Node] | list[Edge] | list[Violation]) -> str:
     """JSONL text of nodes, edges or violations, one ``dict`` and one ``json.dumps`` per record.
 

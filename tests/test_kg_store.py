@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -37,6 +38,7 @@ from oracles import (
     naive_jsonl_write,
     naive_normalize,
     naive_stats_bucket,
+    naive_tsv_read,
     naive_tsv_write,
 )
 
@@ -151,6 +153,10 @@ MALFORMED = [
      "line 2, column 1: not a prefix:local_id pair: 'not a curie'"),
     (read_nodes, _N + "A:1\tGene\tx\nA1\t\ta|b\n",
      "line 3, column 1: literal '|' in single-valued column 'name'"),
+    # The reader takes the text a block of rows at a time; these faults lie
+    # past the first block.
+    (read_nodes, _N + "A:1\tGene\tx\n" * 7000 + "B:2\tGene\n",
+     "line 7002, column 1: expected 3 columns, got 2"),
     # nodes, JSONL
     (read_nodes, '{"id": "A:1", "category": []}\n', "line 1, column 1: node has no categories"),
     (read_nodes, '{"id": "A:1"}\n', "line 1, column 1: node has no categories"),
@@ -204,6 +210,8 @@ MALFORMED = [
     (read_edges, _E + "A1\ttreats\tB:2\n", "line 2, column 1: not a prefix:local_id pair: 'A1'"),
     (read_edges, _E + "A:1\ttreats\tB: 2\n",
      "line 2, column 1: whitespace in identifier: 'B: 2'"),
+    (read_edges, _E + "A:1\ttreats\tB:2\n" * 5000 + "\r\n" + "A:1\ttreats\tB2\r\n",
+     "line 5003, column 1: not a prefix:local_id pair: 'B2'"),
     # edges, JSONL
     (read_edges, '{"subject": "A:1", "predicate": "", "object": "B:2"}\n',
      "line 1, column 1: empty predicate"),
@@ -677,6 +685,90 @@ def test_jsonl_reader_equals_the_naive_line_reader(case):
         assert str(info.value) == str(fault)
     else:
         assert read(text, "jsonl") == expected
+
+
+@st.composite
+def _hostile_tsv(draw, kind):
+    """TSV text of ``kind`` records: mostly valid rows, some faulty, some hostile lines."""
+    core = ["id", "category", "name"] if kind == "node" else ["subject", "predicate", "object"]
+    extras = draw(st.lists(st.sampled_from(["publications", "xref"]), unique=True, max_size=2))
+    header = core + extras
+    if draw(st.integers(0, 29)) == 0:
+        header = draw(st.sampled_from([core[:2], [*core, "xref", "xref"], [core[1], core[0], core[2]], [" "]]))
+    good = {
+        "id": st.sampled_from(["A:1", "B:2", "C:3"]),
+        "category": st.sampled_from(["Gene", "Gene|Protein", "Gene|Gene|", "|Gene"]),
+        "name": st.sampled_from(["a", "", "\u00e9", "a b"]),
+        "subject": st.sampled_from(["A:1", "B:2"]),
+        "predicate": st.sampled_from(["p", "related_to"]),
+        "object": st.sampled_from(["A:1", "C:3"]),
+    }
+    bad = st.sampled_from(["", "|", "||", "x", "A: 1", " A:1", "A|1:1", "a|b"])
+    values = st.sampled_from(["PMID:1", "PMID:1|PMID:2", "PMID:1|PMID:1", "", "|", "\u00e9"])
+
+    def row() -> str:
+        cells = [draw(bad if draw(st.integers(0, 39)) == 0 else good[column]) for column in core]
+        cells += [draw(values) for _ in extras]
+        shape = draw(st.integers(0, 29))
+        if shape == 0:
+            cells.pop()
+        elif shape == 1:
+            cells.append("x")
+        return "\t".join(cells)
+
+    lines = ["\t".join(header)]
+    for _ in range(draw(st.integers(0, 16))):
+        lines.append(draw(st.sampled_from(["", "\r", " "])) if draw(st.integers(0, 14)) == 0 else row())
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(map(str.__add__, lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=max_examples(200), deadline=None)
+@given(st.sampled_from(["node", "edge"]).flatmap(lambda kind: st.tuples(st.just(kind), _hostile_tsv(kind))),
+       st.integers(1, 48))
+def test_tsv_reader_equals_the_naive_line_reader(case, block):
+    """With blocks of a few characters, faults fall on the first, middle and
+    last rows of later blocks; ids stay one object each across blocks."""
+    kind, text = case
+    read = read_nodes if kind == "node" else read_edges
+    try:
+        expected = naive_tsv_read(text, kind)
+    except ParseError as fault:
+        with patch.object(kg_store, "_READ_BLOCK", block), pytest.raises(ParseError) as info:
+            read(text, "tsv")
+        assert str(info.value) == str(fault)
+        return
+    with patch.object(kg_store, "_READ_BLOCK", block):
+        records = read(text, "tsv")
+    assert records == expected
+    if kind == "node":
+        groups = [[node.id for node in records]]
+    else:
+        groups = [[end for edge in records for end in (edge.subject, edge.object)],
+                  [edge.predicate for edge in records]]
+    for values in groups:
+        assert len(set(map(id, values))) == len(set(values))
+
+
+def test_read_edges_holds_no_list_of_every_line():
+    # Beyond what it returns, the reader holds one block of rows at a time,
+    # not a list of the text's lines, which alone would outweigh the text.
+    ids = [f"NCBIGene:{i}" for i in range(500)]
+    rng = random.Random(7)
+    text = "subject\tpredicate\tobject\tpublications\n" + "".join(
+        f"{rng.choice(ids)}\trelated_to\t{rng.choice(ids)}\tPMID:{i}\n" for i in range(40_000)
+    )
+    tracemalloc.start()
+    try:
+        edges = read_edges(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 40_000
+    assert peak - kept < 0.5 * len(text)
 
 
 # Values TSV can hold, so that one record set renders in both formats.
