@@ -265,12 +265,13 @@ def _tsv_read_blocks(source_text: str, core: tuple[str, ...], what: str):
 
 
 def _tsv_properties(keys: list[str], columns: list, count: int) -> list[dict[str, list[str]]]:
-    """Each of ``count`` rows' properties: each nonempty cell of the column of each key, split."""
+    """Each of ``count`` rows' properties: each key whose cell in its column splits into values."""
     if not keys:
         return [{} for _ in range(count)]
-    if not all(map(all, columns)):
-        return [{key: _split_cell(cell) for key, cell in zip(keys, row) if cell} for row in zip(*columns)]
-    first, *rest = map(_split_column, columns)
+    columns = list(map(_split_column, columns))
+    if any([] in column for column in columns):  # an empty or separator-only cell
+        return [{key: values for key, values in zip(keys, row) if values} for row in zip(*columns)]
+    first, *rest = columns
     properties = [{keys[0]: values} for values in first]
     for key, column in zip(keys[1:], rest):
         for record, values in zip(properties, column):
@@ -283,8 +284,9 @@ def _tsv_rows(block: str, number: int, core: tuple[str, ...], extras: list[str])
 
     A trailing CR is dropped. A ``|`` splits the ``category`` cell into
     values and is an error in any other core cell. Properties map each
-    nonempty cell past ``core`` to its values. The yielded cells may run
-    past ``core``.
+    cell past ``core`` that holds a value to its values; a cell of
+    separators only, like an empty one, gives no property. The yielded
+    cells may run past ``core``.
     """
     leading = len(core)
     width = leading + len(extras)
@@ -305,8 +307,8 @@ def _tsv_rows(block: str, number: int, core: tuple[str, ...], extras: list[str])
             cells[multi] = _split_cell(cells[multi])
         properties = {}
         for column, cell in zip(extras, cells[leading:]):
-            if cell:
-                properties[column] = _split_cell(cell)
+            if cell and (values := _split_cell(cell)):
+                properties[column] = values
         yield number, cells, properties
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import itemgetter, ne
+from itertools import compress, count, islice
+from operator import eq, itemgetter, ne
 
 from .errors import (
     DisconnectedQueryError,
@@ -95,70 +95,6 @@ class Binding:
 # Parsing
 
 
-class _QueryBuilder:
-    def __init__(self, doc: SchemaDocument):
-        self.doc = doc
-        self.qnodes: dict[str, QNode] = {}
-        self.qedges: list[QEdge] = []
-        self.pinned_vars: dict[Curie, str] = {}  # pinned id -> variable name
-
-    def node(self, token: str, line: int) -> str:
-        if token.startswith("?"):
-            return self._variable_node(token, line)
-        return self._pinned_node(token, line)
-
-    def _pinned_node(self, token: str, line: int) -> str:
-        try:
-            curie = parse_curie(token)
-        except MalformedCurieError as exc:
-            raise ParseError(f"bad node {token!r}: {exc}", line, 1) from exc
-        var = self.pinned_vars.get(curie)
-        if var is None:
-            var = f"_{len(self.pinned_vars)}"
-            self.pinned_vars[curie] = var
-            self._add(QNode(var, id=curie), line)
-        return var
-
-    def _variable_node(self, token: str, line: int) -> str:
-        name, sep, cats = token[1:].partition(":")
-        if not _VAR_RE.match(name):
-            raise ParseError(f"bad variable name {token!r}", line, 1)
-        categories: frozenset[str] | None = None
-        if sep:
-            names = [c for c in cats.split("|") if c]
-            if not names:
-                raise ParseError(f"empty category list in {token!r}", line, 1)
-            for category in names:
-                if category not in self.doc.classes:
-                    raise UnknownClassError(category)
-            categories = frozenset(names)
-        existing = self.qnodes.get(name)
-        if existing is None:
-            self._add(QNode(name, categories=categories), line)
-        elif categories is not None and existing.categories != categories:
-            raise ParseError(
-                f"variable ?{name} redeclared with different categories", line, 1
-            )
-        return name
-
-    def _add(self, qnode: QNode, line: int) -> None:
-        if len(self.qnodes) >= MAX_QNODES:
-            raise ParseError(f"more than {MAX_QNODES} query nodes", line, 1)
-        self.qnodes[qnode.var] = qnode
-
-    def edge(self, subject_var: str, arrow: str, object_var: str, line: int) -> None:
-        matched = _ARROW_RE.match(arrow)
-        if not matched:
-            raise ParseError(f"expected -[predicates]->, got {arrow!r}", line, 1)
-        predicates = [p for p in matched.group(1).split("|") if p]
-        if not predicates:
-            raise ParseError("empty predicate list", line, 1)
-        for predicate in predicates:
-            if not self.doc.is_predicate(predicate):
-                raise UnknownPredicateError(predicate)
-        self.qedges.append(QEdge(subject_var, frozenset(predicates), object_var))
-
-
 def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
     """Parse the arrow-notation query format against a loaded schema.
 
@@ -166,28 +102,84 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
     ``EDGE node -[..]-> node`` line. One leading byte order mark (U+FEFF)
     is dropped. Unknown predicate or category names fail at parse time; the
     pattern must be weakly connected.
+
+    One pass reads each chain left to right and checks each arrow after
+    the node that follows it, so the first fault in that order is the one
+    raised. Pinned nodes are the variables ``_0``, ``_1``, ... in order of
+    first use. One chain is connected as it is written, so only a text of
+    two or more chains is checked for connectivity.
     """
-    builder = _QueryBuilder(doc)
+    classes = doc.classes
+    is_predicate = doc.is_predicate
+    qnodes: dict[str, QNode] = {}
+    qedges: list[QEdge] = []
+    pinned_vars: dict[Curie, str] = {}  # pinned id -> variable name
+    chains = 0
     for number, raw in enumerate(source_text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         tokens = line.split()
         if tokens[0] == "EDGE":
-            tokens = tokens[1:]
+            del tokens[0]
             if len(tokens) != 3:
                 raise ParseError("EDGE lines take exactly: node -[..]-> node", number, 1)
-        if len(tokens) % 2 == 0 or len(tokens) < 1:
+        if not len(tokens) % 2:
             raise ParseError("chain must alternate node, arrow, node, ...", number, 1)
-        previous = builder.node(tokens[0], number)
-        for position in range(1, len(tokens), 2):
-            nxt = builder.node(tokens[position + 1], number)
-            builder.edge(previous, tokens[position], nxt, number)
-            previous = nxt
-    if not builder.qnodes:
+        chains += 1
+        previous = ""
+        for position in range(0, len(tokens), 2):
+            token = tokens[position]
+            qnode = None
+            if token[0] != "?":
+                try:
+                    curie = parse_curie(token)
+                except MalformedCurieError as exc:
+                    raise ParseError(f"bad node {token!r}: {exc}", number, 1) from exc
+                var = pinned_vars.get(curie)
+                if var is None:
+                    var = pinned_vars[curie] = f"_{len(pinned_vars)}"
+                    qnode = QNode(var, id=curie)
+            else:
+                var, sep, cats = token[1:].partition(":")
+                if not _VAR_RE.match(var):
+                    raise ParseError(f"bad variable name {token!r}", number, 1)
+                categories: frozenset[str] | None = None
+                if sep:
+                    names = [c for c in cats.split("|") if c]
+                    if not names:
+                        raise ParseError(f"empty category list in {token!r}", number, 1)
+                    for category in names:
+                        if category not in classes:
+                            raise UnknownClassError(category)
+                    categories = frozenset(names)
+                existing = qnodes.get(var)
+                if existing is None:
+                    qnode = QNode(var, categories=categories)
+                elif categories is not None and existing.categories != categories:
+                    raise ParseError(f"variable ?{var} redeclared with different categories", number, 1)
+            if qnode is not None:
+                if len(qnodes) >= MAX_QNODES:
+                    raise ParseError(f"more than {MAX_QNODES} query nodes", number, 1)
+                qnodes[var] = qnode
+            if position:
+                arrow = tokens[position - 1]
+                matched = _ARROW_RE.match(arrow)
+                if not matched:
+                    raise ParseError(f"expected -[predicates]->, got {arrow!r}", number, 1)
+                predicates = [p for p in matched.group(1).split("|") if p]
+                if not predicates:
+                    raise ParseError("empty predicate list", number, 1)
+                for predicate in predicates:
+                    if not is_predicate(predicate):
+                        raise UnknownPredicateError(predicate)
+                qedges.append(QEdge(previous, frozenset(predicates), var))
+            previous = var
+    if not qnodes:
         raise ParseError("empty query", 1, 1)
-    _check_connected(builder.qnodes, builder.qedges)
-    return QueryGraph(builder.qnodes, builder.qedges)
+    if chains > 1:
+        _check_connected(qnodes, qedges)
+    return QueryGraph(qnodes, qedges)
 
 
 def _check_connected(qnodes: dict[str, QNode], qedges: list[QEdge]) -> None:
@@ -370,6 +362,31 @@ def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
     return order
 
 
+# ``match`` makes its records as the generated frozen ``__init__`` does, one
+# ``object.__setattr__`` per field in field order, without the cost of
+# calling the class and that ``__init__``. The instances are the same:
+# equal, with the same repr, and frozen.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _evidence(
+    matched_predicate: str, publications: tuple[str, ...], has_evidence: tuple[str, ...]
+) -> EdgeEvidence:
+    record = _new(EdgeEvidence)
+    _set(record, "matched_predicate", matched_predicate)
+    _set(record, "publications", publications)
+    _set(record, "has_evidence", has_evidence)
+    return record
+
+
+def _binding(assignments: dict[str, Curie], evidence: dict[int, EdgeEvidence]) -> Binding:
+    record = _new(Binding)
+    _set(record, "assignments", assignments)
+    _set(record, "evidence", evidence)
+    return record
+
+
 def _finalize(
     variables: list[str],
     bound: list[str],
@@ -380,50 +397,54 @@ def _finalize(
     """The search's matches as bindings, deduplicated on values and sorted.
 
     ``found`` holds each match's node ids in ``variables`` (declaration)
-    order and its edge ordinals in search ``order``. One
-    :class:`EdgeEvidence` is built per distinct edge. Matches with equal ids
-    and equal evidence per hop (edges with equal values count as one) are
-    one binding: the key that their equal JSON texts would give. Bindings
-    sort by the ids; only those whose ids tie are serialized, to be ordered
-    by their JSON text. A :class:`Binding` is made for each unique match
-    only, its assignments in ``bound`` order and its evidence in search
-    order, as the search filled them.
+    order and its edge ordinals in search ``order``; it is sorted by the
+    ids in place. One :class:`EdgeEvidence` is built per distinct edge.
+    Matches with equal ids and equal evidence per hop (edges with equal
+    values count as one) are one binding: the key that their equal JSON
+    texts would give. Only when two matches' ids tie are the evidence
+    values numbered, the matches deduplicated on that key and each run of
+    equal ids ordered by JSON text; with distinct ids no two matches can
+    share a key. A :class:`Binding` is made for each unique match only,
+    its assignments in ``bound`` order and its evidence in search order,
+    as the search filled them.
     """
+    ids_of = itemgetter(0)
+    found.sort(key=ids_of)
+    tied = any(map(eq, map(ids_of, found), map(ids_of, islice(found, 1, None))))
     evidence: dict[int, EdgeEvidence] = {}
-    number: dict[int, int] = {}  # edge ordinal -> number of its evidence value
-    values: dict[tuple[str, tuple[str, ...], tuple[str, ...]], int] = {}
     for edge_ordinal in {edge_ordinal for _, ordinals in found for edge_ordinal in ordinals}:
         edge = edges[edge_ordinal]
         properties = edge.properties
         publications = properties.get("publications", ())
         codes = properties.get("has_evidence", ())
-        hop = (  # a list of none or one value is already sorted
+        evidence[edge_ordinal] = _evidence(  # a list of none or one value is already sorted
             edge.predicate,
             tuple(sorted(publications)) if len(publications) > 1 else tuple(publications),
             tuple(sorted(codes)) if len(codes) > 1 else tuple(codes),
         )
-        evidence[edge_ordinal] = EdgeEvidence(*hop)
-        number[edge_ordinal] = values.setdefault(hop, len(values))
-    unique = {}
-    for result in found:
-        unique.setdefault((result[0], tuple(map(number.__getitem__, result[1]))), result)
-    ids_of = itemgetter(0)
-    ranked = sorted(unique.values(), key=ids_of)
-    del unique  # its keys are freed before the bindings are made
+    if tied:
+        values: dict[EdgeEvidence, int] = {}  # each distinct evidence value -> its number
+        number = {edge_ordinal: values.setdefault(ev, len(values)) for edge_ordinal, ev in evidence.items()}
+        unique = {}
+        for result in found:  # the first of each key, so still sorted by the ids
+            unique.setdefault((result[0], tuple(map(number.__getitem__, result[1]))), result)
+        found = list(unique.values())
+        del unique  # its keys are freed before the bindings are made
     in_bound_order = tuple if bound == variables else itemgetter(*map(variables.index, bound))
     bindings = [
-        Binding(
+        _binding(
             dict(zip(bound, in_bound_order(ids))),
             dict(zip(order, map(evidence.__getitem__, ordinals))),
         )
-        for ids, ordinals in ranked
+        for ids, ordinals in found
     ]
-    # Bindings with equal ids sit side by side; each run of two or more is
-    # ordered by JSON text. A run ends where the next ids differ.
-    ranked_ids = list(map(ids_of, ranked))
-    start = 0
-    for end in compress(count(1), map(ne, ranked_ids, ranked_ids[1:] + [None])):
-        if end - start > 1:
-            bindings[start:end] = sorted(bindings[start:end], key=Binding.to_json)
-        start = end
+    if tied:
+        # Bindings with equal ids sit side by side; each run of two or more
+        # is ordered by JSON text. A run ends where the next ids differ.
+        ranked_ids = list(map(ids_of, found))
+        start = 0
+        for end in compress(count(1), map(ne, ranked_ids, ranked_ids[1:] + [None])):
+            if end - start > 1:
+                bindings[start:end] = sorted(bindings[start:end], key=Binding.to_json)
+            start = end
     return bindings

@@ -725,8 +725,8 @@ def naive_tsv_read(text: str, kind: str) -> list[Node] | list[Edge]:
             if not cells[1]:
                 raise fault("empty predicate")
             subject, object_id = curie(cells[0]), curie(cells[2])
-        # A nonempty cell is a property even when it holds no value ("|").
-        properties = {key: values(cell) for key, cell in zip(header[3:], cells[3:]) if cell}
+        # A cell that holds no value, empty or separators only ("|"), is no property.
+        properties = {key: values(cell) for key, cell in zip(header[3:], cells[3:]) if values(cell)}
         if kind == "node":
             records.append(Node(node_id, values(cells[1]), cells[2] or None, properties))
         else:

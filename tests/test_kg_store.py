@@ -599,6 +599,43 @@ def test_jsonl_to_tsv_is_lossless_or_rejected(texts):
     assert graph_equal(build_graph(nodes, edges), round_trip)
 
 
+# Property cells that hold no value (empty, separators only), repeated
+# values and empty values between separators.
+_PROPERTY_CELLS = st.sampled_from(["", "|", "||", "a||b", "a|a", "a"])
+
+
+@st.composite
+def _tsv_graph(draw):
+    """Node and edge TSV texts whose property cells come from ``_PROPERTY_CELLS``."""
+    node_extras = draw(st.lists(st.sampled_from(["xref", "symbol"]), unique=True, max_size=2))
+    edge_extras = draw(st.lists(st.sampled_from(["xref", "publications"]), unique=True, max_size=2))
+    node_lines = ["\t".join(["id", "category", "name", *node_extras])] + [
+        "\t".join([node_id, "Gene", draw(st.sampled_from(["", "a"])),
+                   *(draw(_PROPERTY_CELLS) for _ in node_extras)])
+        for node_id in draw(st.lists(_ids, min_size=1, max_size=4))
+    ]
+    edge_lines = ["\t".join(["subject", "predicate", "object", *edge_extras])] + [
+        "\t".join([draw(_ids), "p", draw(_ids), *(draw(_PROPERTY_CELLS) for _ in edge_extras)])
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"
+
+
+@given(_tsv_graph())
+def test_tsv_to_jsonl_to_tsv_is_lossless(texts):
+    """A cell that holds no value reads as no property in TSV, as ``[]`` and
+    ``[""]`` do in JSONL, so each format reads back the graph it was given."""
+    nodes = read_nodes(texts[0], "tsv")
+    edges = read_edges(texts[1], "tsv")
+    graph = build_graph(nodes, edges)
+    jsonl = build_graph(read_nodes(write_nodes(nodes, "jsonl"), "jsonl"),
+                        read_edges(write_edges(edges, "jsonl"), "jsonl"))
+    assert graph_equal(graph, jsonl)
+    nodes_tsv = write_nodes(list(jsonl.nodes.values()), "tsv")
+    edges_tsv = write_edges(jsonl.edges, "tsv")
+    assert graph_equal(graph, build_graph(read_nodes(nodes_tsv, "tsv"), read_edges(edges_tsv, "tsv")))
+
+
 # Pieces of hostile JSONL: whitespace that str.strip drops but JSON does
 # not, and whole lines that break a rule or stretch the reader's line ends.
 _STRIPPED = ["", " ", "\t", "\r", "\x0b", "\x1c", "\xa0", "\u2028"]

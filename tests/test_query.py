@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,10 @@ from kgschema import (
     read_edges,
     read_nodes,
 )
+from kgschema import query
 from kgschema.cli import main
-from kgschema.kg_store import Edge, Node
-from kgschema.query import QEdge, QNode, QueryGraph, _edge_order
+from kgschema.kg_store import Edge, KnowledgeGraph, Node
+from kgschema.query import Binding, EdgeEvidence, QEdge, QNode, QueryGraph, _edge_order
 from generators import ABSENT, QUERY_SHAPES, dirty_graph, max_examples, random_graph, random_query
 from oracles import bindings_as_dicts, brute_force_match, greedy_edge_order
 
@@ -86,8 +88,22 @@ def test_parse_unknown_category(seed_doc):
 
 
 def test_parse_disconnected_query(seed_doc):
-    with pytest.raises(DisconnectedQueryError):
+    with pytest.raises(DisconnectedQueryError) as info:
         parse_query("?a:Gene -[related_to]-> ?b\n?x:Disease -[related_to]-> ?y\n", seed_doc)
+    assert str(info.value) == "variables not connected to the pattern: ['x', 'y']"
+
+
+def test_parse_checks_connectivity_of_two_or_more_chains_only(seed_doc, monkeypatch):
+    """One chain is connected as written; a second chain may not join it."""
+    def refuse(qnodes, qedges):
+        raise AssertionError("one chain checked for connectivity")
+
+    monkeypatch.setattr(query, "_check_connected", refuse)
+    for text in (TWO_HOP, "MONDO:0005027", "# a comment\n\n?a -[related_to]-> ?a\n",
+                 "EDGE ?a -[related_to]-> ?b", "?a:Gene"):
+        parse_query(text, seed_doc)
+    with pytest.raises(AssertionError):
+        parse_query("?a -[related_to]-> ?b\nEDGE ?b -[related_to]-> ?c", seed_doc)
 
 
 def test_parse_rejects_too_many_variables(seed_doc):
@@ -546,6 +562,86 @@ def test_tied_bindings_follow_json_text_and_equal_symmetric_twins_collapse(seed_
         ("interacts_with", ("ECO:1",), ("PMID:1",)),
         ("entity_regulates_entity", ("ECO:2",), ("PMID:1",)),
     ]
+
+
+def test_matches_with_distinct_ids_are_never_serialized(seed_doc, seed_index, monkeypatch):
+    """With no two matches on equal ids, no dedup or JSON-text ordering can
+    apply: ``match`` never calls ``to_json`` and still gives the oracle's
+    bindings in the documented order."""
+    def refuse(binding):
+        raise AssertionError("to_json called without tied ids")
+
+    rng = random.Random(2027)
+    checked = 0
+    for trial in range(300):
+        make = random_graph if trial % 2 else dirty_graph
+        nodes, edges = make(rng, seed_doc, max_nodes=10, max_edges=20)
+        kg = build_graph(nodes, edges)
+        shape = QUERY_SHAPES[trial % len(QUERY_SHAPES)]
+        qg = expand_query(random_query(rng, seed_doc, nodes, edges, shape), seed_index)
+        oracle = brute_force_match(qg, kg, seed_doc)
+        ids = [tuple(d["assignments"][var] for var in qg.qnodes) for d in oracle]
+        if not oracle or len(set(ids)) < len(ids):
+            continue
+        with monkeypatch.context() as patched:
+            patched.setattr(Binding, "to_json", refuse)
+            ours = match(qg, kg, seed_doc, seed_index)
+        texts = [json.dumps(b.as_dict(), sort_keys=True, ensure_ascii=False) for b in ours]
+        assert texts == _in_output_order(qg, oracle), (trial, shape)
+        checked += 1
+    assert checked >= 15  # enough tie-free queries that find bindings
+
+
+class _Unhashable(str):
+    """A provenance value that the value dedup, which hashes evidence, cannot take."""
+
+    __hash__ = None
+
+
+def test_matches_with_distinct_ids_skip_the_value_dedup(seed_doc, seed_index):
+    nodes = {node_id: Node(node_id, ["Gene"]) for node_id in ("A:1", "B:2", "C:3")}
+    edges = [
+        Edge("A:1", "interacts_with", "B:2",
+             {"publications": [_Unhashable("PMID:2"), _Unhashable("PMID:1")]}),
+        Edge("A:1", "interacts_with", "C:3", {"publications": [_Unhashable("PMID:3")]}),
+    ]
+    qg = expand_query(parse_query("A:1 -[interacts_with]-> ?x", seed_doc), seed_index)
+    bindings = match(qg, KnowledgeGraph(nodes, edges), seed_doc, seed_index)
+    assert [(b.assignments["x"], b.evidence[0].publications) for b in bindings] == [
+        ("B:2", ("PMID:1", "PMID:2")),
+        ("C:3", ("PMID:3",)),
+    ]
+    # A second edge to B:2 ties two matches on their ids, so the dedup runs.
+    edges.append(
+        Edge("A:1", "genetically_interacts_with", "B:2", {"publications": [_Unhashable("PMID:4")]})
+    )
+    with pytest.raises(TypeError):
+        match(qg, KnowledgeGraph(nodes, edges), seed_doc, seed_index)
+
+
+def test_records_from_match_are_the_public_records(seed_doc, seed_index, demo_graph):
+    """``match`` makes its records without calling the classes; they equal and
+    print as the constructors' records, and stay frozen."""
+    bindings = match(_expanded_two_hop(seed_doc, seed_index), demo_graph, seed_doc, seed_index)
+    assert bindings
+    for binding in bindings:
+        evidence = {
+            ordinal: EdgeEvidence(ev.matched_predicate, ev.publications, ev.has_evidence)
+            for ordinal, ev in binding.evidence.items()
+        }
+        for ours, theirs in zip(binding.evidence.values(), evidence.values()):
+            assert ours == theirs and repr(ours) == repr(theirs) and hash(ours) == hash(theirs)
+            assert list(vars(ours).items()) == list(vars(theirs).items())
+            with pytest.raises(FrozenInstanceError):
+                ours.publications = ()
+        public = Binding(dict(binding.assignments), evidence)
+        assert binding == public and repr(binding) == repr(public)
+        assert list(vars(binding)) == list(vars(public)) == ["assignments", "evidence"]
+        assert binding.to_json() == public.to_json()
+        with pytest.raises(FrozenInstanceError):
+            binding.assignments = {}
+        with pytest.raises(FrozenInstanceError):
+            del binding.evidence
 
 
 def test_binding_dicts_keep_the_search_order(seed_doc, seed_index, demo_graph):
