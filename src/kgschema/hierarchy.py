@@ -21,7 +21,7 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .schema_model import PREDICATE, SchemaDocument, _schema_violations, _Walk
+from .schema_model import PREDICATE, SchemaDocument, _fill_down, _schema_violations, _Walk
 
 
 @dataclass
@@ -32,7 +32,8 @@ class ClosureIndex:
     Ancestor lists are reflexive and ordered self-first, then nearest to
     farthest. Descendant sets are the exact duals of the ancestor lists.
     ``mixin_membership`` maps every class to the mixins reachable through
-    its own mixin declarations and those of its ancestors.
+    its own mixin declarations and those of its ancestors, and
+    ``id_prefixes`` to the id prefixes it and its ancestors declare.
     """
 
     class_ancestors: dict[str, list[str]] = field(default_factory=dict)
@@ -42,6 +43,7 @@ class ClosureIndex:
     mixin_membership: dict[str, frozenset[str]] = field(default_factory=dict)
     mixins: frozenset[str] = frozenset()
     mixin_carriers: dict[str, frozenset[str]] = field(default_factory=dict)
+    id_prefixes: dict[str, frozenset[str]] = field(default_factory=dict)
 
     # Category tuple -> CategoryProfile, made on first use. Not a field, so
     # it stays out of __init__, equality and repr.
@@ -94,18 +96,26 @@ def build_closure(doc: SchemaDocument) -> ClosureIndex:
     if errors:
         summary = ", ".join(sorted({v.code for v in errors}))
         raise SchemaNotValidError(f"schema has {len(errors)} error(s): {summary}", errors)
-    # In a valid schema a predicate's slot chain holds only predicates.
-    predicate_ancestors = {
-        name: chain for name, chain in walk.slot_chains.items() if doc.slots[name].slot_kind == PREDICATE
-    }
+    # A valid schema has no is_a cycle, and a predicate's parent is a predicate.
+    def prepend(name: str, above: list[str]) -> list[str]:
+        return [name] + above
+
+    def inherit(name: str, above: frozenset[str]) -> frozenset[str]:
+        own = doc.classes[name].id_prefixes
+        return above.union(own) if own else above
+
+    class_ancestors = _fill_down(walk.class_parents, [], prepend, {})
+    predicate_parents = {n: s.is_a for n, s in doc.slots.items() if s.slot_kind == PREDICATE}
+    predicate_ancestors = _fill_down(predicate_parents, [], prepend, {})
     return ClosureIndex(
-        class_ancestors=walk.class_chains,
-        class_descendants=_invert(walk.class_chains),
+        class_ancestors=class_ancestors,
+        class_descendants=_invert(class_ancestors),
         predicate_ancestors=predicate_ancestors,
         predicate_descendants=_invert(predicate_ancestors),
         mixin_membership=walk.reach,
         mixins=frozenset(walk.carriers),
         mixin_carriers=walk.carriers,
+        id_prefixes=_fill_down(walk.class_parents, frozenset(), inherit, {}),
     )
 
 

@@ -423,15 +423,14 @@ def _find_cycles(parents: dict[str, str | None]) -> list[tuple[str, ...]]:
     return sorted(cycles)
 
 
-def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict, names=None) -> dict:
-    """``extend(name, value of its parent)`` for ``names`` (default: all) and
-    every name above them, parents first.
+def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict) -> dict:
+    """``extend(name, value of its parent)`` for every name, parents first.
 
     Each name climbs to the first name whose value is known, in ``cache``
     or computed, or past a root, and the values are filled back down the
     path, so a chain costs one pass. ``cache`` must hold every cycle member.
     """
-    for name in parents if names is None else names:
+    for name in parents:
         path: list[str] = []
         current = name
         while current in parents and current not in cache:
@@ -444,21 +443,18 @@ def _fill_down(parents: dict[str, str | None], empty, extend, cache: dict, names
     return cache
 
 
-def _ancestor_lists(parents: dict, cycles: list, names=None) -> dict[str, list[str]]:
-    """The is_a chain, self first, of ``names`` (default: all), in one pass.
+def _chain(parents: dict[str, str | None], name: str) -> list[str]:
+    """The is_a chain of ``name``, self first.
 
-    ``cycles`` are those of ``parents``. A chain stops at a root, before an
-    unknown parent, or once round the cycle it runs into, so each cycle
-    member starts from its own rotation of the cycle.
+    It stops at a root, before an unknown parent, or once round the cycle
+    it runs into.
     """
-    rotations: dict[str, list[str]] = {}
-    for members in cycles:
-        ring = [members[0]]
-        while parents[ring[-1]] != members[0]:
-            ring.append(parents[ring[-1]])
-        for i, name in enumerate(ring):
-            rotations[name] = ring[i:] + ring[:i]
-    return _fill_down(parents, [], lambda member, above: [member] + above, rotations, names)
+    chain = {name: None}  # an ordered set
+    current = parents[name]
+    while current in parents and current not in chain:
+        chain[current] = None
+        current = parents[current]
+    return list(chain)
 
 
 def _reachable(doc: SchemaDocument, start: str) -> list[str]:
@@ -487,8 +483,8 @@ def _reachable(doc: SchemaDocument, start: str) -> list[str]:
 class _Walk:
     """Each hierarchy of ``doc`` walked once, for validation and the closure.
 
-    Cycles are found up front; chains, mixin reach, carriers and the classes
-    reachable from each declared mixin on first use.
+    Cycles are found up front; slot chain tops, mixin reach, carriers and the
+    classes reachable from each declared mixin on first use.
     """
 
     def __init__(self, doc: SchemaDocument):
@@ -513,12 +509,14 @@ class _Walk:
         return [slot for name in self.reachable(mixin) for slot in classes[name].slots]
 
     @cached_property
-    def class_chains(self) -> dict[str, list[str]]:
-        return _ancestor_lists(self.class_parents, self.class_cycles)
+    def slot_tops(self) -> dict[str, str]:
+        """Per slot, the last name of its is_a chain (see :func:`_chain`).
 
-    @cached_property
-    def slot_chains(self) -> dict[str, list[str]]:
-        return _ancestor_lists(self.slot_parents, self.slot_cycles)
+        On a cycle that is the member whose parent is where the chain came in.
+        """
+        parents = self.slot_parents
+        tops = {parents[m]: m for members in self.slot_cycles for m in members}
+        return _fill_down(parents, None, lambda name, top: name if top is None else top, tops)
 
     @cached_property
     def reach(self) -> dict[str, frozenset[str]]:
@@ -573,9 +571,10 @@ class _Walk:
             classes = self.doc.classes
             if classes[parent].is_mixin:
                 known = parent in self.reach[child]
+            elif classes[child].is_mixin:
+                known = all(self.narrows(c, parent) for c in self.carriers[child])
             else:
-                carriers = self.carriers[child] if classes[child].is_mixin else (child,)
-                known = all(parent in self.class_chains[c] for c in carriers)
+                known = parent in _chain(self.class_parents, child)
             self._narrowing[(child, parent)] = known
         return known
 
@@ -601,7 +600,7 @@ def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
                 ordered.append(slot)
 
     walk = _Walk(doc)
-    chain = _ancestor_lists(walk.class_parents, walk.class_cycles, [class_name])[class_name]
+    chain = _chain(walk.class_parents, class_name)
     for name in chain:
         add(doc.classes[name].slots)
     for name in chain:
@@ -702,7 +701,7 @@ def _schema_violations(doc: SchemaDocument, walk: _Walk) -> list[SchemaViolation
             if slot.is_a is not None:
                 err(PREDICATE_NOT_UNDER_RELATED_TO, name, "the root predicate must have no parent")
             continue
-        top = walk.slot_chains[name][-1]
+        top = walk.slot_tops[name]
         if top != ROOT_PREDICATE or doc.slots[top].slot_kind != PREDICATE:
             err(
                 PREDICATE_NOT_UNDER_RELATED_TO,
@@ -759,7 +758,7 @@ def _schema_violations(doc: SchemaDocument, walk: _Walk) -> list[SchemaViolation
                     name,
                     f"{side} {child_t!r} is not a specialization of {parent_t!r}",
                 )
-        if parent.predicate not in walk.slot_chains[assoc.predicate]:
+        if parent.predicate not in _chain(walk.slot_parents, assoc.predicate):
             err(
                 ASSOCIATION_WIDENS_PARENT,
                 name,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 
-from .hierarchy import CategoryProfile, ClosureIndex
+from .hierarchy import ClosureIndex
 from .identifiers import Curie
 from .kg_store import Edge, KnowledgeGraph, Node, _encode_string, _json_lines
 from .schema_model import (
@@ -103,34 +103,9 @@ class ValidationReport:
         return json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n" + "".join(lines)
 
 
-def _node_memo(doc: SchemaDocument, index: ClosureIndex) -> Callable:
-    """``memo(categories)``: the list's profile and the id prefixes its most
-    specific class inherits, gathered once per class."""
-    profile = index.profile
-    inherited: dict[str | None, frozenset[str]] = {None: frozenset()}
-
-    def memo(categories: list[str]) -> tuple[CategoryProfile, frozenset[str]]:
-        found = profile(categories)
-        name = found.most_specific
-        if name not in inherited:
-            ancestors = index.class_ancestors[name]
-            inherited[name] = frozenset(p for a in ancestors for p in doc.classes[a].id_prefixes)
-        return found, inherited[name]
-
-    return memo
-
-
-def validate_node(
-    node: Node, doc: SchemaDocument, index: ClosureIndex, *, memo: Callable | None = None
-) -> list[Violation]:
-    """Category existence, mixin-only check, and id-prefix conformance.
-
-    ``memo`` shares what category lists mean across the nodes of one
-    :func:`validate_graph` run; the output never depends on it.
-    """
-    if memo is None:
-        memo = _node_memo(doc, index)
-    profile, allowed = memo(node.categories)
+def validate_node(node: Node, doc: SchemaDocument, index: ClosureIndex) -> list[Violation]:
+    """Category existence, mixin-only check, and id-prefix conformance."""
+    profile = index.profile(node.categories)
     out = [
         Violation(UNKNOWN_CATEGORY, "error", node.id, f"category {c!r} is not in the schema")
         for c in profile.unknown
@@ -141,6 +116,7 @@ def validate_node(
         detail = f"only mixin categories: {sorted(profile.known)}"
         out.append(Violation(ABSTRACT_MIXIN_INSTANTIATED, "error", node.id, detail))
     prefix = node.id.partition(":")[0]
+    allowed = index.id_prefixes[profile.most_specific]
     if allowed and prefix not in allowed:
         detail = (
             f"prefix {prefix!r} is not among {sorted(allowed)} "
@@ -424,10 +400,9 @@ def validate_graph(
     inputs_hash = inputs_digest(kg, doc)
     closed = _typed_closures(kg.nodes, index.profile)
     check, verdicts = _edge_checker(kg, doc, index, closed)
-    memo = _node_memo(doc, index)
     violations: list[Violation] = []
     for node in kg.nodes.values():
-        violations.extend(validate_node(node, doc, index, memo=memo))
+        violations.extend(validate_node(node, doc, index))
     # Node and edge checks raise disjoint codes, so the stable sort by code
     # below keeps node violations by id text and edge ones by ordinal.
     violations.sort(key=attrgetter("subject", "detail"))

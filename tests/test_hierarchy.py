@@ -63,6 +63,10 @@ def test_closure_matches_dfs_oracle_on_random_schemas():
                 m for m in mixin_reach(doc, name) if doc.classes[m].is_mixin
             }
             assert index.mixin_membership[name] == expected_mixins
+            inherited = {
+                p for a in dfs_ancestors(class_parents, name) for p in doc.classes[a].id_prefixes
+            }
+            assert index.id_prefixes[name] == inherited
         predicate_parents = {
             n: s.is_a for n, s in doc.slots.items() if s.slot_kind == "predicate"
         }

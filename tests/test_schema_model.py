@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -498,19 +499,58 @@ def test_predicate_chain_ending_at_a_non_predicate_slot():
     ]
 
 
-def test_ancestor_lists_equal_chain_walks_with_cycles_and_unknown_parents():
+def test_chain_and_slot_tops_equal_chain_walks_with_cycles_and_unknown_parents():
     rng = random.Random(7)
     for _ in range(300):
         names = [f"s{i}" for i in range(rng.randint(1, 12))]
         parents = {
             name: rng.choice(names + ["ghost", None, None]) for name in names
         }
-        chains = sm._ancestor_lists(parents, sm._find_cycles(parents))
-        assert chains == {n: dfs_ancestors(parents, n) for n in names}, parents
+        doc = SchemaDocument(name="walk", version="0")
+        doc.slots = {n: SlotDefinition(name=n, slot_kind="predicate", is_a=p) for n, p in parents.items()}
+        tops = sm._Walk(doc).slot_tops
+        for name in names:
+            expected = dfs_ancestors(parents, name)
+            assert sm._chain(parents, name) == expected, parents
+            assert tops[name] == expected[-1], parents
 
 
 def test_validate_schema_on_deep_predicate_chain_is_clean():
     assert validate_schema(deep_chain_schema(0, 6000)) == []
+
+
+def _class_chain_with_child_association(depth):
+    # The leaf's association narrows the root's, so validate_schema walks
+    # the leaf's class chain to check it.
+    doc = deep_chain_schema(depth, 0)
+    leaf = f"C{depth}"
+    doc.associations = {
+        "RootAssociation": AssociationDefinition("RootAssociation", "C0", "related_to", "C0"),
+        "LeafAssociation": AssociationDefinition(
+            "LeafAssociation", leaf, "related_to", leaf, is_a="RootAssociation"
+        ),
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [lambda depth: deep_chain_schema(0, depth), _class_chain_with_child_association],
+    ids=["predicate-chain", "class-chain"],
+)
+def test_validate_schema_peak_memory_grows_linearly_with_chain_depth(schema):
+    # A ratio of peaks does not depend on host speed: about 2 when the
+    # memory is linear in the depth, about 4 when it is quadratic.
+    peaks = []
+    for depth in (1500, 3000):
+        doc = schema(depth)
+        tracemalloc.start()
+        try:
+            assert validate_schema(doc) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0], peaks
 
 
 def test_walk_reach_and_carriers_equal_oracle_on_tangled_schemas():

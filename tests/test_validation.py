@@ -548,6 +548,14 @@ def test_validate_graph_calls_the_module_global_validate_node_once_per_node(
     report = validate_graph(kg, seed_doc, seed_index)
     assert sorted(calls) == sorted(kg.nodes)
     assert report.to_jsonl() == naive_validate(kg, seed_doc)
+    # Each node checked on its own, on a fresh index, gives what the run reports.
+    fresh = build_closure(seed_doc)
+    direct = [v for node in kg.nodes.values() for v in original(node, seed_doc, fresh)]
+    node_codes = {"UNKNOWN_CATEGORY", "ABSTRACT_MIXIN_INSTANTIATED", "ID_PREFIX_NOT_ALLOWED"}
+    assert {v.code for v in direct} == node_codes
+    assert sorted(direct, key=lambda v: (v.code, v.subject, v.detail)) == [
+        v for v in report.violations if v.code in node_codes
+    ]
 
 
 # ---------------------------------------------------------------------------
