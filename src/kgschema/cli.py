@@ -26,6 +26,7 @@ from .hierarchy import ClosureIndex, build_closure, expand_predicates
 from .identifiers import load_equivalences, normalize_curie, parse_curie
 from .kg_store import (
     KnowledgeGraph,
+    _convert_to_jsonl,
     _gc_paused,
     _read_edges,
     build_graph,
@@ -285,19 +286,29 @@ def convert(nodes_path, edges_path, target) -> None:
                 raise KgschemaError(f"convert would overwrite its input {destination}")
         if destinations[0].resolve() == destinations[1].resolve():
             raise KgschemaError(f"convert would write both outputs to {destinations[0]}")
-    outputs: list[str] = []
-    for path, read, write in ((nodes_path, read_nodes, write_nodes), (edges_path, read_edges, write_edges)):
-        if path is not None:
-            with _gc_paused():  # as in _load_graph
-                records = read(path.read_text(encoding="utf-8"))
-                gc.freeze()
-            outputs.append(write(records, fmt=target))
-            del records  # not held while the next file loads
+    # Each output is held whole, in parts, before anything is written.
+    outputs: list[list[str]] = []
+    for path, kind, read, write in (
+        (nodes_path, "node", read_nodes, write_nodes),
+        (edges_path, "edge", read_edges, write_edges),
+    ):
+        if path is None:
+            continue
+        text = path.read_text(encoding="utf-8")
+        with _gc_paused():  # as in _load_graph
+            # JSONL is made a block of records at a time, so only its text
+            # is held; TSV needs every property key for its header first.
+            made = _convert_to_jsonl(text, kind) if target == "jsonl" else read(text)
+            gc.freeze()
+        del text
+        outputs.append(made if target == "jsonl" else [write(made, fmt=target)])
+        del made  # not held while the next file loads
     if len(outputs) == 1:
-        sys.stdout.write(outputs[0])
+        sys.stdout.writelines(outputs[0])
     else:
-        for destination, text in zip(destinations, outputs):
-            destination.write_text(text, encoding="utf-8")
+        for destination, parts in zip(destinations, outputs):
+            with destination.open("w", encoding="utf-8") as handle:
+                handle.writelines(parts)
             click.echo(f"wrote {destination}", err=True)
     sys.exit(EXIT_OK)
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import Counter
-from collections.abc import Callable
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, itemgetter, ne, or_
+from operator import attrgetter, is_, itemgetter, ne, or_
 
 from .errors import DanglingEdgeError, EmptyCategorySetError, ParseError
 from .hierarchy import ClosureIndex
@@ -436,6 +435,90 @@ def _json_values(value, key: str, line: int) -> list[str]:
     raise ParseError(f"{key!r} must be an array of strings", line, 1)
 
 
+# Records per block of a reader's row loop and of the JSONL writer, so
+# neither holds more than one block of rows beside what it returns.
+_RECORD_BLOCK = 1024
+
+
+def _node_blocks(source_text: str, fmt: str | None):
+    """The nodes of TSV or JSONL text a block at a time, checked, as columns.
+
+    Each block is ``[ids, categories, names, properties]``, one sequence
+    per field with one value per record; an empty name is None. After each
+    format's syntax, the id must be a CURIE and the categories nonempty.
+    Equal ids are one object per call. A block whose screened columns
+    pass these rules at once is taken as it is; any other goes through its
+    row loop, which reports the first fault at its line and yields blocks
+    of at most ``_RECORD_BLOCK`` records.
+    """
+    cache: dict[str, Curie] = {}
+    limit = _RECORD_BLOCK
+    for rows, columns in _rows(source_text, fmt, NODE_COLUMNS, "node"):
+        if columns is not None:
+            ids, categories, names, properties = columns
+            if all(categories) and _new_ids_pass(cache, ids):
+                if "" in names:
+                    names = [name or None for name in names]
+                yield [list(map(cache.__getitem__, ids)), categories, names, properties]
+                continue
+        checked = []
+        append = checked.append
+        for number, values, record in rows:
+            node_id = cache.get(values[0]) or _new_id(cache, values[0], number)
+            if not values[1]:
+                raise ParseError("node has no categories", number, 1)
+            append((node_id, values[1], values[2] or None, record))
+            if len(checked) > limit:
+                # The last row waits for the next block: a JSONL row's
+                # properties are filled when the row after it is asked for.
+                yield list(zip(*checked[:-1]))
+                del checked[:-1]
+        if checked:
+            yield list(zip(*checked))
+
+
+def _edge_blocks(source_text: str, fmt: str | None, cache: dict[str, Curie]):
+    """The edges of TSV or JSONL text a block at a time, checked, as columns.
+
+    Each block is ``[subjects, predicates, objects, properties]``, as
+    ``_node_blocks`` gives nodes. After each format's syntax, the predicate
+    must be nonempty, then the subject and the object must be CURIEs.
+    Equal predicates are one object per call. ``cache`` is the id cache to
+    start from: each key a checked CURIE, its value the key. An end equal
+    to a key is that value, and the cache gains the new ids.
+    """
+    predicates: dict[str, str] = {}
+    limit = _RECORD_BLOCK
+    for rows, columns in _rows(source_text, fmt, EDGE_COLUMNS, "edge"):
+        if columns is not None:
+            subjects, labels, objects, properties = columns
+            if all(labels) and _new_ids_pass(cache, subjects, objects):
+                yield [
+                    list(map(cache.__getitem__, subjects)),
+                    list(map(predicates.setdefault, labels, labels)),
+                    list(map(cache.__getitem__, objects)),
+                    properties,
+                ]
+                continue
+        checked = []
+        append = checked.append
+        for number, values, record in rows:
+            predicate = values[1]
+            if not predicate:
+                raise ParseError("empty predicate", number, 1)
+            append((
+                cache.get(values[0]) or _new_id(cache, values[0], number),
+                predicates.setdefault(predicate, predicate),
+                cache.get(values[2]) or _new_id(cache, values[2], number),
+                record,
+            ))
+            if len(checked) > limit:  # as in _node_blocks
+                yield list(zip(*checked[:-1]))
+                del checked[:-1]
+        if checked:
+            yield list(zip(*checked))
+
+
 @_gc_paused()
 def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
     """Parse nodes from TSV or JSONL text; the format is sniffed when unset.
@@ -443,21 +526,9 @@ def read_nodes(source_text: str, fmt: str | None = None) -> list[Node]:
     One leading UTF-8 byte order mark (U+FEFF) is ignored. After each
     format's syntax, the id must be a CURIE and the categories nonempty.
     """
-    cache: dict[str, Curie] = {}
     nodes = []
-    for rows, columns in _rows(source_text, fmt, NODE_COLUMNS, "node"):
-        if columns is not None:
-            ids, categories, names, properties = columns
-            if all(categories) and _new_ids_pass(cache, ids):
-                if "" in names:
-                    names = [name or None for name in names]
-                nodes += map(Node, map(cache.__getitem__, ids), categories, names, properties)
-                continue
-        for number, values, properties in rows:
-            node_id = cache.get(values[0]) or _new_id(cache, values[0], number)
-            if not values[1]:
-                raise ParseError("node has no categories", number, 1)
-            nodes.append(Node(node_id, values[1], values[2] or None, properties))
+    for block in _node_blocks(source_text, fmt):
+        nodes += map(Node, *block)
     return nodes
 
 
@@ -473,34 +544,32 @@ def read_edges(source_text: str, fmt: str | None = None) -> list[Edge]:
 
 
 def _read_edges(source_text: str, fmt: str | None, cache: dict[str, Curie]) -> list[Edge]:
-    """``read_edges`` with an id cache to start from: each key a checked CURIE, its value the key.
+    """``read_edges`` with an id cache to start from (see ``_edge_blocks``).
 
-    An edge end equal to a key is that value, so a loader that passes its
-    node ids makes every end that names a node the node's own id object.
-    The cache gains the new ids.
+    A loader that passes its node ids makes every edge end that names a
+    node the node's own id object.
     """
-    predicates: dict[str, str] = {}
     edges = []
-    for rows, columns in _rows(source_text, fmt, EDGE_COLUMNS, "edge"):
-        if columns is not None:
-            subjects, labels, objects, properties = columns
-            if all(labels) and _new_ids_pass(cache, subjects, objects):
-                edges += map(
-                    Edge,
-                    map(cache.__getitem__, subjects),
-                    map(predicates.setdefault, labels, labels),
-                    map(cache.__getitem__, objects),
-                    properties,
-                )
-                continue
-        for number, values, properties in rows:
-            predicate = values[1]
-            if not predicate:
-                raise ParseError("empty predicate", number, 1)
-            subject = cache.get(values[0]) or _new_id(cache, values[0], number)
-            obj = cache.get(values[2]) or _new_id(cache, values[2], number)
-            edges.append(Edge(subject, predicates.setdefault(predicate, predicate), obj, properties))
+    for block in _edge_blocks(source_text, fmt, cache):
+        edges += map(Edge, *block)
     return edges
+
+
+@_gc_paused()
+def _convert_to_jsonl(source_text: str, kind: str) -> list[str]:
+    """``write_nodes(read_nodes(source_text), "jsonl")`` in parts, or the edges' for ``kind`` "edge".
+
+    The text is made a block at a time: each block of checked columns
+    (``_node_blocks``, ``_edge_blocks``) goes straight to ``_json_block``,
+    so no record is made and only the output text is held, one part per
+    block, never joined into one string. A fault in the input raises
+    before any part is returned.
+    """
+    if kind == "node":
+        names, blocks = NODE_COLUMNS, _node_blocks(source_text, None)
+    else:
+        names, blocks = EDGE_COLUMNS, _edge_blocks(source_text, None, {})
+    return [_json_block(names, block[:3], block[3]) for block in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -513,72 +582,120 @@ _encode_object = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _properties = attrgetter("properties")
 
 
-def _json_items(values: list[str]) -> str:
-    """The JSON text between the brackets of a list of strings; TypeError for anything else."""
-    return ", ".join(map(_encode_string, list.__iter__(values)))
+def _batches(records, size: int):
+    """``records`` as lists of ``size`` records, the last one shorter."""
+    remaining = iter(records)
+    while block := list(islice(remaining, size)):
+        yield block
 
 
-def _json_template(keys: tuple[str, ...], arrays: int) -> tuple[str, Callable]:
-    """A JSON object's ``%`` template, and the getter that orders its values to fit.
+def _json_column(values) -> tuple[list[str], bool]:
+    """The JSON text of each value of a column, and whether the texts go between brackets.
 
-    ``template % order(texts)`` is the object with ``keys`` in ``sort_keys``
-    order, for ``texts``, the JSON text of each key's value in the order of
-    ``keys``. The first ``arrays`` keys hold lists, whose text comes from
-    ``_json_items``. A key that is not a string raises TypeError.
+    A column of strings gives each string's text; a column of lists of
+    strings, each list's items joined, one-string lists in one pass. Any
+    other column raises TypeError.
     """
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_encode_string, values)), False
+    if kinds != {list}:
+        raise TypeError("a column of values that are not all strings or all lists")
+    if set(map(len, values)) == {1}:
+        return list(map(_encode_string, chain.from_iterable(values))), True
+    return list(map(", ".join, map(map, repeat(_encode_string), values))), True
+
+
+def _json_rows(keys: list, values: list, count: int):
+    """Per object, the pieces of its line: ``values[k][r]`` is key ``keys[k]``'s value in object ``r``.
+
+    The pieces are the text before, between and after the values' texts,
+    the keys in ``sort_keys`` order; joined, they make the line
+    ``json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\\n"``. A key
+    that is not a string raises TypeError.
+    """
+    texts, arrays = zip(*map(_json_column, values)) if keys else ((), ())
     ranks = sorted(range(len(keys)), key=keys.__getitem__)
-    fields = ", ".join(
-        _encode_string(keys[i]).replace("%", "%%") + (": [%s]" if i < arrays else ": %s")
-        for i in ranks
-    )
-    return "{" + fields + "}", itemgetter(*ranks)
+    parts = []
+    close = "{"
+    for i in ranks:
+        parts += [repeat(close + _encode_string(keys[i]) + (": [" if arrays[i] else ": "), count), texts[i]]
+        close = "], " if arrays[i] else ", "
+    parts.append(repeat(close.removesuffix(", ") + "}\n", count))
+    return zip(*parts)
 
 
-def _json_lines(
-    records, columns: tuple[str, ...], texts, as_dict, properties=_properties
-) -> list[str]:
-    """The line ``json.dumps(as_dict(record), sort_keys=True, ensure_ascii=False)`` per record.
+def _json_lines(names: tuple[str, ...], columns: list, properties: list) -> str:
+    """The line ``json.dumps(obj, sort_keys=True, ensure_ascii=False)`` per record, each ending in ``\\n``.
 
-    Each line ends in ``\\n``. The dict holds ``properties(record)``,
-    whose values are lists, and each of ``columns`` whose JSON text in
-    ``texts(record)`` is not None. Each key tuple gets one ``%`` template,
-    filled with the JSON text of each value, so no dict is made. A record
-    with a value that is neither a string nor a list of strings goes to
-    the stdlib encoder instead, which gives the same text or raises.
+    A record's ``obj`` holds its properties, then each of ``names`` whose
+    value in ``columns`` is not None. This is what ``_json_block`` gives
+    too; it runs for the blocks whose values ``_json_block`` cannot take.
     """
-    # Keyed by the property keys; a record with an absent value by its
-    # whole key tuple.
-    templates: dict[tuple, tuple[str, Callable]] = {}
-    sparse: dict[tuple, tuple[str, Callable]] = {}
     lines = []
-    append = lines.append
-    for record in records:
-        extra = properties(record)
-        try:
-            values = texts(record)
-            if None in values:
-                shape = (*extra, *[c for c, v in zip(columns, values) if v is not None])
-                values = [value for value in values if value is not None]
-                entry = sparse.get(shape) or sparse.setdefault(shape, _json_template(shape, len(extra)))
-            else:
-                shape = tuple(extra)
-                entry = templates.get(shape) or templates.setdefault(
-                    shape, _json_template((*shape, *columns), len(shape))
-                )
-            template, order = entry
-            text = template % order((
-                *[
-                    _encode_string(v[0]) if v.__class__ is list and len(v) == 1 else _json_items(v)
-                    for v in extra.values()
-                ],
-                *values,
-            ))
-        except TypeError:
-            text = _encode_object(as_dict(record))
-        # A new string of exact size: ``%`` leaves its text in a block up to
-        # a third larger, which a list of lines would keep.
-        append(text + "\n")
-    return lines
+    for values, extra in zip(zip(*columns), properties):
+        obj = dict(extra)
+        obj.update((name, value) for name, value in zip(names, values) if value is not None)
+        lines.append(_encode_object(obj) + "\n")
+    return "".join(lines)
+
+
+def _json_block(names: tuple[str, ...], columns: list, properties: list) -> str:
+    """``_json_lines`` of one block of records, made a column at a time.
+
+    ``columns`` holds the values of ``names``, one list per name with one
+    value per record, and ``properties`` each record's property dict. The
+    records are grouped by shape: their property keys, and which core
+    values are None, so absent. Each shape's key text is made once
+    (``_json_rows``), and ``_encode_string`` is mapped over each of its
+    columns at once. A block with a value that is not a string or a list
+    of strings, or a key that is not a string, goes to ``_json_lines``,
+    which gives the same text or raises.
+    """
+    count = len(properties)
+    if not count:
+        return ""
+    shapes = list(map(tuple, properties))
+    missing = [i for i, column in enumerate(columns) if None in column]
+    if missing:
+        shapes = list(zip(shapes, *[list(map(is_, columns[i], repeat(None))) for i in missing]))
+    if shapes.count(shapes[0]) == count:
+        groups = {shapes[0]: None}  # every record
+    else:
+        groups = defaultdict(list)
+        for row, shape in enumerate(shapes):
+            groups[shape].append(row)
+    lines = [None] * count
+    try:
+        for shape, rows in groups.items():
+            keys, flags = (shape[0], shape[1:]) if missing else (shape, ())
+            absent = [i for i, flag in zip(missing, flags) if flag]
+            present = [i for i in range(len(names)) if i not in absent]
+            extra, core = properties, columns
+            if rows is not None:
+                pick = itemgetter(*rows) if len(rows) > 1 else lambda values, row=rows[0]: (values[row],)
+                extra = pick(properties)
+                core = list(map(pick, columns))
+            pieces = _json_rows(
+                [*keys, *[names[i] for i in present]],
+                [*[list(map(itemgetter(key), extra)) for key in keys], *[core[i] for i in present]],
+                len(extra),
+            )
+            if rows is None:
+                return "".join(chain.from_iterable(pieces))
+            for row, line in zip(rows, map("".join, pieces)):
+                lines[row] = line
+    except TypeError:
+        return _json_lines(names, columns, properties)
+    return "".join(lines)
+
+
+def _json_records(records, names: tuple[str, ...], core, properties=_properties) -> str:
+    """The JSONL text of ``records``, ``_RECORD_BLOCK`` records at a time (see ``_write``)."""
+    return "".join([
+        _json_block(names, core(block), list(map(properties, block)))
+        for block in _batches(records, _RECORD_BLOCK)
+    ])
 
 
 # Records per block of the TSV writer: a block's cells are made a column
@@ -616,8 +733,7 @@ def _tsv_blocks(records, core, extras: list[str]):
     A row has no line break of its own; one column of a block is made at
     a time, by ``_tsv_cells``.
     """
-    remaining = iter(records)
-    while block := list(islice(remaining, _TSV_BLOCK)):
+    for block in _batches(records, _TSV_BLOCK):
         columns = []
         separators = 0
         for values in core(block):
@@ -632,30 +748,24 @@ def _tsv_blocks(records, core, extras: list[str]):
         yield map("\t".join, zip(*columns)), separators
 
 
-def _write(records: list, fmt: str, columns: tuple[str, ...], core, texts) -> str:
+def _write(records: list, fmt: str, columns: tuple[str, ...], core) -> str:
     """Serialize ``records``; ``core(block)`` gives the values of ``columns`` for a block.
 
     A block is a list of records, and ``core`` gives one list per column,
     with one value per record. A value is a string, a list for a
-    multivalued column, or None when absent; ``texts(record)`` gives each
-    value's JSON text for JSONL (see ``_json_lines``). TSV output is made
-    a block of records at a time and joined once, then checked as a whole:
-    a ``|`` beyond the header's and the separators counted while joining
-    would split a value on reading, as would a tab or a line break. Only a
-    failed check makes the rows again, to name the first bad one.
+    multivalued column, or None when absent. JSONL is made by
+    ``_json_block``. TSV output is made a block of records at a time and
+    joined once, then checked as a whole: a ``|`` beyond the header's and
+    the separators counted while joining would split a value on reading,
+    as would a tab or a line break. Only a failed check makes the rows
+    again, to name the first bad one.
     """
     keys = set(chain.from_iterable(map(_properties, records)))
     if not keys.isdisjoint(columns):
         clash = sorted(keys.intersection(columns))
         raise ValueError(f"a property cannot be named like a core column: {clash}")
     if fmt == "jsonl":
-
-        def as_dict(record) -> dict:
-            obj = dict(record.properties)
-            obj.update((c, v) for c, (v,) in zip(columns, core([record])) if v is not None)
-            return obj
-
-        return "".join(_json_lines(records, columns, texts, as_dict))
+        return _json_records(records, columns, core)
     extras = sorted(keys)
     header = "\t".join((*columns, *extras))
     parts = [header]
@@ -688,11 +798,6 @@ def write_nodes(nodes: list[Node], fmt: str = "tsv") -> str:
             [node.categories for node in block],
             [node.name for node in block],
         ),
-        lambda node: (
-            _encode_string(node.id),
-            "[" + _json_items(node.categories) + "]",
-            None if node.name is None else _encode_string(node.name),
-        ),
     )
 
 
@@ -707,7 +812,6 @@ def write_edges(edges: list[Edge], fmt: str = "tsv") -> str:
             [edge.predicate for edge in block],
             [edge.object for edge in block],
         ),
-        lambda e: (_encode_string(e.subject), _encode_string(e.predicate), _encode_string(e.object)),
     )
 
 

@@ -91,6 +91,30 @@ class Binding:
         return json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
 
 
+# The parser and ``match`` make their records as the generated frozen
+# ``__init__`` does, one ``object.__setattr__`` per field in field order,
+# without the cost of calling the class and that ``__init__``. The
+# instances are the same: equal, with the same repr and hash, and frozen.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _qnode(var: str, id: Curie | None, categories: frozenset[str] | None) -> QNode:
+    record = _new(QNode)
+    _set(record, "var", var)
+    _set(record, "id", id)
+    _set(record, "categories", categories)
+    return record
+
+
+def _qedge(subject_var: str, predicates: frozenset[str], object_var: str) -> QEdge:
+    record = _new(QEdge)
+    _set(record, "subject_var", subject_var)
+    _set(record, "predicates", predicates)
+    _set(record, "object_var", object_var)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -139,7 +163,7 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
                 var = pinned_vars.get(curie)
                 if var is None:
                     var = pinned_vars[curie] = f"_{len(pinned_vars)}"
-                    qnode = QNode(var, id=curie)
+                    qnode = _qnode(var, curie, None)
             else:
                 var, sep, cats = token[1:].partition(":")
                 if not _VAR_RE.match(var):
@@ -155,7 +179,7 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
                     categories = frozenset(names)
                 existing = qnodes.get(var)
                 if existing is None:
-                    qnode = QNode(var, categories=categories)
+                    qnode = _qnode(var, None, categories)
                 elif categories is not None and existing.categories != categories:
                     raise ParseError(f"variable ?{var} redeclared with different categories", number, 1)
             if qnode is not None:
@@ -173,7 +197,7 @@ def parse_query(source_text: str, doc: SchemaDocument) -> QueryGraph:
                 for predicate in predicates:
                     if not is_predicate(predicate):
                         raise UnknownPredicateError(predicate)
-                qedges.append(QEdge(previous, frozenset(predicates), var))
+                qedges.append(_qedge(previous, frozenset(predicates), var))
             previous = var
     if not qnodes:
         raise ParseError("empty query", 1, 1)
@@ -219,13 +243,13 @@ def expand_query(qg: QueryGraph, index: ClosureIndex) -> QueryGraph:
                 else:
                     expanded.update(index.class_descendants[category])
             if expanded != qnode.categories:
-                qnode = QNode(var, qnode.id, frozenset(expanded))
+                qnode = _qnode(var, qnode.id, frozenset(expanded))
         qnodes[var] = qnode
     qedges = []
     for qedge in qg.qedges:
         predicates = expand_predicates(index, qedge.predicates)
         if predicates != qedge.predicates:
-            qedge = QEdge(qedge.subject_var, frozenset(predicates), qedge.object_var)
+            qedge = _qedge(qedge.subject_var, frozenset(predicates), qedge.object_var)
         qedges.append(qedge)
     return QueryGraph(qnodes, qedges)
 
@@ -360,14 +384,6 @@ def _edge_order(qg: QueryGraph, bound: set[str]) -> list[int]:
             order.append(i)
             bound.update((qedge.subject_var, qedge.object_var))
     return order
-
-
-# ``match`` makes its records as the generated frozen ``__init__`` does, one
-# ``object.__setattr__`` per field in field order, without the cost of
-# calling the class and that ``__init__``. The instances are the same:
-# equal, with the same repr, and frozen.
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _evidence(

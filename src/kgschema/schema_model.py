@@ -599,13 +599,16 @@ def effective_slots(doc: SchemaDocument, class_name: str) -> list[str]:
                 seen.add(slot)
                 ordered.append(slot)
 
-    walk = _Walk(doc)
-    chain = _chain(walk.class_parents, class_name)
+    # Only this class's chain and its mixins' reach are walked; a _Walk
+    # would first search every class and every slot for cycles.
+    classes = doc.classes
+    chain = _chain({name: cls.is_a for name, cls in classes.items()}, class_name)
     for name in chain:
-        add(doc.classes[name].slots)
+        add(classes[name].slots)
     for name in chain:
-        for mixin in doc.classes[name].mixins:
-            add(walk.contribution(mixin))
+        for mixin in classes[name].mixins:
+            for reached in _reachable(doc, mixin):
+                add(classes[reached].slots)
     return ordered
 
 

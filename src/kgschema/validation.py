@@ -25,7 +25,7 @@ from operator import attrgetter
 
 from .hierarchy import ClosureIndex
 from .identifiers import Curie
-from .kg_store import Edge, KnowledgeGraph, Node, _encode_string, _json_lines
+from .kg_store import Edge, KnowledgeGraph, Node, _json_records
 from .schema_model import (
     _CURIE_RE, AssociationDefinition, SchemaDocument, is_curie, serialize_schema,
 )
@@ -93,14 +93,13 @@ class ValidationReport:
             "warnings": self.warning_count,
             "inputs_hash": self.inputs_hash,
         }
-        lines = _json_lines(
+        body = _json_records(
             self.violations,
             _VIOLATION_FIELDS,
-            lambda v: tuple(map(_encode_string, _violation_values(v))),
-            Violation.as_dict,
+            lambda block: list(zip(*map(_violation_values, block))),
             lambda v: {},
         )
-        return json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n" + "".join(lines)
+        return json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n" + body
 
 
 def validate_node(node: Node, doc: SchemaDocument, index: ClosureIndex) -> list[Violation]:

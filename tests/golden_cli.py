@@ -134,6 +134,15 @@ CASES: list[Case] = [
             "edges.tsv": ("{data}/rhobtb2_edges.tsv", False),
         },
     ),
+    # Two TSV inputs to JSONL, each made a block at a time from the read columns.
+    Case(
+        "convert_dirty_two_jsonl",
+        ["convert", "--nodes", "{tmp}/nodes.tsv", "--edges", "{tmp}/edges.tsv", "--to", "jsonl"],
+        inputs={
+            "nodes.tsv": ("{data}/dirty_nodes.tsv", False),
+            "edges.tsv": ("{data}/dirty_edges.tsv", False),
+        },
+    ),
     # The nodes cannot be TSV (a tab in a name): exit 2, and no file written.
     Case(
         "convert_dirty_two_tsv",

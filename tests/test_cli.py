@@ -15,6 +15,7 @@ import kgschema
 from kgschema import (
     cli,
     hierarchy,
+    kg_store,
     read_edges,
     read_nodes,
     schema_model,
@@ -386,6 +387,75 @@ def test_convert_refuses_an_output_onto_an_input_or_onto_the_other(
     assert result.exit_code == 2
     assert "convert would" in result.stderr
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def _long_graph_files(directory, rows):
+    """Good node and edge TSV files of ``rows`` records each, longer than one read block."""
+    nodes = directory / "nodes.tsv"
+    edges = directory / "edges.tsv"
+    nodes.write_text(
+        "id\tcategory\tname\n" + "".join(f"NCBIGene:{i}\tGene\tgene {i}\n" for i in range(rows)),
+        encoding="utf-8",
+    )
+    edges.write_text(
+        "subject\tpredicate\tobject\tpublications\n"
+        + "".join(f"NCBIGene:{i}\trelated_to\tNCBIGene:{i + 1}\tPMID:{i}\n" for i in range(rows)),
+        encoding="utf-8",
+    )
+    for path in (nodes, edges):
+        assert len(path.read_text(encoding="utf-8")) > 2 * kg_store._READ_BLOCK
+    return nodes, edges
+
+
+@pytest.mark.parametrize(
+    "faulty, row, message",
+    [
+        ("nodes", "NCBIGene 9\tGene\tbad id", "not a prefix:local_id pair"),
+        ("edges", "NCBIGene:1\t\tNCBIGene:2\tPMID:1", "empty predicate"),
+        ("edges", "NCBIGene:1\trelated_to\tNCBIGene:2", "expected 4 columns, got 3"),
+    ],
+    ids=["bad-curie", "empty-predicate", "wrong-width"],
+)
+def test_convert_fault_on_the_last_line_of_a_multi_block_input_writes_nothing(
+    runner, tmp_path, faulty, row, message
+):
+    rows = 5000
+    paths = dict(zip(("nodes", "edges"), _long_graph_files(tmp_path, rows)))
+    with open(paths[faulty], "a", encoding="utf-8") as handle:
+        handle.write(row + "\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    where = f"kgschema: line {rows + 2}, column 1: "
+    single = runner.invoke(main, ["convert", f"--{faulty}", str(paths[faulty]), "--to", "jsonl"])
+    assert single.exit_code == 2
+    assert single.stdout == ""
+    assert single.stderr.startswith(where) and message in single.stderr
+    both = runner.invoke(
+        main, ["convert", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]), "--to", "jsonl"]
+    )
+    assert both.exit_code == 2
+    assert both.stdout == "" and both.stderr == single.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("block", [1, 2, 1024])
+def test_convert_jsonl_to_jsonl_keeps_the_last_rows_properties(runner, tmp_path, monkeypatch, block):
+    # A JSONL row's properties are filled when the next row is asked for, so
+    # a block's last row is the one that could lose them.
+    monkeypatch.setattr(kg_store, "_RECORD_BLOCK", block)
+    edges = tmp_path / "edges.jsonl"
+    edges.write_text(
+        '{"subject": "A:1", "predicate": "p", "object": "B:2", "publications": ["PMID:1"]}\n'
+        '{"subject": "A:2", "predicate": "p", "object": "B:3", "xref": ["X:1", "X:2"], "z": ["v"]}\n'
+        '{"subject": "A:3", "predicate": "p", "object": "B:4", "publications": ["PMID:3"]}\n',
+        encoding="utf-8",
+    )
+    result = _invoke(runner, "convert", "--edges", str(edges), "--to", "jsonl")
+    assert result.exit_code == 0
+    assert result.stdout == (
+        '{"object": "B:2", "predicate": "p", "publications": ["PMID:1"], "subject": "A:1"}\n'
+        '{"object": "B:3", "predicate": "p", "subject": "A:2", "xref": ["X:1", "X:2"], "z": ["v"]}\n'
+        '{"object": "B:4", "predicate": "p", "publications": ["PMID:3"], "subject": "A:3"}\n'
+    )
 
 
 def test_convert_requires_an_input(runner):

@@ -1,10 +1,13 @@
 import gc
 import json
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,7 @@ from kgschema import (
     write_nodes,
 )
 from kgschema import build_closure, kg_store
+from kgschema.cli import main
 from kgschema.identifiers import MalformedCurieError, parse_curie
 from generators import dirty_graph, extended_seed_schema, max_examples, random_graph, random_schema
 from oracles import (
@@ -452,19 +456,22 @@ _tsv_records = _records(st.text("ab:1 \u00e9", max_size=3) | _json_text)
     st.just(kind), st.lists(_json_records[kind], max_size=5))))
 def test_jsonl_writers_equal_the_naive_writer(case):
     kind, records = case
-    if kind == "violation":
-        report = ValidationReport(records, {"X": len(records)}, "h")
-        header, rest = report.to_jsonl().split("\n", 1)
-        assert json.loads(header) == {
-            "counts": {"X": len(records)},
-            "errors": report.error_count,
-            "warnings": report.warning_count,
-            "inputs_hash": "h",
-        }
-        assert rest == naive_jsonl_write(records)
-    else:
-        write = write_nodes if kind == "node" else write_edges
-        assert write(records, "jsonl") == naive_jsonl_write(records)
+    # Blocks of one and two records: each block has its own key shapes and value types.
+    for block in (kg_store._RECORD_BLOCK, 1, 2):
+        with patch.object(kg_store, "_RECORD_BLOCK", block):
+            if kind == "violation":
+                report = ValidationReport(records, {"X": len(records)}, "h")
+                header, rest = report.to_jsonl().split("\n", 1)
+                assert json.loads(header) == {
+                    "counts": {"X": len(records)},
+                    "errors": report.error_count,
+                    "warnings": report.warning_count,
+                    "inputs_hash": "h",
+                }
+                assert rest == naive_jsonl_write(records)
+            else:
+                write = write_nodes if kind == "node" else write_edges
+                assert write(records, "jsonl") == naive_jsonl_write(records)
 
 
 def _outcome(write, *args):
@@ -788,6 +795,45 @@ def test_tsv_reader_equals_the_naive_line_reader(case, block):
                   [edge.predicate for edge in records]]
     for values in groups:
         assert len(set(map(id, values))) == len(set(values))
+
+
+def _hostile_input(kind):
+    return st.sampled_from([_hostile_tsv, _hostile_jsonl]).flatmap(lambda hostile: hostile(kind))
+
+
+@settings(max_examples=max_examples(200), deadline=None)
+@given(st.sampled_from(["node", "edge"]).flatmap(lambda kind: st.tuples(st.just(kind), _hostile_input(kind))),
+       st.integers(1, 48), st.integers(1, 3))
+def test_convert_to_jsonl_equals_the_writer_on_the_readers_records(case, read_block, record_block):
+    """``convert --to jsonl``, made a block at a time from the reader's checked
+    columns, writes what ``write_*(read_*(text), "jsonl")`` gives, or fails with
+    its message. With blocks of a few records, a JSONL block's last row, whose
+    properties are read only when the next row is asked for, keeps them."""
+    kind, text = case
+    read, write = (read_nodes, write_nodes) if kind == "node" else (read_edges, write_edges)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"{kind}s.txt"
+        path.write_text(text, encoding="utf-8")
+        source = path.read_text(encoding="utf-8")  # as the CLI reads it: newlines translated
+
+        def written():
+            try:
+                return write(read(source), "jsonl")
+            except (ParseError, ValueError) as fault:
+                return f"kgschema: {fault}\n"
+
+        expected = written()
+        try:
+            with patch.object(kg_store, "_READ_BLOCK", read_block), \
+                    patch.object(kg_store, "_RECORD_BLOCK", record_block):
+                assert written() == expected  # the readers, a few records per block
+                result = CliRunner().invoke(main, ["convert", f"--{kind}s", str(path), "--to", "jsonl"])
+        finally:
+            gc.unfreeze()  # the verb freezes what it made
+    if result.exit_code == 0:
+        assert result.stdout == expected and result.stderr == ""
+    else:
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", expected)
 
 
 def test_read_edges_holds_no_list_of_every_line():

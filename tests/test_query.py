@@ -72,6 +72,28 @@ def test_parse_edge_lines_for_non_chain_shapes(seed_doc):
     assert qg.qnodes["c"].categories == {"Protein"}
 
 
+def test_records_from_parse_and_expand_are_the_public_records(seed_doc, seed_index):
+    """``parse_query`` and ``expand_query`` make their records without calling the
+    classes; they equal, print and hash as the constructors' records, and stay frozen."""
+    qg = parse_query(TWO_HOP + "\nEDGE ?g -[interacts_with]-> ?x", seed_doc)
+    expanded = expand_query(qg, seed_index)
+    for graph in (qg, expanded):
+        for ours in graph.qnodes.values():
+            theirs = QNode(ours.var, ours.id, ours.categories)
+            assert ours == theirs and repr(ours) == repr(theirs) and hash(ours) == hash(theirs)
+            assert list(vars(ours).items()) == list(vars(theirs).items())
+            with pytest.raises(FrozenInstanceError):
+                ours.var = "z"
+        for ours in graph.qedges:
+            theirs = QEdge(ours.subject_var, ours.predicates, ours.object_var)
+            assert ours == theirs and repr(ours) == repr(theirs) and hash(ours) == hash(theirs)
+            assert list(vars(ours).items()) == list(vars(theirs).items())
+            with pytest.raises(FrozenInstanceError):
+                del ours.predicates
+    assert {qnode.id for qnode in qg.qnodes.values()} == {"NCBIGene:23221", None}
+    assert expanded.qedges[1].predicates > qg.qedges[1].predicates
+
+
 def test_parse_unknown_predicate(seed_doc):
     with pytest.raises(UnknownPredicateError):
         parse_query("?a -[does_a_thing]-> ?b", seed_doc)

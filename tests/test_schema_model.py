@@ -340,6 +340,30 @@ def test_effective_slots_unknown_class(seed_doc):
         effective_slots(seed_doc, "Nope")
 
 
+def _effective_slots_from_a_walk(doc, class_name):
+    """``effective_slots`` as read from a whole-schema ``_Walk``: chain slots, then mixin contributions."""
+    walk = sm._Walk(doc)
+    chain = sm._chain(walk.class_parents, class_name)
+    slots = [slot for name in chain for slot in doc.classes[name].slots]
+    slots += [slot for name in chain for mixin in doc.classes[name].mixins for slot in walk.contribution(mixin)]
+    return list(dict.fromkeys(slots))
+
+
+def test_effective_slots_walks_only_the_class_chain(monkeypatch):
+    """No whole-schema cycle search: the result is the walk's, with ``_find_cycles`` gone."""
+    rng = random.Random(31)
+    docs = [random_schema(rng, max_classes=12, max_mixins=4) for _ in range(30)]
+    docs += [tangled_schema(rng) for _ in range(60)]
+    expected = [{name: _effective_slots_from_a_walk(doc, name) for name in doc.classes} for doc in docs]
+
+    def refuse(parents):
+        raise AssertionError("effective_slots searched the whole schema for cycles")
+
+    monkeypatch.setattr(sm, "_find_cycles", refuse)
+    for doc, slots in zip(docs, expected):
+        assert {name: effective_slots(doc, name) for name in doc.classes} == slots
+
+
 def test_effective_slots_matches_recursive_union_oracle():
     rng = random.Random(11)
     for _ in range(40):
