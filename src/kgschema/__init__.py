@@ -6,74 +6,90 @@ graph nodes and edges against the schema; and answer multi-hop pattern
 queries with hierarchy-based predicate and category expansion.
 """
 
-from .errors import (
-    DanglingEdgeError,
-    DisconnectedQueryError,
-    DuplicateNameError,
-    EmptyCategorySetError,
-    EmptyCliqueError,
-    IncomparableCategoriesWarning,
-    KgschemaError,
-    MalformedCurieError,
-    NoMatchingBaseError,
-    OverlappingCliquesError,
-    ParseError,
-    SchemaFormatWarning,
-    SchemaNotValidError,
-    UndeclaredPrefixError,
-    UnknownClassError,
-    UnknownPredicateError,
-)
-from .hierarchy import (
-    ClosureIndex,
-    build_closure,
-    expand_predicates,
-    is_subclass_of,
-    most_specific_category,
-)
-from .identifiers import (
-    Curie,
-    EquivalenceTable,
-    contract_iri,
-    expand_iri,
-    load_equivalences,
-    normalize_curie,
-    parse_curie,
-    preferred_identifier,
-)
-from .kg_store import (
-    Edge,
-    KnowledgeGraph,
-    Node,
-    NormalizationReport,
-    StatsReport,
-    build_graph,
-    close_categories,
-    graph_equal,
-    graph_stats,
-    normalize_graph,
-    read_edges,
-    read_nodes,
-    write_edges,
-    write_nodes,
-)
-from .query import Binding, QueryGraph, expand_query, match, parse_query
-from .schema_model import (
-    AssociationDefinition,
-    ClassDefinition,
-    Mapping,
-    SchemaDocument,
-    SchemaViolation,
-    SlotDefinition,
-    TypeDefinition,
-    effective_slots,
-    parse_schema,
-    serialize_schema,
-    validate_schema,
-)
-from .validation import ValidationReport, Violation, validate_edge, validate_graph, validate_node
+import importlib
+
+# Each public name's defining module. The package imports a name's module
+# when the name is first read (PEP 562), so a command loads only the
+# modules it uses.
+_HOMES = {
+    "errors": (
+        "DanglingEdgeError",
+        "DisconnectedQueryError",
+        "DuplicateNameError",
+        "EmptyCategorySetError",
+        "EmptyCliqueError",
+        "IncomparableCategoriesWarning",
+        "KgschemaError",
+        "MalformedCurieError",
+        "NoMatchingBaseError",
+        "OverlappingCliquesError",
+        "ParseError",
+        "SchemaFormatWarning",
+        "SchemaNotValidError",
+        "UndeclaredPrefixError",
+        "UnknownClassError",
+        "UnknownPredicateError",
+    ),
+    "hierarchy": (
+        "ClosureIndex",
+        "build_closure",
+        "expand_predicates",
+        "is_subclass_of",
+        "most_specific_category",
+    ),
+    "identifiers": (
+        "Curie",
+        "EquivalenceTable",
+        "contract_iri",
+        "expand_iri",
+        "load_equivalences",
+        "normalize_curie",
+        "parse_curie",
+        "preferred_identifier",
+    ),
+    "kg_store": (
+        "Edge",
+        "KnowledgeGraph",
+        "Node",
+        "NormalizationReport",
+        "StatsReport",
+        "build_graph",
+        "close_categories",
+        "graph_equal",
+        "graph_stats",
+        "normalize_graph",
+        "read_edges",
+        "read_nodes",
+        "write_edges",
+        "write_nodes",
+    ),
+    "query": ("Binding", "QueryGraph", "expand_query", "match", "parse_query"),
+    "schema_model": (
+        "AssociationDefinition",
+        "ClassDefinition",
+        "Mapping",
+        "SchemaDocument",
+        "SchemaViolation",
+        "SlotDefinition",
+        "TypeDefinition",
+        "effective_slots",
+        "parse_schema",
+        "serialize_schema",
+        "validate_schema",
+    ),
+    "validation": (
+        "ValidationReport",
+        "Violation",
+        "validate_edge",
+        "validate_graph",
+        "validate_node",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
+# The version of the schema file format (``.kgs.yaml``) this package reads.
+SCHEMA_FORMAT_VERSION = "1"
 
 __all__ = [
     "AssociationDefinition",
@@ -141,3 +157,16 @@ __all__ = [
     "write_edges",
     "write_nodes",
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

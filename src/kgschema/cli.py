@@ -11,35 +11,67 @@ from __future__ import annotations
 
 import functools
 import gc
+import importlib
 import itertools
 import json
 import os
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
-from .errors import KgschemaError, MalformedCurieError, SchemaNotValidError
-from .hierarchy import ClosureIndex, build_closure, expand_predicates
-from .identifiers import load_equivalences, normalize_curie, parse_curie
-from .kg_store import (
-    KnowledgeGraph,
-    _convert_to_jsonl,
-    _gc_paused,
-    _read_edges,
-    build_graph,
-    close_categories,
-    graph_stats,
-    read_edges,
-    read_nodes,
-    write_edges,
-    write_nodes,
-)
-from .query import expand_query, match, parse_query
-from .schema_model import SCHEMA_FORMAT_VERSION, SchemaDocument, parse_schema
-from .validation import validate_graph
+from . import SCHEMA_FORMAT_VERSION, __version__
+
+if TYPE_CHECKING:
+    from .hierarchy import ClosureIndex
+    from .kg_store import KnowledgeGraph
+    from .schema_model import SchemaDocument
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for ``module.name`` that imports ``module`` on its first call.
+
+    A verb thus loads only the modules it calls, and each library function
+    it calls stays a name of this module, looked up at the call, which a
+    tracer may rebind. The first call puts the function in the stand-in's
+    place unless the name was rebound; the stand-in keeps it either way.
+    """
+    function = None
+
+    def stand_in(*args, **kwargs):
+        nonlocal function
+        if function is None:
+            function = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+            if globals()[name] is stand_in:
+                globals()[name] = function
+        return function(*args, **kwargs)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    return stand_in
+
+
+build_closure = _on_first_call("hierarchy", "build_closure")
+expand_predicates = _on_first_call("hierarchy", "expand_predicates")
+load_equivalences = _on_first_call("identifiers", "load_equivalences")
+normalize_curie = _on_first_call("identifiers", "normalize_curie")
+parse_curie = _on_first_call("identifiers", "parse_curie")
+_convert_to_jsonl = _on_first_call("kg_store", "_convert_to_jsonl")
+_gc_paused = _on_first_call("kg_store", "_gc_paused")
+_read_edges = _on_first_call("kg_store", "_read_edges")
+build_graph = _on_first_call("kg_store", "build_graph")
+close_categories = _on_first_call("kg_store", "close_categories")
+graph_stats = _on_first_call("kg_store", "graph_stats")
+read_edges = _on_first_call("kg_store", "read_edges")
+read_nodes = _on_first_call("kg_store", "read_nodes")
+write_edges = _on_first_call("kg_store", "write_edges")
+write_nodes = _on_first_call("kg_store", "write_nodes")
+expand_query = _on_first_call("query", "expand_query")
+match = _on_first_call("query", "match")
+parse_query = _on_first_call("query", "parse_query")
+parse_schema = _on_first_call("schema_model", "parse_schema")
+validate_graph = _on_first_call("validation", "validate_graph")
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -55,6 +87,8 @@ def _tool_errors(func):
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
+        from .errors import KgschemaError
+
         with warnings.catch_warnings():
             warnings.simplefilter("default")  # each distinct message once per issuing line
             warnings.showwarning = _show_warning
@@ -71,6 +105,8 @@ def _load_schema(
     schema_path: Path, *, lax: bool, strict: bool = False
 ) -> tuple[SchemaDocument, ClosureIndex]:
     """Parse and check the schema; a verb's first read, so it also rejects ``--strict --lax``."""
+    from .errors import KgschemaError, SchemaNotValidError
+
     if strict and lax:
         raise click.UsageError("--strict and --lax are mutually exclusive")
     doc = parse_schema(schema_path.read_text(encoding="utf-8"), lax=lax)
@@ -163,6 +199,8 @@ def validate(schema_path, nodes_path, edges_path, strict, lax, jobs, close_categ
 @_tool_errors
 def normalize(schema_path, equivalences_path, lax) -> None:
     """Rewrite CURIEs from stdin to their preferred form, one per line."""
+    from .errors import KgschemaError, MalformedCurieError
+
     doc, index = _load_schema(schema_path, lax=lax)
     table = load_equivalences(equivalences_path.read_text(encoding="utf-8"))
     for clique in table.cliques:
@@ -276,6 +314,8 @@ def convert(nodes_path, edges_path, target) -> None:
     is written next to its source with the target extension. Nothing is
     read or written when a destination is an input or both are one file.
     """
+    from .errors import KgschemaError
+
     if nodes_path is None and edges_path is None:
         raise click.UsageError("supply --nodes and/or --edges")
     if nodes_path is not None and edges_path is not None:

@@ -181,6 +181,12 @@ def most_specific_category(index: ClosureIndex, categories: set[str]) -> str:
     return minimal[0]
 
 
+# identifiers, which loads none of the schema stack, reaches this through the
+# index it is given. A plain function as a class attribute adds no frame, so
+# the warning still names the line of its caller.
+ClosureIndex.most_specific_category = most_specific_category
+
+
 class CategoryProfile:
     """What one node category list means under one schema.
 

@@ -9,7 +9,9 @@ pipelines never fail on unmapped vocabulary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import (
     EmptyCliqueError,
@@ -20,15 +22,27 @@ from .errors import (
     UndeclaredPrefixError,
     UnknownClassError,
 )
-from .hierarchy import ClosureIndex, most_specific_category
-from .schema_model import _WHITESPACE_RE, SchemaDocument, is_curie
+
+if TYPE_CHECKING:
+    from .hierarchy import ClosureIndex
+    from .schema_model import SchemaDocument
 
 NO_PREFERENCE_MATCH = "NO_PREFERENCE_MATCH"
+
+_WHITESPACE_RE = re.compile(r"\s")
+# The one CURIE shape rule: the first colon has text on both sides, and no
+# character is whitespace. Loops over many values map its ``fullmatch``.
+_CURIE_RE = re.compile(r"[^:\s]+:\S+")
 
 
 # A compact identifier ``prefix:local_id``: the text parse_curie accepted.
 # The prefix ends at the first colon; the local id may hold more colons.
 Curie = str
+
+
+def is_curie(text: str) -> bool:
+    """Whether ``text`` has the CURIE shape of ``_CURIE_RE``."""
+    return _CURIE_RE.fullmatch(text) is not None
 
 
 def parse_curie(text: str) -> Curie:
@@ -181,6 +195,6 @@ def normalize_curie(
     clique = table.clique_of(curie)
     if clique is None:
         return curie
-    category = most_specific_category(index, set(clique.categories))
+    category = index.most_specific_category(set(clique.categories))
     preferred, _ = preferred_identifier(set(clique.members), category, doc, index)
     return preferred

@@ -18,11 +18,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, is_, itemgetter, ne, or_
+from typing import TYPE_CHECKING
 
-from .errors import DanglingEdgeError, EmptyCategorySetError, ParseError
-from .hierarchy import ClosureIndex
-from .identifiers import Curie, EquivalenceTable, MalformedCurieError, normalize_curie, parse_curie
-from .schema_model import SchemaDocument
+from .errors import DanglingEdgeError, EmptyCategorySetError, MalformedCurieError, ParseError
+from .identifiers import Curie, EquivalenceTable, normalize_curie, parse_curie
+
+if TYPE_CHECKING:
+    from .hierarchy import ClosureIndex
+    from .schema_model import SchemaDocument
 
 NODE_COLUMNS = ("id", "category", "name")
 EDGE_COLUMNS = ("subject", "predicate", "object")

@@ -20,6 +20,7 @@ from functools import cached_property
 from . import blockyaml
 from .blockyaml import MappingNode, Scalar, Sequence, YamlNode
 from .errors import DuplicateNameError, ParseError, SchemaFormatWarning, UnknownClassError
+from .identifiers import is_curie
 
 PREDICATE = "predicate"
 NODE_PROPERTY = "node_property"
@@ -31,19 +32,8 @@ ROOT_PREDICATE = "related_to"
 MAPPING_RELATIONS = ("exact", "close", "broad", "narrow", "related")
 TYPE_BASES = ("string", "integer", "float", "boolean", "curie", "iri")
 
-SCHEMA_FORMAT_VERSION = "1"
-
 _CAMEL_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 _SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-_WHITESPACE_RE = re.compile(r"\s")
-# The one CURIE shape rule: the first colon has text on both sides, and no
-# character is whitespace. Loops over many values map its ``fullmatch``.
-_CURIE_RE = re.compile(r"[^:\s]+:\S+")
-
-
-def is_curie(text: str) -> bool:
-    """Whether ``text`` has the CURIE shape of ``_CURIE_RE``."""
-    return _CURIE_RE.fullmatch(text) is not None
 
 
 @dataclass

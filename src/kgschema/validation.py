@@ -24,11 +24,9 @@ from itertools import groupby
 from operator import attrgetter
 
 from .hierarchy import ClosureIndex
-from .identifiers import Curie
+from .identifiers import _CURIE_RE, Curie, is_curie
 from .kg_store import Edge, KnowledgeGraph, Node, _json_records
-from .schema_model import (
-    _CURIE_RE, AssociationDefinition, SchemaDocument, is_curie, serialize_schema,
-)
+from .schema_model import AssociationDefinition, SchemaDocument, serialize_schema
 
 UNKNOWN_CATEGORY = "UNKNOWN_CATEGORY"
 ABSTRACT_MIXIN_INSTANTIATED = "ABSTRACT_MIXIN_INSTANTIATED"
