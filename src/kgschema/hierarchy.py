@@ -9,7 +9,7 @@ instantiable tree.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
@@ -27,7 +27,8 @@ from .schema_model import PREDICATE, SchemaDocument, _fill_down, _schema_violati
 @dataclass
 class ClosureIndex:
     """Precomputed reachability over one schema. Immutable after build,
-    apart from the cache of :meth:`profile`, which never changes a result.
+    apart from the caches of :meth:`profile`, :meth:`category_expansion`,
+    :meth:`predicate_expansion` and :meth:`below`, which never change a result.
 
     Ancestor lists are reflexive and ordered self-first, then nearest to
     farthest. Descendant sets are the exact duals of the ancestor lists.
@@ -45,8 +46,9 @@ class ClosureIndex:
     mixin_carriers: dict[str, frozenset[str]] = field(default_factory=dict)
     id_prefixes: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    # Category tuple -> CategoryProfile, made on first use. Not a field, so
-    # it stays out of __init__, equality and repr.
+    # Caches made on first use: category tuple -> CategoryProfile, and one
+    # dict per kind of name-set answer (see _remember). Not fields, so they
+    # stay out of __init__, equality and repr.
     _profiles = None
 
     def profile(self, categories: Sequence[str]) -> CategoryProfile:
@@ -64,11 +66,70 @@ class ClosureIndex:
             found = profiles.setdefault(key, CategoryProfile(key, self))
         return found
 
+    def category_expansion(self, categories: frozenset[str]) -> frozenset[str]:
+        """The classes a query's category set stands for; one answer per distinct set.
+
+        A class stands for its descendants, a mixin for the classes that
+        carry it. A name that is neither raises :class:`UnknownClassError`,
+        on every call: a failure is not kept.
+        """
+        return _remember(self, "_category_expansions", categories, _expand_categories)
+
+    def predicate_expansion(self, predicates: frozenset[str]) -> frozenset[str]:
+        """:func:`expand_predicates` of ``predicates``, frozen; one answer per distinct set.
+
+        An unknown name raises :class:`UnknownPredicateError` on every call.
+        """
+        return _remember(self, "_predicate_expansions", predicates, _expand_predicates)
+
+    def below(self, categories: frozenset[str]) -> frozenset[str]:
+        """The names at or below ``categories`` by ``is_a``; one answer per distinct set.
+
+        Each class's descendants, and a name that is not a class kept as
+        itself. A node category list meets ``categories`` under ancestors
+        (shares a name with its profile's ``closure``) exactly when it
+        shares a name with this set, since the descendant sets are the
+        duals of the reflexive ancestor lists.
+        """
+        return _remember(self, "_below", categories, _below)
+
     def depth(self, class_name: str) -> int:
         return len(self.class_ancestors[class_name]) - 1
 
     def predicate_depth(self, predicate: str) -> int:
         return len(self.predicate_ancestors[predicate]) - 1
+
+
+def _remember(index: ClosureIndex, cache_name: str, key: frozenset[str], make: Callable) -> frozenset[str]:
+    """``make(index, key)``, kept in the index's cache ``cache_name``; a raise keeps nothing."""
+    cache = index.__dict__.get(cache_name)
+    if cache is None:  # threads that race here get one dict
+        cache = index.__dict__.setdefault(cache_name, {})
+    found = cache.get(key)
+    if found is None:
+        found = cache.setdefault(key, make(index, key))
+    return found
+
+
+def _expand_categories(index: ClosureIndex, categories: frozenset[str]) -> frozenset[str]:
+    expanded: set[str] = set()
+    for category in categories:
+        if category not in index.class_ancestors:
+            raise UnknownClassError(category)
+        if category in index.mixins:
+            expanded.update(index.mixin_carriers[category])
+        else:
+            expanded.update(index.class_descendants[category])
+    return frozenset(expanded)
+
+
+def _expand_predicates(index: ClosureIndex, predicates: frozenset[str]) -> frozenset[str]:
+    return frozenset(expand_predicates(index, predicates))
+
+
+def _below(index: ClosureIndex, categories: frozenset[str]) -> frozenset[str]:
+    descendants = index.class_descendants
+    return frozenset().union(*(descendants.get(name, (name,)) for name in categories))
 
 
 def _invert(ancestors: dict[str, list[str]]) -> dict[str, frozenset[str]]:
@@ -191,8 +252,8 @@ class CategoryProfile:
     """What one node category list means under one schema.
 
     ``known`` and ``unknown`` split the list in order, repeats kept.
-    ``closure``, read by the query and ``close_categories``, is the list,
-    then each known name's ancestors nearest first, each added name once.
+    ``closure``, read by ``close_categories``, is the list, then each
+    known name's ancestors nearest first, each added name once.
     ``most_specific`` and ``typed_closure`` are worked out on first use.
     """
 

@@ -27,10 +27,10 @@ from .errors import (
     UnknownClassError,
     UnknownPredicateError,
 )
-from .hierarchy import ClosureIndex, expand_predicates
+from .hierarchy import ClosureIndex
 from .identifiers import Curie, parse_curie
 from .kg_store import Edge, KnowledgeGraph
-from .schema_model import PREDICATE, SchemaDocument
+from .schema_model import SchemaDocument
 
 MAX_QNODES = 8
 
@@ -229,27 +229,24 @@ def expand_query(qg: QueryGraph, index: ClosureIndex) -> QueryGraph:
 
     An instantiable category expands to its descendant classes; a mixin
     expands to every instantiable class that carries it. A query node or
-    edge that expansion leaves as it was is reused, not copied.
+    edge that expansion leaves as it was is reused, not copied. Each
+    distinct category or predicate set is expanded once per index (see
+    :meth:`ClosureIndex.category_expansion`), and equal expanded sets are
+    one frozenset.
     """
+    category_expansion, predicate_expansion = index.category_expansion, index.predicate_expansion
     qnodes = {}
     for var, qnode in qg.qnodes.items():
         if qnode.categories is not None:
-            expanded: set[str] = set()
-            for category in qnode.categories:
-                if category not in index.class_ancestors:
-                    raise UnknownClassError(category)
-                if category in index.mixins:
-                    expanded.update(index.mixin_carriers[category])
-                else:
-                    expanded.update(index.class_descendants[category])
+            expanded = category_expansion(qnode.categories)
             if expanded != qnode.categories:
-                qnode = _qnode(var, qnode.id, frozenset(expanded))
+                qnode = _qnode(var, qnode.id, expanded)
         qnodes[var] = qnode
     qedges = []
     for qedge in qg.qedges:
-        predicates = expand_predicates(index, qedge.predicates)
+        predicates = predicate_expansion(qedge.predicates)
         if predicates != qedge.predicates:
-            qedge = _qedge(qedge.subject_var, frozenset(predicates), qedge.object_var)
+            qedge = _qedge(qedge.subject_var, predicates, qedge.object_var)
         qedges.append(qedge)
     return QueryGraph(qnodes, qedges)
 
@@ -263,11 +260,16 @@ def match(
 ) -> list[Binding]:
     """Enumerate all bindings of an (already expanded) query graph.
 
-    ``doc`` supplies symmetric-predicate declarations and ``index`` closes
-    node categories under ancestors during category tests. Two matches are
-    one binding when their assignments are equal and so is each hop's
-    evidence: its predicate, publications and evidence codes, the last two
-    as sorted values. Results are sorted by the tuple of bound identifiers
+    ``doc`` supplies the symmetric predicates
+    (:attr:`SchemaDocument.symmetric_predicates`). ``index`` answers the
+    category tests: a node meets a query node's categories when its own
+    list shares a name with :meth:`ClosureIndex.below` of them, which is
+    worked out once per distinct category set, so no node's list is closed
+    under ancestors.
+
+    Two matches are one binding when their assignments are equal and so is
+    each hop's evidence: its predicate, publications and evidence codes,
+    the last two as sorted values. Results are sorted by the tuple of bound identifiers
     in variable declaration order, bindings with equal tuples by their
     JSON text (:meth:`Binding.to_json`), and are identical regardless of
     exploration order.
@@ -285,9 +287,9 @@ def match(
     changes length; nodes may change freely. Editing an edge of a matched
     graph in place, with the edge count unchanged, is not supported.
     """
-    slots = doc.slots
+    symmetric = doc.symmetric_predicates
+    below = index.below
     nodes = kg.nodes
-    profile = index.profile
     pinned = {var: qnode.id for var, qnode in qg.qnodes.items() if qnode.id is not None}
     order = _edge_order(qg, set(pinned))
     by_subject, by_object = kg.adjacency()
@@ -300,10 +302,11 @@ def match(
     else:  # start from the first edge's subject, or the only node
         bound = [qg.qedges[order[0]].subject_var if order else next(iter(qg.qnodes))]
         categories = qg.qnodes[bound[0]].categories
+        wanted = None if categories is None else below(categories)
         partial = [
             ((node_id,), ())
             for node_id, node in nodes.items()
-            if categories is None or not categories.isdisjoint(profile(node.categories).closure)
+            if wanted is None or not wanted.isdisjoint(node.categories)
         ]
     for qedge_ordinal in order:
         qedge = qg.qedges[qedge_ordinal]
@@ -318,11 +321,8 @@ def match(
             break
         other_at = bound.index(other_var) if other_var in bound else None
         categories = qg.qnodes[other_var].categories
-        reversible = {
-            name
-            for name in predicates
-            if (slot := slots.get(name)) is not None and slot.slot_kind == PREDICATE and slot.symmetric
-        }
+        wanted = None if categories is None else below(categories)
+        reversible = symmetric.intersection(predicates)
         extended = []
         for ids, ordinals in partial:
             anchor = ids[anchor_at]
@@ -344,10 +344,7 @@ def match(
                 if other_at is not None:
                     if other == ids[other_at]:
                         extended.append((ids, ordinals + (edge_ordinal,)))
-                elif other in nodes and (
-                    categories is None
-                    or not categories.isdisjoint(profile(nodes[other].categories).closure)
-                ):
+                elif other in nodes and (wanted is None or not wanted.isdisjoint(nodes[other].categories)):
                     extended.append((ids + (other,), ordinals + (edge_ordinal,)))
         partial = extended
         if other_at is None:

@@ -107,6 +107,23 @@ class SchemaDocument:
         slot = self.slots.get(name)
         return slot is not None and slot.slot_kind == PREDICATE
 
+    @cached_property
+    def symmetric_predicates(self) -> frozenset[str]:
+        """The predicates declared ``symmetric``, worked out on first read and kept.
+
+        A cache, not a field: it stays out of ``__init__``, equality and
+        repr, and out of copies and pickles (see :meth:`__getstate__`).
+        """
+        return frozenset(
+            name for name, slot in self.slots.items() if slot.slot_kind == PREDICATE and slot.symmetric
+        )
+
+    def __getstate__(self) -> dict:
+        """The fields only, so a copy edited before its first read works its own cache out."""
+        state = self.__dict__.copy()
+        state.pop("symmetric_predicates", None)
+        return state
+
 
 @dataclass(frozen=True)
 class SchemaViolation:

@@ -141,6 +141,40 @@ def tangled_schema(rng: random.Random) -> SchemaDocument:
     return doc
 
 
+def untangled_schema(rng: random.Random) -> SchemaDocument:
+    """A :func:`tangled_schema` with its errors taken out, so that it has a closure index.
+
+    Each ``is_a`` that names no class of its own kind, or closes a cycle,
+    is dropped, and so is each mixin declaration that names no mixin. Every
+    slot becomes a predicate under an earlier one, a third of them
+    symmetric, and the associations go. Mixin loops, mixins of mixins and
+    classes that carry several mixins stay.
+    """
+    doc = tangled_schema(rng)
+    classes = doc.classes
+    for cls in classes.values():
+        parent = classes.get(cls.is_a)
+        if parent is None or parent.is_mixin != cls.is_mixin:
+            cls.is_a = None
+        cls.mixins = [name for name in cls.mixins if name in classes and classes[name].is_mixin]
+    for name, cls in classes.items():  # the is_a that closes a cycle, one per cycle
+        seen, current = {name}, cls.is_a
+        while current is not None and current not in seen:
+            seen.add(current)
+            current = classes[current].is_a
+        if current == name:
+            cls.is_a = None
+    earlier: list[str] = []
+    for name, slot in doc.slots.items():  # related_to first
+        slot.slot_kind = "predicate"
+        slot.is_a = (slot.is_a if slot.is_a in earlier else "related_to") if earlier else None
+        slot.symmetric = rng.random() < 0.3
+        earlier.append(name)
+    doc.associations.clear()
+    assert not [v for v in validate_schema(doc) if v.severity == "error"]
+    return doc
+
+
 def mixin_association_schema(
     classes: int, mixins: int, predicates: int, associations: int, seed: int = 0
 ) -> SchemaDocument:

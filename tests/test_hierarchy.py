@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgschema import hierarchy, schema_model
 from kgschema import (
@@ -24,14 +26,17 @@ from kgschema import (
     is_subclass_of,
     most_specific_category,
 )
+from kgschema.query import QEdge, QNode, QueryGraph
 from generators import (
     QUERY_SHAPES,
     deep_chain_schema,
     dirty_graph,
+    max_examples,
     mixin_association_schema,
     random_graph,
     random_query,
     random_schema,
+    untangled_schema,
 )
 from oracles import dfs_ancestors, dfs_descendants, mixin_reach, naive_carriers
 
@@ -209,9 +214,10 @@ def test_most_specific_category_errors(seed_index):
 
 
 def test_shared_index_gives_what_fresh_indexes_give(seed_doc, monkeypatch):
-    """One index serves interleaved validate, match, stats and close calls on
-    two graphs, with the results of a fresh index per call, and makes at most
-    one category profile per distinct category list."""
+    """One index serves interleaved validate, expand, match, stats and close
+    calls on two graphs, with the results of a fresh index per call, and
+    makes at most one category profile per distinct category list and one
+    expansion or ``below`` set per distinct name set."""
     built = Counter()
 
     class CountedProfile(hierarchy.CategoryProfile):
@@ -220,6 +226,17 @@ def test_shared_index_gives_what_fresh_indexes_give(seed_doc, monkeypatch):
             super().__init__(categories, index)
 
     monkeypatch.setattr(hierarchy, "CategoryProfile", CountedProfile)
+    answered = Counter()
+
+    def counted(make):
+        def answer(index, names):
+            answered[make.__name__, id(index), names] += 1
+            return make(index, names)
+
+        return answer
+
+    for name in ("_expand_categories", "_expand_predicates", "_below"):
+        monkeypatch.setattr(hierarchy, name, counted(getattr(hierarchy, name)))
     rng = random.Random(2121)
     graphs = [random_graph(rng, seed_doc), dirty_graph(rng, seed_doc, max_nodes=30, max_edges=60)]
     shared = build_closure(seed_doc)
@@ -236,11 +253,77 @@ def test_shared_index_gives_what_fresh_indexes_give(seed_doc, monkeypatch):
             assert report == validate_graph(kg, seed_doc, fresh()).to_jsonl()
             for shape in QUERY_SHAPES:
                 qg = random_query(rng, seed_doc, nodes, edges, shape)
-                ours = match(expand_query(qg, shared), kg, seed_doc, shared)
+                expanded = expand_query(qg, shared)
                 index = fresh()
+                assert expanded == expand_query(qg, index), shape
+                ours = match(expanded, kg, seed_doc, shared)
                 assert ours == match(expand_query(qg, index), kg, seed_doc, index), shape
             assert graph_stats(kg, shared) == graph_stats(kg, fresh())
             assert close_categories(kg, shared) == close_categories(kg, fresh())
     assert built and max(built.values()) == 1
     distinct = {tuple(node.categories) for kg in kgs for node in kg.nodes.values()}
     assert {categories for index_id, categories in built if index_id == id(shared)} == distinct
+    assert {kind for kind, index_id, _ in answered if index_id == id(shared)} == {
+        "_expand_categories", "_expand_predicates", "_below"
+    }
+    assert max(answered.values()) == 1
+
+
+def test_index_expansions_raise_on_every_lookup_of_an_unknown_name(seed_doc):
+    """A failed expansion is not kept: the same error on the first call and the next."""
+    index = build_closure(seed_doc)
+    unknown_category = QueryGraph({"a": QNode("a", categories=frozenset({"Sickness", "Gene"}))}, [])
+    unknown_predicate = QueryGraph(
+        {"a": QNode("a"), "b": QNode("b")}, [QEdge("a", frozenset({"causes_xyzzy", "treats"}), "b")]
+    )
+    for _ in range(2):
+        with pytest.raises(UnknownClassError) as caught:
+            expand_query(unknown_category, index)
+        assert caught.value.name == "Sickness"
+        with pytest.raises(UnknownPredicateError) as caught:
+            expand_query(unknown_predicate, index)
+        assert caught.value.name == "causes_xyzzy"
+        with pytest.raises(UnknownClassError):
+            index.category_expansion(frozenset({"Sickness"}))
+        with pytest.raises(UnknownPredicateError):
+            index.predicate_expansion(frozenset({"causes_xyzzy"}))
+    assert index.category_expansion(frozenset({"Gene"})) == index.class_descendants["Gene"]
+
+
+def test_expand_predicates_returns_a_new_set_each_call(seed_doc):
+    """The public function hands out a fresh mutable set, also for a set the
+    index has already expanded for a query, and editing it changes nothing."""
+    index = build_closure(seed_doc)
+    regulates = frozenset({"entity_regulates_entity"})
+    qg = QueryGraph({"a": QNode("a"), "b": QNode("b")}, [QEdge("a", regulates, "b")])
+    expected = expand_query(qg, index)
+    first = expand_predicates(index, regulates)
+    assert type(first) is set
+    first.add("causes_xyzzy")
+    second = expand_predicates(index, regulates)
+    assert second is not first and type(second) is set
+    assert second == {"entity_regulates_entity", "positively_regulates", "negatively_regulates"}
+    assert expand_query(qg, index) == expected
+
+
+@settings(max_examples=max_examples(100), deadline=None)
+@given(st.sampled_from(("random", "untangled")), st.integers(0, 2**32 - 1))
+def test_below_meets_a_category_list_exactly_when_its_closure_does(kind, seed):
+    """``below(wanted)`` shares a name with a category list exactly when
+    ``wanted`` shares one with the list's profile closure. ``wanted`` is a
+    set of expanded names, raw class names, mixins or unknown names; the
+    lists hold known and unknown names, mixins and repeats."""
+    rng = random.Random(seed)
+    doc = random_schema(rng, max_classes=15) if kind == "random" else untangled_schema(rng)
+    index = build_closure(doc)
+    names = sorted(doc.classes)  # mixins included
+    mixins = sorted(index.mixins) or names
+    unknown = ["Sickness", "Ghost"]
+    for _ in range(30):
+        pool = rng.choice((names, mixins, unknown, names + unknown))
+        wanted = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        if wanted.isdisjoint(unknown) and rng.random() < 0.5:
+            wanted = index.category_expansion(wanted)
+        categories = rng.choices(names + unknown, k=rng.randint(0, 4))
+        meets = not wanted.isdisjoint(index.profile(categories).closure)
+        assert (not index.below(wanted).isdisjoint(categories)) == meets, (wanted, categories)

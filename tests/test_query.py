@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -25,10 +26,20 @@ from kgschema import (
     read_nodes,
 )
 from kgschema import query
+from kgschema.hierarchy import ClosureIndex
 from kgschema.cli import main
 from kgschema.kg_store import Edge, KnowledgeGraph, Node
 from kgschema.query import Binding, EdgeEvidence, QEdge, QNode, QueryGraph, _edge_order
-from generators import ABSENT, QUERY_SHAPES, dirty_graph, max_examples, random_graph, random_query
+from generators import (
+    ABSENT,
+    QUERY_SHAPES,
+    dirty_graph,
+    max_examples,
+    random_graph,
+    random_query,
+    random_schema,
+    untangled_schema,
+)
 from oracles import bindings_as_dicts, brute_force_match, greedy_edge_order
 
 DATA = Path(__file__).parent / "data"
@@ -240,6 +251,38 @@ def test_symmetric_predicate_matches_reversed_edge(seed_doc, seed_index):
     assert match(qg2, kg2, seed_doc, seed_index) == []
 
 
+def test_symmetric_predicates_come_from_the_document_not_the_index(seed_doc):
+    """Two schemas that differ only in one predicate's ``symmetric`` flag,
+    sharing one closure index, give different bindings, in either order."""
+    assert "genetically_interacts_with" in seed_doc.symmetric_predicates  # read before the copy
+    directed = copy.deepcopy(seed_doc)
+    directed.slots["genetically_interacts_with"].symmetric = False
+    assert directed != seed_doc
+    index = build_closure(seed_doc)
+    kg = build_graph([Node("A:1", ["Gene"]), Node("B:2", ["Gene"])],
+                     [Edge("A:1", "genetically_interacts_with", "B:2")])
+    qg = expand_query(parse_query("B:2 -[genetically_interacts_with]-> ?x", seed_doc), index)
+    for _ in range(2):
+        assert [b.assignments["x"] for b in match(qg, kg, seed_doc, index)] == ["A:1"]
+        assert match(qg, kg, directed, index) == []
+    assert "genetically_interacts_with" not in directed.symmetric_predicates
+
+
+def test_match_makes_no_category_profile(seed_doc, demo_graph, monkeypatch):
+    """Category tests read ``ClosureIndex.below``: with ``profile`` refusing,
+    a category-filtered pinned query and an unpinned one still match."""
+    index = build_closure(seed_doc)
+
+    def refuse(self, categories):
+        raise AssertionError(f"match made a category profile of {categories}")
+
+    monkeypatch.setattr(ClosureIndex, "profile", refuse)
+    for text in (TWO_HOP, "?g:Gene|Protein -[related_to]-> ?c:SmallMolecule"):
+        qg = expand_query(parse_query(text, seed_doc), index)
+        ours = bindings_as_dicts(match(qg, demo_graph, seed_doc, index))
+        assert ours and ours == brute_force_match(qg, demo_graph, seed_doc), text
+
+
 def test_homomorphism_allows_two_variables_on_one_node(seed_doc, seed_index):
     nodes = [Node("A:1", ["Gene"]), Node("B:2", ["Gene"])]
     edges = [
@@ -395,7 +438,33 @@ def test_match_sees_a_node_swapped_for_one_with_other_categories(seed_doc, seed_
     assert (found(diseases), found(genes)) == ([], [])
 
 
+def _generated_docs(rng: random.Random, count: int):
+    """``count`` (doc, index) pairs, half random and half untangled schemas,
+    each with an instantiable class, mixins and symmetric predicates allowed."""
+    docs = []
+    while len(docs) < count:
+        doc = random_schema(rng, max_classes=12) if len(docs) % 2 else untangled_schema(rng)
+        if any(not cls.is_mixin for cls in doc.classes.values()):
+            docs.append((doc, build_closure(doc)))
+    return docs
+
+
+def _raw_categories(rng: random.Random, doc, qg: QueryGraph) -> QueryGraph:
+    """``qg`` with some unpinned nodes' categories made raw names, never
+    expanded: classes, mixins, or a name the schema does not declare."""
+    pool = sorted(doc.classes) + ["Sickness"]
+    qnodes = {
+        var: QNode(var, categories=frozenset(rng.sample(pool, rng.randint(1, 2))))
+        if qnode.id is None and rng.random() < 0.7
+        else qnode
+        for var, qnode in qg.qnodes.items()
+    }
+    return QueryGraph(qnodes, qg.qedges)
+
+
 def test_matcher_equals_brute_force_on_random_graphs(seed_doc, seed_index):
+    """The seed schema over clean graphs, then generated schemas over dirty
+    graphs, with expanded queries and with raw-category queries built in code."""
     rng = random.Random(2024)
     for _ in range(40):
         nodes, edges = random_graph(rng, seed_doc, max_nodes=10, max_edges=20)
@@ -404,34 +473,47 @@ def test_matcher_equals_brute_force_on_random_graphs(seed_doc, seed_index):
         ours = bindings_as_dicts(match(qg, kg, seed_doc, seed_index))
         oracle = brute_force_match(qg, kg, seed_doc)
         assert ours == oracle
+    for trial, (doc, index) in enumerate(_generated_docs(rng, 8) * 16):
+        nodes, edges = dirty_graph(rng, doc, max_nodes=6, max_edges=40)
+        kg = build_graph(nodes, edges)
+        rounds, shape = divmod(trial, len(QUERY_SHAPES))
+        qg = random_query(rng, doc, nodes, edges, QUERY_SHAPES[shape])
+        qg = expand_query(qg, index) if rounds % 2 else _raw_categories(rng, doc, qg)
+        ours = bindings_as_dicts(match(qg, kg, doc, index))
+        assert ours == brute_force_match(qg, kg, doc), trial
 
 
 def test_matcher_equals_brute_force_on_one_node_and_unpinned_queries(seed_doc, seed_index):
-    """One-node queries of every kind and unpinned chains, over clean and dirty graphs.
+    """One-node queries of every kind and unpinned chains, over clean and dirty graphs,
+    on the seed schema and on generated ones.
 
     Dirty graphs bring unknown categories, mixin-only nodes and dangling edges.
+    The ``raw`` kinds are query graphs built in code whose categories are
+    unexpanded, mixin or unknown names.
     """
     rng = random.Random(2025)
-    classes = sorted(seed_doc.classes)  # mixins included
-    kinds = ("present", "absent", "categories", "bare", "unpinned")
-    for trial in range(100):
-        make = random_graph if trial % 2 else dirty_graph
-        nodes, edges = make(rng, seed_doc, max_nodes=10, max_edges=20)
+    kinds = ("present", "absent", "categories", "bare", "unpinned", "raw", "raw_unpinned")
+    cases = [(seed_doc, seed_index)] * 100 + _generated_docs(rng, 10) * 5
+    for trial, (doc, index) in enumerate(cases):
+        classes = sorted(doc.classes)  # mixins included
+        make = random_graph if trial % 2 and doc is seed_doc else dirty_graph
+        nodes, edges = make(rng, doc, max_nodes=10, max_edges=20)
         kg = build_graph(nodes, edges)
         kind = kinds[trial % len(kinds)]
-        if kind == "unpinned":
-            qg = random_query(rng, seed_doc, nodes, edges, "unpinned")
+        if kind.endswith("unpinned"):
+            qg = random_query(rng, doc, nodes, edges, "unpinned")
         else:
             qnode = {
                 "present": QNode("a", id=rng.choice(nodes).id if nodes else ABSENT),
                 "absent": QNode("a", id=ABSENT),
                 "categories": QNode("a", categories=frozenset(rng.sample(classes, rng.randint(1, 2)))),
                 "bare": QNode("a"),
+                "raw": QNode("a"),
             }[kind]
             qg = QueryGraph({"a": qnode}, [])
-        qg = expand_query(qg, seed_index)
-        ours = bindings_as_dicts(match(qg, kg, seed_doc, seed_index))
-        assert ours == brute_force_match(qg, kg, seed_doc), (trial, kind)
+        qg = _raw_categories(rng, doc, qg) if kind.startswith("raw") else expand_query(qg, index)
+        ours = bindings_as_dicts(match(qg, kg, doc, index))
+        assert ours == brute_force_match(qg, kg, doc), (trial, kind)
 
 
 def test_expansion_soundness(seed_doc, seed_index, demo_graph):
@@ -680,7 +762,8 @@ def test_binding_dicts_keep_the_search_order(seed_doc, seed_index, demo_graph):
 
 def test_threads_sharing_a_graph_and_an_index_get_what_one_thread_gets(seed_doc):
     """Four threads run every query shape on one graph and one index, both
-    cold, so that they race to build the adjacency and the category profiles."""
+    cold, so that they race to build the adjacency, the expansions and the
+    ``below`` sets."""
     rng = random.Random(4321)
     nodes, edges = random_graph(rng, seed_doc, max_nodes=40, max_edges=120)
     queries = [random_query(rng, seed_doc, nodes, edges, shape) for shape in QUERY_SHAPES * 4]
