@@ -338,7 +338,11 @@ def convert(nodes_path, edges_path, target) -> None:
         with _gc_paused():  # as in _load_graph
             # JSONL is made a block of records at a time, so only its text
             # is held; TSV needs every property key for its header first.
-            made = _convert_to_jsonl(text, kind) if target == "jsonl" else read(text)
+            # A blank input is the JSONL an empty graph converts to.
+            if target == "jsonl":
+                made = _convert_to_jsonl(text, kind)
+            else:
+                made = read(text, "jsonl" if not text or text.isspace() else None)
             gc.freeze()
         del text
         outputs.append(made if target == "jsonl" else [write(made, fmt=target)])

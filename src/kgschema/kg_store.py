@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, is_, itemgetter, ne, or_
+from operator import attrgetter, gt, is_, itemgetter, ne, or_
 from typing import TYPE_CHECKING
 
 from .errors import DanglingEdgeError, EmptyCategorySetError, MalformedCurieError, ParseError
@@ -191,22 +191,45 @@ def _rows(source_text: str, fmt: str | None, core: tuple[str, ...], what: str):
     of the block: core values in ``core`` order, the ``category`` value as
     a list of strings and every other one as a string, empty when absent.
     ``columns`` is None or holds the same records a column at a time, the
-    syntax already checked (see ``_tsv_read_blocks``); a reader then reads
-    ``rows`` only when its screen of the columns finds a fault, to report
-    it. JSONL is one block without columns.
+    syntax already checked (see ``_tsv_read_blocks`` and ``_jsonl_columns``);
+    a reader then reads ``rows`` only when its screen of the columns finds
+    a fault, to report it.
     """
     source_text = source_text.removeprefix("\ufeff")
     if fmt is None:
         fmt = "jsonl" if source_text.lstrip().startswith(("{", "[", '"')) else "tsv"
     if fmt == "jsonl":
-        return [(_jsonl_rows(source_text, core, what), None)]
+        return (
+            (_jsonl_rows(lines, number, core, what), _jsonl_columns(block, lines, core))
+            for number, block, lines in _text_blocks(source_text, 0, 1)
+        )
     return _tsv_read_blocks(source_text, core, f"{what}s")
 
 
-# Characters of TSV text that a reader screens at once; a block ends at the
-# first line break past them. The row lists of a much larger block would
-# outweigh the one list of every line that blocks replace.
+# Characters of TSV or JSONL text that a reader screens at once; a block
+# ends at the first line break past them. The row lists or decoded objects
+# of a much larger block would outweigh the one list of every line that
+# blocks replace.
 _READ_BLOCK = 1 << 16
+
+
+def _text_blocks(text: str, start: int, number: int):
+    """Each block of ``text`` from ``start`` as ``(its first line's number, block, its lines)``.
+
+    ``number`` is the number of the line at ``start``. A block is the lines
+    that start within ``_READ_BLOCK`` characters of its first one, without
+    the line break that ends the last.
+    """
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start + _READ_BLOCK)
+        if end < 0:
+            end = size
+        block = text[start:end]
+        lines = block.split("\n")
+        yield number, block, lines
+        number += len(lines)
+        start = end + 1
 
 
 def _tsv_read_blocks(source_text: str, core: tuple[str, ...], what: str):
@@ -237,15 +260,8 @@ def _tsv_read_blocks(source_text: str, core: tuple[str, ...], what: str):
     extras = header[leading:]
     multi = core.index("category") if "category" in core else -1
     single = [i for i in range(leading) if i != multi]
-    size = len(source_text)
-    number = 2
-    start = end + 1
-    while start < size:
-        end = source_text.find("\n", start + _READ_BLOCK)
-        if end < 0:
-            end = size
-        block = source_text[start:end]
-        lines = block.split("\n")
+    for number, block, lines in _text_blocks(source_text, end + 1, 2):
+        rows = _tsv_rows(lines, number, core, extras)
         if "\r" in block:
             lines = [line.rstrip("\r") for line in lines]
         if "" in lines:
@@ -253,7 +269,6 @@ def _tsv_read_blocks(source_text: str, core: tuple[str, ...], what: str):
         columns = None
         if set(map(str.count, lines, repeat("\t"))) == {width - 1}:
             cells = "\t".join(lines).split("\t")
-            del lines  # not held while the records are made
             columns = [cells[i::width] for i in range(width)]
             if "|" in block and any("|" in "\t".join(columns[i]) for i in single):
                 columns = None
@@ -261,9 +276,7 @@ def _tsv_read_blocks(source_text: str, core: tuple[str, ...], what: str):
                 if multi >= 0:
                     columns[multi] = _split_column(columns[multi])
                 columns[leading:] = [_tsv_properties(extras, columns[leading:], len(columns[0]))]
-        yield _tsv_rows(block, number, core, extras), columns
-        number += block.count("\n") + 1
-        start = end + 1
+        yield rows, columns
 
 
 def _tsv_properties(keys: list[str], columns: list, count: int) -> list[dict[str, list[str]]]:
@@ -281,7 +294,7 @@ def _tsv_properties(keys: list[str], columns: list, count: int) -> list[dict[str
     return properties
 
 
-def _tsv_rows(block: str, number: int, core: tuple[str, ...], extras: list[str]):
+def _tsv_rows(lines: list[str], number: int, core: tuple[str, ...], extras: list[str]):
     """Check each row's width and its single-valued core cells; ``number`` is the first line's.
 
     A trailing CR is dropped. A ``|`` splits the ``category`` cell into
@@ -294,7 +307,7 @@ def _tsv_rows(block: str, number: int, core: tuple[str, ...], extras: list[str])
     width = leading + len(extras)
     multi = core.index("category") if "category" in core else -1
     single = [(i, column) for i, column in enumerate(core) if i != multi]
-    for number, raw in enumerate(block.split("\n"), start=number):
+    for number, raw in enumerate(lines, start=number):
         row = raw.rstrip("\r")
         if not row:
             continue
@@ -314,50 +327,124 @@ def _tsv_rows(block: str, number: int, core: tuple[str, ...], extras: list[str])
         yield number, cells, properties
 
 
+def _jsonl_columns(block: str, lines: list[str], core: tuple[str, ...]) -> list | None:
+    """The screen of a block of JSONL lines: its records a column at a time, or None.
+
+    The block's nonblank lines are decoded as one JSON array, taken only
+    when every line starts with ``{``, the block holds no other ``{``,
+    and the array holds one object per line. Strict JSON has no raw line
+    break inside a string, so each line's ``{`` then opens its own
+    top-level object, the only one on the line, and no line holds
+    anything else: each object is the one ``json.loads`` gives for its
+    line alone. The columns are the core values in ``core`` order, absent
+    or null read as ``""``, then each record's object, which keeps its
+    other keys as its properties, sorted when they were not. A block is
+    taken only when the row loop would keep every value as it is: each
+    core value but ``category`` a string, ``category`` and each property a
+    nonempty array of distinct nonempty strings, and no key or string
+    holding an unpaired surrogate. Equal property keys of a block are one
+    object each, as the decoder makes them.
+    """
+    if "" in lines:
+        lines = list(filter(None, lines))
+    if not lines or set(map(itemgetter(0), lines)) != {"{"} or block.count("{") != len(lines):
+        return None
+    try:
+        records = json.loads("[" + ",\n".join(lines) + "]")
+    except (ValueError, RecursionError):  # a decode error, or an integer too long for int()
+        return None
+    if len(records) != len(lines) or set(map(type, records)) != {dict}:
+        return None
+    if "\\u" in block:
+        try:
+            for record in records:
+                _reject_surrogates(record, 0)
+        except ParseError:
+            return None
+    sizes = list(map(len, records))
+    columns = [list(map(dict.pop, records, repeat(name), repeat(None))) for name in core]
+    arrays = []
+    for i, name in enumerate(core):
+        kinds = set(map(type, columns[i]))
+        if name == "category":
+            if kinds != {list}:
+                return None
+            arrays = columns[i]
+        elif kinds != {str}:
+            if not kinds <= {str, type(None)}:
+                return None
+            columns[i] = ["" if value is None else value for value in columns[i]]
+    values = list(chain.from_iterable(map(dict.values, records)))
+    if not set(map(type, values)) <= {list} or not _json_arrays_pass(arrays + values, '""' in block):
+        return None
+    if any(list(shape) != sorted(shape) for shape in set(map(tuple, records))):
+        records = [
+            record if list(record) == sorted(record) else dict(sorted(record.items())) for record in records
+        ]
+    # A dict keeps the table it grew for every key it held, and past five
+    # keys that table doubles: an object that held more is made again from
+    # its properties alone (184 bytes for three, against 272 as decoded).
+    for i in compress(count(), map(gt, sizes, repeat(5))):
+        records[i] = dict(records[i].items())
+    columns.append(records)
+    return columns
+
+
+def _json_arrays_pass(arrays: list[list], empties: bool) -> bool:
+    """Whether each of ``arrays`` holds one or more strings, all distinct and nonempty.
+
+    When ``empties`` is false no string can be empty, and that test is skipped.
+    """
+    lengths = list(map(len, arrays))
+    if 0 in lengths:
+        return False
+    try:
+        "".join(chain.from_iterable(arrays))  # raises on an item that is not a string
+    except TypeError:
+        return False
+    if empties and "" in chain.from_iterable(arrays):
+        return False
+    if sum(lengths) == len(arrays):  # one string each
+        return True
+    many = list(compress(arrays, map(gt, lengths, repeat(1))))
+    return sum(map(len, map(set, many))) == sum(map(len, many))
+
+
 # Decodes one JSON value at an index of a text, with ``json.loads``' rules.
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
+def _jsonl_rows(lines: list[str], number: int, core: tuple[str, ...], what: str):
     """Check each nonblank line's JSON, that it is an object, and its core types.
 
-    A line that starts with ``{`` is decoded in place when its object ends
-    on that line with only whitespace after it; any other line, and any
-    such line that fails, goes stripped to ``json.loads``, whose verdict
-    stands. An unpaired surrogate escape is checked before the types, and
-    only on lines with a ``\\u``. ``category`` must be an array of strings
-    and every other core value a string; an absent or null core value reads
-    as an empty cell would. Properties hold the object's other keys in
-    sorted order, each key text one object per call. They are read when
-    the caller asks for the next line, after its field rules, so a field
-    fault is the one reported. A one-string array is kept as it is.
+    ``number`` is the first line's number. A line that starts with ``{``
+    is decoded as it stands when only whitespace follows its object; any
+    other line, and any such line that fails, goes stripped to
+    ``json.loads``, whose verdict stands. An unpaired surrogate escape is
+    checked before the types, and only on lines with a ``\\u``.
+    ``category`` must be an array of strings and every other core value a
+    string; an absent or null core value reads as an empty cell would.
+    Properties hold the object's other keys in sorted order, equal keys
+    of the block one object each. They are read when the caller asks for the next line,
+    after its field rules, so a field fault is the one reported. A
+    one-string array is kept as it is.
     """
     multi = core.index("category") if "category" in core else -1
     absent = (None,) * len(core)
     kinds = [list if i == multi else str for i in range(len(core))]
     keys: dict[str, str] = {}
-    size = len(source_text)
-    # Where the next "\\u" is, or ``size``: a line holds one when it starts
-    # before the line's end.
-    escape = source_text.find("\\u") % (size + 1)
-    number = start = 0
-    while start <= size:
-        newline = source_text.find("\n", start)
-        if newline < 0:
-            newline = size
-        number += 1
-        begin, start = start, newline + 1
+    for number, line in enumerate(lines, start=number):
         obj = None
-        if source_text.startswith("{", begin):
+        if line.startswith("{"):
             try:
-                obj, end = _scan_once(source_text, begin)
+                obj, end = _scan_once(line, 0)
             except (ValueError, StopIteration, RecursionError):
                 pass  # json.loads below gives the verdict and the error's position
             else:
-                if end > newline or source_text[end:newline].strip():
+                if line[end:].strip():
                     obj = None
         if obj is None:
-            line = source_text[begin:newline].strip()
+            line = line.strip()
             if not line:
                 continue
             try:
@@ -370,9 +457,8 @@ def _jsonl_rows(source_text: str, core: tuple[str, ...], what: str):
                 raise ParseError(f"invalid JSON: {exc}", number, 1) from exc
             if not isinstance(obj, dict):
                 raise ParseError(f"each {what} line must be a JSON object", number, 1)
-        if escape < newline:
+        if "\\u" in line:
             _reject_surrogates(obj, number)
-            escape = source_text.find("\\u", newline) % (size + 1)
         values = list(map(obj.pop, core, absent))
         if list(map(type, values)) != kinds:
             _json_core(values, core, multi, number)

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 import kgschema
 from kgschema import (
+    KnowledgeGraph,
+    build_graph,
     cli,
+    graph_equal,
     hierarchy,
     kg_store,
     read_edges,
@@ -435,6 +438,104 @@ def test_convert_fault_on_the_last_line_of_a_multi_block_input_writes_nothing(
     assert both.exit_code == 2
     assert both.stdout == "" and both.stderr == single.stderr
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def _long_jsonl_graph_files(directory, rows):
+    """Good node and edge JSONL files of ``rows`` records each, longer than two read blocks."""
+    nodes = directory / "nodes.jsonl"
+    edges = directory / "edges.jsonl"
+    nodes.write_text(
+        "".join(f'{{"category": ["Gene"], "id": "NCBIGene:{i}", "name": "gene {i}"}}\n' for i in range(rows)),
+        encoding="utf-8",
+    )
+    edges.write_text(
+        "".join(
+            f'{{"object": "NCBIGene:{i + 1}", "predicate": "related_to", "publications": ["PMID:{i}"], '
+            f'"subject": "NCBIGene:{i}"}}\n'
+            for i in range(rows)
+        ),
+        encoding="utf-8",
+    )
+    for path in (nodes, edges):
+        assert len(path.read_text(encoding="utf-8")) > 2 * kg_store._READ_BLOCK
+    return nodes, edges
+
+
+@pytest.mark.parametrize(
+    "faulty, row, message",
+    [
+        ("nodes", '{"category": ["Gene"], "id": "NCBIGene 9", "name": "bad id"}',
+         "not a prefix:local_id pair"),
+        ("edges", '{"object": "NCBIGene:2", "predicate": "", "subject": "NCBIGene:1"}', "empty predicate"),
+        ("edges", '{"object": "NCBIGene:2", "predicate": "related_to", "publications": "PMID:1", '
+                  '"subject": "NCBIGene:1"}', "'publications' must be an array of strings"),
+    ],
+    ids=["bad-curie", "empty-predicate", "non-array-property"],
+)
+def test_convert_jsonl_fault_on_the_last_line_of_a_multi_block_input_writes_nothing(
+    runner, tmp_path, faulty, row, message
+):
+    rows = 5000
+    paths = dict(zip(("nodes", "edges"), _long_jsonl_graph_files(tmp_path, rows)))
+    with open(paths[faulty], "a", encoding="utf-8") as handle:
+        handle.write(row + "\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    where = f"kgschema: line {rows + 1}, column 1: "
+    single = runner.invoke(main, ["convert", f"--{faulty}", str(paths[faulty]), "--to", "tsv"])
+    assert single.exit_code == 2
+    assert single.stdout == ""
+    assert single.stderr.startswith(where) and message in single.stderr
+    both = runner.invoke(
+        main, ["convert", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]), "--to", "tsv"]
+    )
+    assert both.exit_code == 2
+    assert both.stdout == "" and both.stderr == single.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("blank", ["", "\n", " \r\n\n"])
+def test_convert_round_trips_the_empty_graph(runner, tmp_path, blank):
+    # An empty graph is a header-only TSV file and a blank JSONL file, the one
+    # `convert --to jsonl` writes for it; each converts to the other and back.
+    empty = KnowledgeGraph()
+
+    def graph(nodes_path, edges_path):
+        def read(path, reader):
+            text = path.read_text(encoding="utf-8")
+            return reader(text, "jsonl" if path.suffix == ".jsonl" else "tsv")
+
+        return build_graph(read(nodes_path, read_nodes), read(edges_path, read_edges))
+
+    def convert(nodes_path, edges_path, target):
+        result = _invoke(
+            runner, "convert", "--nodes", str(nodes_path), "--edges", str(edges_path), "--to", target
+        )
+        assert result.exit_code == 0, result.stderr
+        return nodes_path.with_suffix(f".{target}"), edges_path.with_suffix(f".{target}")
+
+    tsv_dir, jsonl_dir = tmp_path / "tsv", tmp_path / "jsonl"
+    tsv_dir.mkdir()
+    jsonl_dir.mkdir()
+    tsv = (tsv_dir / "nodes.tsv", tsv_dir / "edges.tsv")
+    tsv[0].write_text("id\tcategory\tname\n", encoding="utf-8")
+    tsv[1].write_text("subject\tpredicate\tobject\n", encoding="utf-8")
+    jsonl = convert(*tsv, "jsonl")
+    assert [path.read_text(encoding="utf-8") for path in jsonl] == ["", ""]
+    assert graph_equal(graph(*jsonl), empty)
+    assert [path.read_text(encoding="utf-8") for path in convert(*jsonl, "tsv")] == [
+        "id\tcategory\tname\n", "subject\tpredicate\tobject\n"
+    ]
+    blank_jsonl = (jsonl_dir / "nodes.jsonl", jsonl_dir / "edges.jsonl")
+    for path in blank_jsonl:
+        path.write_text(blank, encoding="utf-8")
+    back = convert(*blank_jsonl, "tsv")
+    assert graph_equal(graph(*back), empty)
+    again = convert(*back, "jsonl")
+    assert [path.read_text(encoding="utf-8") for path in again] == ["", ""]
+    assert graph_equal(graph(*again), empty)
+    for kind, path in zip(("nodes", "edges"), blank_jsonl):
+        single = _invoke(runner, "convert", f"--{kind}", str(path), "--to", "tsv")
+        assert single.exit_code == 0 and single.stdout == path.with_suffix(".tsv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("block", [1, 2, 1024])

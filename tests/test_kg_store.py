@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -35,6 +36,7 @@ from kgschema import (
 from kgschema import build_closure, kg_store
 from kgschema.cli import main
 from kgschema.identifiers import MalformedCurieError, parse_curie
+from kgschema.kg_store import EDGE_COLUMNS
 from generators import dirty_graph, extended_seed_schema, max_examples, random_graph, random_schema
 from oracles import (
     naive_closed_list,
@@ -663,6 +665,9 @@ _ODD_LINES = [
 ]
 
 
+_GUARD_LINES = ['{"a":[[{}', '{}]]}', '{"s":"A:1"}, {"s":"B:2"}']
+
+
 @st.composite
 def _hostile_jsonl(draw, kind):
     """JSONL text of ``kind`` records: mostly valid rows, some faulty, some hostile lines."""
@@ -693,7 +698,7 @@ def _hostile_jsonl(draw, kind):
 
     lines = []
     for _ in range(draw(st.integers(1, 5))):
-        shape = draw(st.integers(0, 19))
+        shape = draw(st.integers(0, 20))
         if shape < 12:
             lines.append(row())
         elif shape < 15:
@@ -711,24 +716,93 @@ def _hostile_jsonl(draw, kind):
             lines.append(draw(st.sampled_from(["[" * 50_000, DEEP_ARRAY, "1}", "]"])))
         elif shape == 18:
             lines.append(row() + draw(st.sampled_from([" x", "}", ",", " {}", "\x00"])))
-        else:
+        elif shape == 19:
             lines.append("\ufeff" + row())
+        else:
+            # Joined into one array these decode to three objects, one per
+            # line, though no line reads on its own.
+            lines += _GUARD_LINES
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 @settings(max_examples=max_examples(150), deadline=None)
-@given(st.sampled_from(["node", "edge"]).flatmap(lambda kind: st.tuples(st.just(kind), _hostile_jsonl(kind))))
-def test_jsonl_reader_equals_the_naive_line_reader(case):
+@given(st.sampled_from(["node", "edge"]).flatmap(lambda kind: st.tuples(st.just(kind), _hostile_jsonl(kind))),
+       st.just(kg_store._READ_BLOCK) | st.integers(1, 48))
+def test_jsonl_reader_equals_the_naive_line_reader(case, block):
+    """With blocks of a few characters, blocks the screen takes and blocks it
+    hands to the row loop alternate, and faults fall in later blocks."""
     kind, text = case
     read = read_nodes if kind == "node" else read_edges
     try:
         expected = naive_jsonl_read(text, kind)
     except ParseError as fault:
-        with pytest.raises(ParseError) as info:
+        with patch.object(kg_store, "_READ_BLOCK", block), pytest.raises(ParseError) as info:
             read(text, "jsonl")
         assert str(info.value) == str(fault)
     else:
-        assert read(text, "jsonl") == expected
+        with patch.object(kg_store, "_READ_BLOCK", block):
+            assert read(text, "jsonl") == expected
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # Three objects from four "{": the count of "{" declines it.
+        (_GUARD_LINES, "line 1, column 10: invalid JSON: Expecting ',' delimiter"),
+        # An object that reads on into a line that does not start with "{".
+        (['{"subject": "A:1", "predicate": "p", "object": "B:2", "x": ["y"]',
+          '"z": ["w"]}, {"subject": "A:1", "predicate": "p", "object": "B:2"}'],
+         "line 1, column 65: invalid JSON: Expecting ',' delimiter"),
+        # The second line's "{" nests in the first object, whose duplicate key
+        # then drops it, and a second object starts within the line.
+        (['{"subject": "A:1", "predicate": "p", "object": "B:2", "x": [1',
+          '{}], "x": ["y"]}, {"subject": "A:1", "predicate": "p", "object": "B:2"}'],
+         "line 1, column 62: invalid JSON: Expecting ',' delimiter"),
+        # One "{" per line, but one object for two lines, whose duplicate key
+        # drops the nested one.
+        (['{"subject": "A:1", "predicate": "p", "object": "B:2", "x": [1', '{}], "x": ["y"]}'],
+         "line 1, column 62: invalid JSON: Expecting ',' delimiter"),
+        # One object per line, and an array that runs from one line to the next.
+        (['{"subject": "A:1", "predicate": "p", "object": "B:2"}, [5',
+          '{"subject": "A:1", "predicate": "p", "object": "B:2"}]'],
+         "line 1, column 54: invalid JSON: Extra data"),
+    ],
+    ids=["roadmap-guard", "continued", "nested-then-dropped", "one-object-two-lines", "array-across-lines"],
+)
+def test_jsonl_block_screen_declines_lines_that_do_not_read_alone(lines, message):
+    """Joined into one array, each block decodes, yet its first line does not
+    read on its own: the screen takes none of them, and the fault is line 1's."""
+    block = "\n".join(lines)
+    json.loads("[" + ",\n".join(lines) + "]")
+    assert kg_store._jsonl_columns(block, block.split("\n"), EDGE_COLUMNS) is None
+    with pytest.raises(ParseError) as info:
+        read_edges(block + "\n", "jsonl")
+    assert str(info.value) == message
+
+
+def test_jsonl_property_keys_are_shared_within_a_block_and_sorted():
+    # The decoder makes one object per distinct key in a block, and the
+    # records keep the decoded objects as their properties; the keys of the
+    # lines written unsorted (every other one) are sorted, as the row loop
+    # sorts them.
+    def line(i):
+        obj = {"xref": [f"X:{i}", f"X:{i + 1}"], "subject": f"A:{i}", "predicate": "p", "object": "B:1",
+               "publications": [f"PMID:{i}"]}
+        if i % 3 == 0:
+            obj["source"] = ["S:1"]  # six keys
+        return json.dumps(obj, sort_keys=i % 2 == 0) + "\n"
+
+    text = "".join(map(line, range(50)))
+    assert len(text) < kg_store._READ_BLOCK
+    assert kg_store._jsonl_columns(text, text.split("\n"), EDGE_COLUMNS) is not None
+    edges = read_edges(text)
+    keys = [key for edge in edges for key in edge.properties]
+    assert len(keys) == 117 and len(set(map(id, keys))) == 3
+    assert [list(edge.properties) for edge in edges] == [
+        ["publications", "source", "xref"] if i % 3 == 0 else ["publications", "xref"] for i in range(50)
+    ]
+    # Each record's properties take no more room than a dict made of them.
+    assert all(sys.getsizeof(edge.properties) == sys.getsizeof(dict(edge.properties.items())) for edge in edges)
 
 
 @st.composite
@@ -868,6 +942,36 @@ _records = {
                       _good_curies.map(parse_curie), _properties),
 }
 _FAULTS = {"node": ["id", "category"], "edge": ["subject", "predicate", "object"]}
+# Records whose JSONL lines the block screen takes as they are: distinct
+# nonempty values, a name that is absent or nonempty, and no "{" in a string.
+_clean_text = st.text(st.characters(exclude_characters="{", exclude_categories=("Cs",)), min_size=1, max_size=4)
+_distinct_values = st.lists(_clean_text, min_size=1, max_size=3, unique=True)
+_clean_properties = st.dictionaries(st.sampled_from(["symbol", "xref", "\u00e9"]), _distinct_values, max_size=3)
+_clean_records = {
+    "node": st.builds(Node, _good_curies.map(parse_curie), _distinct_values,
+                      st.none() | _clean_text, _clean_properties),
+    "edge": st.builds(Edge, _good_curies.map(parse_curie), _clean_text,
+                      _good_curies.map(parse_curie), _clean_properties),
+}
+
+
+def _refuse(*args):
+    raise AssertionError("the JSONL row loop ran")
+    yield  # a generator, like the row loop: the screen's blocks never iterate it
+
+
+@settings(max_examples=max_examples(100), deadline=None)
+@given(st.sampled_from(["node", "edge"]).flatmap(
+           lambda kind: st.tuples(st.just(kind), st.lists(_clean_records[kind], max_size=6))),
+       st.just(kg_store._READ_BLOCK) | st.integers(1, 200))
+def test_clean_jsonl_writer_output_reads_back_through_the_screen_alone(case, block):
+    """What the JSONL writers make of records with distinct nonempty values
+    reads back equal, with the row loop made to fail if it is ever run."""
+    kind, records = case
+    read, write = (read_nodes, write_nodes) if kind == "node" else (read_edges, write_edges)
+    text = write(records, "jsonl")
+    with patch.object(kg_store, "_READ_BLOCK", block), patch.object(kg_store, "_jsonl_rows", _refuse):
+        assert read(text, "jsonl") == records
 
 
 def _curie_message(text):
