@@ -747,7 +747,8 @@ def test_jsonl_reader_equals_the_naive_line_reader(case, block):
 @pytest.mark.parametrize(
     "lines, message",
     [
-        # Three objects from four "{": the count of "{" declines it.
+        # Three objects from four "{", the first nested across two lines:
+        # the count of "{" declines it.
         (_GUARD_LINES, "line 1, column 10: invalid JSON: Expecting ',' delimiter"),
         # An object that reads on into a line that does not start with "{".
         (['{"subject": "A:1", "predicate": "p", "object": "B:2", "x": ["y"]',
@@ -767,7 +768,7 @@ def test_jsonl_reader_equals_the_naive_line_reader(case, block):
           '{"subject": "A:1", "predicate": "p", "object": "B:2"}]'],
          "line 1, column 54: invalid JSON: Extra data"),
     ],
-    ids=["roadmap-guard", "continued", "nested-then-dropped", "one-object-two-lines", "array-across-lines"],
+    ids=["nested-across-lines", "continued", "nested-then-dropped", "one-object-two-lines", "array-across-lines"],
 )
 def test_jsonl_block_screen_declines_lines_that_do_not_read_alone(lines, message):
     """Joined into one array, each block decodes, yet its first line does not
@@ -972,6 +973,39 @@ def test_clean_jsonl_writer_output_reads_back_through_the_screen_alone(case, blo
     text = write(records, "jsonl")
     with patch.object(kg_store, "_READ_BLOCK", block), patch.object(kg_store, "_jsonl_rows", _refuse):
         assert read(text, "jsonl") == records
+
+
+# Arrays the row loop cleans: repeated and empty strings, and empty arrays.
+_unclean_values = st.lists(st.sampled_from(["PMID:1", "PMID:2", "", "é"]), max_size=4)
+_unclean_core = {
+    "id": st.sampled_from(["A:1", "B:2"]),
+    "category": st.lists(st.sampled_from(["Gene", "Protein", ""]), max_size=3).map(lambda values: values + ["Gene"]),
+    "name": st.sampled_from(["a", ""]) | st.none(),
+    "subject": st.sampled_from(["A:1", "B:2"]),
+    "predicate": st.just("p"),
+    "object": st.sampled_from(["A:1", "C:3"]),
+}
+
+
+@settings(max_examples=max_examples(100), deadline=None)
+@given(st.data(), st.just(kg_store._READ_BLOCK) | st.integers(1, 200))
+def test_jsonl_screen_cleans_arrays_as_the_row_loop_does(data, block):
+    """Lines whose arrays hold repeated or empty strings, or nothing, are
+    read by the block screen alone, with the line reader's result: each
+    array keeps its distinct nonempty strings, and an empty property goes."""
+    kind = data.draw(st.sampled_from(["node", "edge"]))
+    core = ("id", "category", "name") if kind == "node" else ("subject", "predicate", "object")
+    lines = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        obj = {name: data.draw(_unclean_core[name]) for name in core}
+        for key in data.draw(st.lists(st.sampled_from(["publications", "xref", "é"]), max_size=3)):
+            obj[key] = data.draw(_unclean_values)
+        order = data.draw(st.permutations(list(obj)))
+        lines.append(json.dumps({key: obj[key] for key in order}))
+    text = "\n".join(lines) + "\n"
+    read = read_nodes if kind == "node" else read_edges
+    with patch.object(kg_store, "_READ_BLOCK", block), patch.object(kg_store, "_jsonl_rows", _refuse):
+        assert read(text, "jsonl") == naive_jsonl_read(text, kind)
 
 
 def _curie_message(text):
